@@ -19,7 +19,6 @@
 #include "sim/machine_config.hpp"
 #include "sim/system.hpp"
 #include "trace/lpm2.hpp"
-#include "trace/mmap_trace.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
@@ -190,12 +189,10 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
     report.analytic_configs = results.size();
   }
 
-  // Phase 4: trace ingestion through the LPM2 mmap path. Cold: evict the
-  // file from the page cache, then drain with the pipelined decoder (page-in
-  // overlaps decode — the configuration open_trace auto-selects for cold
-  // files). Warm: a fresh direct-mode source over the now-hot file, decoding
-  // in place with no thread. Both passes drain to exhaustion, so checksum
-  // verification is inside the timed region.
+  // Phase 4: trace ingestion through the LPM2 reader. Cold: evict the file
+  // from the page cache, then drain it, so every chunk read goes to the
+  // device. Warm: a fresh reader over the now-hot file. Both passes drain
+  // to exhaustion, so checksum verification is inside the timed region.
   if (opts.trace_ops >= 1 || !opts.trace_file.empty()) {
     std::string path = opts.trace_file;
     std::string temp_path;
@@ -211,13 +208,13 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
     }
     evict_page_cache(path);
     {
-      trace::MmapTrace cold(path, "perf-ingest-cold", {.pipeline = true});
+      trace::Lpm2Trace cold(path, "perf-ingest-cold");
       const auto start = Clock::now();
       report.trace_ops = drain_all(cold);
       report.wall_seconds_trace_cold = seconds_since(start);
     }
     {
-      trace::MmapTrace warm(path, "perf-ingest-warm", {.pipeline = false});
+      trace::Lpm2Trace warm(path, "perf-ingest-warm");
       const auto start = Clock::now();
       (void)drain_all(warm);
       report.wall_seconds_trace_warm = seconds_since(start);

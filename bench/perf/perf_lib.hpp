@@ -25,12 +25,11 @@
 //     this gate protects: analytic screening stays orders of magnitude
 //     faster than cycle simulation.
 //   * trace_cold_ops_per_sec / trace_warm_ops_per_sec — recorded-trace
-//     ingestion rate through the LPM2 mmap path (src/trace/mmap_trace.hpp):
-//     cold is a full drain after evicting the file from the page cache with
-//     the pipelined decoder engaged, warm a direct in-place decode of the
-//     now-hot file. Record-once/replay-many is only a win while replay
-//     stays far above the simulator's op consumption rate; these gates
-//     keep it that way.
+//     ingestion rate through the LPM2 reader (src/trace/lpm2.hpp): cold is
+//     a full drain after evicting the file from the page cache, warm a
+//     drain of the now-hot file. Record-once/replay-many is only a win
+//     while replay stays far above the simulator's op consumption rate;
+//     these gates keep it that way.
 //
 // run_perf_suite() measures, to_json()/parse_report() round-trip the flat
 // JSON report, and check_against_baseline() implements the CI gate: a
@@ -95,10 +94,9 @@ struct PerfReport {
   double instructions_per_sec = 0.0;
   double engine_jobs_per_sec = 0.0;
   double analytic_configs_per_sec = 0.0;
-  /// Cold pass: pages evicted (posix_fadvise DONTNEED), pipelined decode —
-  /// read-ahead + decode overlap is what this number sells.
+  /// Cold pass: pages evicted (posix_fadvise DONTNEED) before the drain.
   double trace_cold_ops_per_sec = 0.0;
-  /// Warm pass: same source after reset(), page cache hot, direct decode.
+  /// Warm pass: a fresh reader over the same file, page cache hot.
   double trace_warm_ops_per_sec = 0.0;
 };
 

@@ -1,8 +1,8 @@
-// Trace tooling scenario: synthesize a workload, record it to the binary
-// trace format, reload it, and verify the replay drives the simulator to an
+// Trace tooling scenario: synthesize a workload, record it to an LPM2 trace
+// file, replay it, and verify the replay drives the simulator to an
 // identical result - the reproducibility workflow for sharing experiments.
 //
-//   $ ./trace_tools [workload=429.mcf] [length=50000] [path=/tmp/lpm.trace]
+//   $ ./trace_tools [workload=429.mcf] [length=50000] [path=/tmp/lpm.lpm2]
 #include <cstdio>
 
 #include <memory>
@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   const auto args = util::KvConfig::from_args(argc, argv);
   const std::string name = args.get_or("workload", "429.mcf");
   const std::uint64_t length = args.get_uint_or("length", 50'000);
-  const std::string path = args.get_or("path", "/tmp/lpm_example.trace");
+  const std::string path = args.get_or("path", "/tmp/lpm_example.lpm2");
 
   trace::WorkloadProfile workload;
   for (const auto b : trace::all_spec_benchmarks()) {
@@ -24,10 +24,10 @@ int main(int argc, char** argv) {
 
   // Record.
   trace::SyntheticTrace source(workload);
-  const std::uint64_t written = trace::record_trace(source, path);
-  std::printf("recorded %llu micro-ops of %s to %s\n",
-              static_cast<unsigned long long>(written), name.c_str(),
-              path.c_str());
+  const std::uint64_t checksum = trace::record_trace_v2(source, path);
+  std::printf("recorded %llu micro-ops of %s to %s (checksum %016llx)\n",
+              static_cast<unsigned long long>(length), name.c_str(), path.c_str(),
+              static_cast<unsigned long long>(checksum));
 
   // Replay from memory and from file; results must match bit for bit.
   const auto run_with = [&](trace::TraceSourcePtr t) {
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     return system.run();
   };
   const auto live = run_with(std::make_unique<trace::SyntheticTrace>(workload));
-  const auto replay = run_with(std::make_unique<trace::FileTrace>(path, name));
+  const auto replay = run_with(std::make_unique<trace::Lpm2Trace>(path, name));
 
   std::printf("live run   : %llu cycles, %llu L1 misses, %llu DRAM reads\n",
               static_cast<unsigned long long>(live.cycles),

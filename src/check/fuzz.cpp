@@ -11,7 +11,6 @@
 #include "core/lpm_algorithm.hpp"
 #include "model/analytic.hpp"
 #include "trace/lpm2.hpp"
-#include "trace/mmap_trace.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -154,10 +153,8 @@ std::vector<trace::MicroOp> random_ops(util::Rng& rng, std::uint64_t len,
 }
 
 /// Records each core's ops to a temp LPM2 file and replays them through
-/// MmapTrace, alternating the delivery mode by seed with a chunk small
-/// enough that the pipelined replay cycles its slots. Returns the first
-/// mismatch / typed error as a message, empty when every core round-trips
-/// bit-identically.
+/// the file reader. Returns the first mismatch / typed error as a message,
+/// empty when every core round-trips bit-identically.
 std::string check_trace_roundtrip_case(const ReplayCase& c,
                                        std::uint64_t case_seed) {
   namespace fs = std::filesystem;
@@ -172,11 +169,8 @@ std::string check_trace_roundtrip_case(const ReplayCase& c,
       trace::VectorTrace source("roundtrip", c.ops[core]);
       const std::uint64_t recorded =
           trace::record_trace_v2(source, path.string());
-      trace::MmapTrace replay(
-          path.string(), "roundtrip",
-          trace::MmapTraceOptions{.pipeline = (case_seed & 1) != 0,
-                                  .chunk_ops = 256});
-      if (replay.checksum() != recorded) {
+      trace::Lpm2Trace replay(path.string(), "roundtrip");
+      if (replay.info().checksum != recorded) {
         verdict = where + "header checksum differs from the recorded stream";
         break;
       }

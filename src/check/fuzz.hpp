@@ -12,8 +12,8 @@
 //                Optimize at 10%)
 //
 // Each case additionally round-trips its op lists through the LPM2 on-disk
-// format (record to a temp file, replay through MmapTrace, compare op by
-// op), so the recorded-trace path is fuzzed with the same seeds as the
+// format (record to a temp file, replay through the file reader, compare
+// op by op), so the recorded-trace path is fuzzed with the same seeds as the
 // simulators — a codec or replay bug surfaces as a "trace-roundtrip"
 // failure, not as silent divergence three layers later.
 //
@@ -44,8 +44,8 @@ struct FuzzConfig {
   bool check_properties = true;  ///< model identities on top of the diff
   bool minimize = true;          ///< delta-debug divergent cases
   /// Record each case's ops to a temporary LPM2 file and replay them back
-  /// through MmapTrace (alternating delivery modes per seed); any op-level
-  /// difference or typed error is a "trace-roundtrip" failure.
+  /// through the file reader; any op-level difference or typed error is a
+  /// "trace-roundtrip" failure.
   bool check_trace_roundtrip = true;
 
   /// Applies LPM_CHECK_SEED / LPM_CHECK_CASES / LPM_CHECK_ARTIFACTS /

@@ -319,10 +319,6 @@ ExperimentEngine::~ExperimentEngine() {
     { const std::lock_guard<std::mutex> lock(park_mutex_); }
     park_cv_.notify_all();
     for (auto& w : workers_) w.join();
-    for (unsigned i = 0; i < threads_; ++i) {
-      obs_.worker_tasks.observe(static_cast<double>(
-          worker_shards_[i].tasks.load(std::memory_order_relaxed)));
-    }
   }
   if (watchdog_.joinable()) {
     {
@@ -407,6 +403,11 @@ void ExperimentEngine::worker_loop(int worker_id) {
     shard.tasks.fetch_add(1, std::memory_order_relaxed);
     run_task(item);
   }
+  // Observed here, on the worker's own thread, not by the destructor: the
+  // shared engine is destroyed during static destruction, after the
+  // destroying thread's thread-local metric caches are gone.
+  obs_.worker_tasks.observe(
+      static_cast<double>(shard.tasks.load(std::memory_order_relaxed)));
 }
 
 void ExperimentEngine::push_task(TaskItem item) {

@@ -41,10 +41,8 @@
 #include "sim/machine_config.hpp"
 #include "sim/system.hpp"
 #include "trace/lpm2.hpp"
-#include "trace/mmap_trace.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/trace_file.hpp"
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"

@@ -30,10 +30,9 @@ struct TraceSpec {
                                       std::uint64_t seed = 1);
   /// An explicit workload profile.
   [[nodiscard]] static TraceSpec profile(trace::WorkloadProfile workload);
-  /// A recorded trace file (LPM2 or legacy LPMT): probes the header and
-  /// builds a file-backed profile whose identity is the stream's content
-  /// checksum, not the path. Throws util::IoError on a missing or corrupt
-  /// file. Replay is replicated across cores like any single-entry spec.
+  /// A recorded LPM2 trace file: probes the header and builds a
+  /// file-backed profile whose identity is the stream's content checksum,
+  /// not the path. Throws util::IoError on a missing, corrupt or v1 file. Replay is replicated across cores like any single-entry spec.
   [[nodiscard]] static TraceSpec trace_file(const std::string& path,
                                             std::string name = "");
   /// One profile per core.

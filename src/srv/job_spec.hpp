@@ -41,7 +41,7 @@ struct JobSpec {
   std::string workload = "403.gcc";
   std::uint64_t length = 100'000;  ///< micro-ops per trace replay
   std::uint64_t seed = 1;
-  /// Server-local path of a recorded trace file (LPM2/LPMT). When set, the
+  /// Server-local path of a recorded LPM2 trace file. When set, the
   /// job replays that file and workload/length/seed are ignored; the
   /// engine-side cache key folds in the file's *content checksum*, not this
   /// path. Simulate/sweep only — walks screen across synthetic lengths.

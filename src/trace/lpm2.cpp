@@ -1,11 +1,14 @@
 #include "trace/lpm2.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <vector>
-
-#include "util/checksum.hpp"
 
 namespace lpm::trace {
 
@@ -14,9 +17,6 @@ namespace {
 constexpr std::array<char, 4> kMagicV2 = {'L', 'P', 'M', '2'};
 constexpr std::array<char, 4> kMagicV1 = {'L', 'P', 'M', 'T'};
 constexpr std::size_t kV1HeaderBytes = 4 + 4 + 8;
-
-// Records are hashed and written in batches of this many ops.
-constexpr std::size_t kIoBatchOps = 4096;
 
 void put_u32(unsigned char* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xff;
@@ -42,77 +42,68 @@ std::uint64_t get_u64(const unsigned char* p) {
   throw util::IoError(what + " in " + path);
 }
 
-std::uint64_t stream_size(std::istream& in, const std::string& path) {
-  in.seekg(0, std::ios::end);
-  const std::streamoff end = in.tellg();
-  if (!in.good() || end < 0) fail("trace: cannot size file", path);
-  in.seekg(0);
-  return static_cast<std::uint64_t>(end);
+std::string errno_text() { return std::strerror(errno); }
+
+/// pread()s `size` bytes at `offset`, retrying interrupted and partial
+/// reads. Returns the bytes read, which is fewer than `size` only when the
+/// file ends first.
+std::size_t pread_full(int fd, unsigned char* dst, std::size_t size,
+                       std::uint64_t offset, const std::string& path) {
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t r = ::pread(fd, dst + got, size - got,
+                              static_cast<off_t>(offset + got));
+    if (r == 0) break;
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      fail("trace: read failed (" + errno_text() + ")", path);
+    }
+    got += static_cast<std::size_t>(r);
+  }
+  return got;
 }
 
-/// Streams the record payload of an open file, feeding each record's raw
-/// bytes to `checksum` and (when `validate_types`) checking the type byte.
-void scan_records(std::istream& in, const std::string& path, std::uint64_t count,
-                  util::Checksum64& checksum, bool validate_types) {
-  std::vector<unsigned char> buf(kIoBatchOps * kLpm2RecordBytes);
-  std::uint64_t remaining = count;
-  while (remaining > 0) {
-    const std::size_t batch =
-        static_cast<std::size_t>(std::min<std::uint64_t>(remaining, kIoBatchOps));
-    const std::size_t bytes = batch * kLpm2RecordBytes;
-    in.read(reinterpret_cast<char*>(buf.data()), static_cast<std::streamsize>(bytes));
-    if (!in.good()) fail("trace: truncated record payload", path);
-    if (validate_types) {
-      for (std::size_t i = 0; i < batch; ++i) {
-        const unsigned char type = buf[i * kLpm2RecordBytes];
-        if (type > static_cast<unsigned char>(OpType::kStore)) {
-          fail("trace: invalid op type byte " + std::to_string(type), path);
-        }
-      }
-    }
-    checksum.update(buf.data(), bytes);
-    remaining -= batch;
-  }
-}
-
-/// Parses + validates a header from an already-open stream, leaving the
-/// stream positioned at the first record. `total_bytes` is the file size.
-TraceFileInfo parse_header(std::istream& in, const std::string& path,
-                           std::uint64_t total_bytes) {
-  std::array<char, 4> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in.good()) fail("trace: file too small for a magic", path);
-
-  TraceFileInfo info;
-  info.file_bytes = total_bytes;
-
-  if (magic == kMagicV2) {
-    std::array<unsigned char, kLpm2HeaderBytes> hdr{};
-    std::copy(magic.begin(), magic.end(), reinterpret_cast<char*>(hdr.data()));
-    in.read(reinterpret_cast<char*>(hdr.data() + 4), kLpm2HeaderBytes - 4);
-    if (!in.good()) fail("trace: truncated LPM2 header", path);
-    return parse_lpm2_header(hdr.data(), total_bytes, path);
+/// Streams LPM2 records to a file: a placeholder header, then record
+/// batches hashed as they are written, then count and checksum patched in.
+class Lpm2Writer {
+ public:
+  explicit Lpm2Writer(const std::string& path)
+      : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
+    if (!out_.good()) fail("trace: cannot open for writing", path_);
+    std::copy(kMagicV2.begin(), kMagicV2.end(), header_.begin());
+    put_u32(&header_[4], kLpm2Version);
+    put_u32(&header_[24], kLpm2RecordBytes);
+    out_.write(reinterpret_cast<const char*>(header_.data()), header_.size());
   }
 
-  if (magic == kMagicV1) {
-    std::array<unsigned char, kV1HeaderBytes - 4> hdr{};
-    in.read(reinterpret_cast<char*>(hdr.data()), hdr.size());
-    if (!in.good()) fail("trace: truncated LPMT header", path);
-    info.version = get_u32(&hdr[0]);
-    info.count = get_u64(&hdr[4]);
-    if (info.version != 1) {
-      fail("trace: unsupported LPMT version " + std::to_string(info.version), path);
-    }
-    if (info.count > (total_bytes - kV1HeaderBytes) / kLpm2RecordBytes) {
-      fail("trace: header count " + std::to_string(info.count) +
-               " exceeds the records present",
-           path);
-    }
-    return info;
+  void write(const unsigned char* records, std::size_t count) {
+    const std::size_t bytes = count * kLpm2RecordBytes;
+    checksum_.update(records, bytes);
+    out_.write(reinterpret_cast<const char*>(records),
+               static_cast<std::streamsize>(bytes));
+    if (!out_.good()) fail("trace: write failed", path_);
+    count_ += count;
   }
 
-  fail("trace: unrecognized magic (not LPMT or LPM2)", path);
-}
+  /// Patches the header; returns the content checksum.
+  std::uint64_t finish() {
+    const std::uint64_t digest = checksum_.digest();
+    put_u64(&header_[8], count_);
+    put_u64(&header_[16], digest);
+    out_.seekp(0);
+    out_.write(reinterpret_cast<const char*>(header_.data()), header_.size());
+    out_.flush();
+    if (!out_.good()) fail("trace: header patch failed", path_);
+    return digest;
+  }
+
+ private:
+  std::string path_;
+  std::ofstream out_;
+  std::array<unsigned char, kLpm2HeaderBytes> header_{};
+  util::Checksum64 checksum_;
+  std::uint64_t count_ = 0;
+};
 
 }  // namespace
 
@@ -174,18 +165,7 @@ MicroOp decode_record(const unsigned char* src) {
 }
 
 std::uint64_t record_trace_v2(TraceSource& source, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.good()) fail("record_trace_v2: cannot open for writing", path);
-
-  // Placeholder header; count and checksum are patched once known.
-  std::array<unsigned char, kLpm2HeaderBytes> hdr{};
-  std::copy(kMagicV2.begin(), kMagicV2.end(), reinterpret_cast<char*>(hdr.data()));
-  put_u32(&hdr[4], kLpm2Version);
-  put_u32(&hdr[24], kLpm2RecordBytes);
-  out.write(reinterpret_cast<const char*>(hdr.data()), hdr.size());
-
-  util::Checksum64 checksum;
-  std::uint64_t count = 0;
+  Lpm2Writer out(path);
   std::vector<MicroOp> ops(kIoBatchOps);
   std::vector<unsigned char> buf(kIoBatchOps * kLpm2RecordBytes);
   for (;;) {
@@ -198,56 +178,163 @@ std::uint64_t record_trace_v2(TraceSource& source, const std::string& path) {
     for (std::size_t i = 0; i < got; ++i) {
       encode_record(ops[i], buf.data() + i * kLpm2RecordBytes);
     }
-    const std::size_t bytes = got * kLpm2RecordBytes;
-    checksum.update(buf.data(), bytes);
-    out.write(reinterpret_cast<const char*>(buf.data()),
-              static_cast<std::streamsize>(bytes));
-    if (!out.good()) fail("record_trace_v2: write failed", path);
-    count += got;
+    out.write(buf.data(), got);
     if (got < ops.size()) break;  // short fill = source exhausted
   }
-
-  const std::uint64_t digest = checksum.digest();
-  put_u64(&hdr[8], count);
-  put_u64(&hdr[16], digest);
-  out.seekp(0);
-  out.write(reinterpret_cast<const char*>(hdr.data()), hdr.size());
-  out.flush();
-  if (!out.good()) fail("record_trace_v2: header patch failed", path);
-  return digest;
+  return out.finish();
 }
 
-TraceFileInfo inspect_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) fail("trace: cannot open", path);
-  const std::uint64_t total = stream_size(in, path);
-  TraceFileInfo info = parse_header(in, path, total);
-  if (info.version == 1) {
-    // v1 stores no checksum; compute it from the records so callers (and
-    // fingerprinting) see the same content identity either format carries.
-    util::Checksum64 checksum;
-    scan_records(in, path, info.count, checksum, /*validate_types=*/false);
-    info.checksum = checksum.digest();
+std::uint64_t convert_lpmt_trace(const std::string& lpmt_path,
+                                 const std::string& out_path) {
+  std::ifstream in(lpmt_path, std::ios::binary | std::ios::ate);
+  if (!in.good()) fail("trace: cannot open", lpmt_path);
+  const std::streamoff file_bytes = in.tellg();
+  in.seekg(0);
+  std::array<unsigned char, kV1HeaderBytes> hdr{};
+  in.read(reinterpret_cast<char*>(hdr.data()), hdr.size());
+  if (!in.good() || std::memcmp(hdr.data(), kMagicV1.data(), 4) != 0) {
+    fail("trace: not a v1 LPMT file", lpmt_path);
   }
-  return info;
+  const std::uint32_t version = get_u32(&hdr[4]);
+  const std::uint64_t count = get_u64(&hdr[8]);
+  if (version != 1) {
+    fail("trace: unsupported LPMT version " + std::to_string(version), lpmt_path);
+  }
+  const auto records_present =
+      static_cast<std::uint64_t>(file_bytes - static_cast<std::streamoff>(kV1HeaderBytes)) /
+      kLpm2RecordBytes;
+  if (count > records_present) {
+    fail("trace: header count " + std::to_string(count) +
+             " exceeds the records present",
+         lpmt_path);
+  }
+
+  Lpm2Writer out(out_path);
+  std::vector<unsigned char> buf(kIoBatchOps * kLpm2RecordBytes);
+  for (std::uint64_t done = 0; done < count;) {
+    const auto batch =
+        static_cast<std::size_t>(std::min<std::uint64_t>(count - done, kIoBatchOps));
+    in.read(reinterpret_cast<char*>(buf.data()),
+            static_cast<std::streamsize>(batch * kLpm2RecordBytes));
+    if (!in.good()) fail("trace: truncated LPMT record payload", lpmt_path);
+    for (std::size_t i = 0; i < batch; ++i) {
+      (void)decode_record(buf.data() + i * kLpm2RecordBytes);  // type check
+    }
+    out.write(buf.data(), batch);
+    done += batch;
+  }
+  return out.finish();
+}
+
+// --- Lpm2Trace ---------------------------------------------------------------
+
+Lpm2Trace::Lpm2Trace(const std::string& path, std::string name)
+    : path_(path), name_(name.empty() ? path : std::move(name)) {
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) fail("trace: cannot open (" + errno_text() + ")", path);
+  try {
+    struct stat st{};
+    if (::fstat(fd_, &st) != 0) fail("trace: fstat failed (" + errno_text() + ")", path);
+    const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
+    std::array<unsigned char, kLpm2HeaderBytes> header{};
+    const std::size_t want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(header.size(), file_bytes));
+    if (pread_full(fd_, header.data(), want, 0, path) != want) {
+      fail("trace: short header read", path);
+    }
+    if (want >= 4 && std::memcmp(header.data(), kMagicV1.data(), 4) == 0) {
+      throw util::IoError("trace: " + path +
+                          " is a v1 LPMT file; convert it with "
+                          "`lpm_trace convert lpmt=" + path + " out=NEW.lpm2`");
+    }
+    info_ = parse_lpm2_header(header.data(), file_bytes, path);
+  } catch (...) {
+    ::close(fd_);
+    throw;
+  }
+}
+
+Lpm2Trace::~Lpm2Trace() { ::close(fd_); }
+
+void Lpm2Trace::read_chunk() {
+  const auto ops = static_cast<std::size_t>(
+      std::min<std::uint64_t>(kIoBatchOps, info_.count - read_ops_));
+  const std::size_t bytes = ops * kLpm2RecordBytes;
+  if (chunk_.empty()) chunk_.resize(kIoBatchOps * kLpm2RecordBytes);
+  const std::uint64_t offset = kLpm2HeaderBytes + read_ops_ * kLpm2RecordBytes;
+  if (pread_full(fd_, chunk_.data(), bytes, offset, path_) != bytes) {
+    fail("trace: short read at record " + std::to_string(read_ops_) + " of " +
+             std::to_string(info_.count) + " (file truncated during replay?)",
+         path_);
+  }
+  running_.update(chunk_.data(), bytes);
+  read_ops_ += ops;
+  chunk_ops_ = ops;
+  chunk_pos_ = 0;
+}
+
+std::size_t Lpm2Trace::fill(MicroOp* dst, std::size_t n) {
+  if (failure_ != util::ErrorCode::kNone) {
+    util::throw_error(failure_, failure_message_);
+  }
+  if (n == 0) return 0;
+  std::size_t produced = 0;
+  try {
+    while (produced < n) {
+      if (chunk_pos_ == chunk_ops_) {
+        if (read_ops_ == info_.count) break;
+        read_chunk();
+      }
+      const std::size_t take = std::min(n - produced, chunk_ops_ - chunk_pos_);
+      const unsigned char* src = chunk_.data() + chunk_pos_ * kLpm2RecordBytes;
+      for (std::size_t i = 0; i < take; ++i) {
+        dst[produced + i] = decode_record(src + i * kLpm2RecordBytes);
+      }
+      chunk_pos_ += take;
+      produced += take;
+    }
+    if (!verified_ && read_ops_ == info_.count && chunk_pos_ == chunk_ops_) {
+      verified_ = true;
+      const std::uint64_t computed = running_.digest();
+      if (computed != info_.checksum) {
+        fail("trace: content checksum mismatch (header says " +
+                 std::to_string(info_.checksum) + ", records hash to " +
+                 std::to_string(computed) + ")",
+             path_);
+      }
+    }
+  } catch (const util::LpmError& e) {
+    failure_ = e.code();
+    failure_message_ = e.what();
+    throw;
+  }
+  return produced;
+}
+
+void Lpm2Trace::reset() {
+  chunk_ops_ = 0;
+  chunk_pos_ = 0;
+  read_ops_ = 0;
+  running_ = util::Checksum64();
+  verified_ = false;
+  // A rewind clears the sticky failure: replay is deterministic, so a
+  // corrupt file simply fails at the same record again.
+  failure_ = util::ErrorCode::kNone;
+  failure_message_.clear();
+}
+
+// --- whole-file helpers ------------------------------------------------------
+
+TraceFileInfo inspect_trace(const std::string& path) {
+  return Lpm2Trace(path).info();
 }
 
 TraceFileInfo verify_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) fail("trace: cannot open", path);
-  const std::uint64_t total = stream_size(in, path);
-  TraceFileInfo info = parse_header(in, path, total);
-  util::Checksum64 checksum;
-  scan_records(in, path, info.count, checksum, /*validate_types=*/true);
-  const std::uint64_t computed = checksum.digest();
-  if (info.version == kLpm2Version && computed != info.checksum) {
-    fail("trace: content checksum mismatch (header says " +
-             std::to_string(info.checksum) + ", records hash to " +
-             std::to_string(computed) + ")",
-         path);
+  Lpm2Trace reader(path);
+  std::vector<MicroOp> ops(kIoBatchOps);
+  while (reader.fill(ops.data(), ops.size()) == ops.size()) {
   }
-  info.checksum = computed;
-  return info;
+  return reader.info();
 }
 
 WorkloadProfile trace_file_profile(const std::string& path, std::string name) {

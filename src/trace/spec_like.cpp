@@ -1,7 +1,6 @@
 #include "trace/spec_like.hpp"
 
 #include "trace/lpm2.hpp"
-#include "trace/mmap_trace.hpp"
 #include "util/error.hpp"
 
 namespace lpm::trace {
@@ -181,18 +180,22 @@ WorkloadProfile burst_profile(std::uint64_t phase_length, double burst_duty,
 TraceSourcePtr make_trace(const WorkloadProfile& profile) {
   if (profile.file_backed()) {
     profile.validate();
-    // Re-probe the header before replaying: the fingerprint memoized on the
-    // content checksum, so a file that changed on disk since the profile
-    // was built must fail loudly here, not silently simulate a different
-    // stream under the old cache key. (Header-only for v2 — cheap.)
-    const TraceFileInfo info = inspect_trace(profile.trace_path);
-    if (info.checksum != profile.trace_checksum) {
+    // Check the opened reader's header before replaying: the fingerprint
+    // memoized on the content checksum, so a file that changed on disk
+    // since the profile was built must fail loudly here, not silently
+    // simulate a different stream under the old cache key. The check and
+    // the replay share one open, so a file swapped after it cannot slip
+    // through; one rewritten in place during the replay fails the reader's
+    // end-of-stream checksum instead.
+    auto reader = std::make_unique<Lpm2Trace>(profile.trace_path, profile.name);
+    if (reader->info().checksum != profile.trace_checksum) {
       throw util::IoError("make_trace: " + profile.trace_path +
                           " changed on disk (checksum " +
-                          std::to_string(info.checksum) + ", profile expects " +
+                          std::to_string(reader->info().checksum) +
+                          ", profile expects " +
                           std::to_string(profile.trace_checksum) + ")");
     }
-    return open_trace(profile.trace_path, profile.name);
+    return reader;
   }
   return std::make_unique<SyntheticTrace>(profile);
 }

@@ -67,7 +67,7 @@ SyntheticTrace::SyntheticTrace(WorkloadProfile profile)
   profile_.validate();
   util::require(!profile_.file_backed(), profile_.name,
                 ": SyntheticTrace cannot replay a file-backed profile "
-                "(route through make_trace/open_trace)");
+                "(route through make_trace)");
   reset();
 }
 

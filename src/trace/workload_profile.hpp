@@ -43,7 +43,7 @@ struct WorkloadProfile {
   /// would constructively share the LLC.
   std::uint64_t addr_base = 0;
 
-  // --- recorded-trace replay (LPM2/LPMT files) ---
+  // --- recorded-trace replay (LPM2 files) ---
   /// When non-empty, the workload replays this recorded trace file instead
   /// of generating ops synthetically; the synthetic knobs above are ignored
   /// and `length` holds the record count. Build via trace_file_profile()

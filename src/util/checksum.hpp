@@ -1,8 +1,8 @@
 // Streaming 64-bit content checksum for on-disk trace files (xxh64-style
 // mixing: per-word rounds plus a final avalanche). Header-only and
 // allocation-free so the trace writer can hash records as they stream out
-// and MmapTrace can hash them as they stream back in, without either side
-// ever holding the whole file.
+// and the reader (Lpm2Trace) can hash them as they stream back in, without
+// either side ever holding the whole file.
 //
 // Properties the trace layer relies on:
 //   - Deterministic across platforms: input bytes are consumed as a little-

@@ -10,8 +10,8 @@
 #include "check/diff.hpp"
 #include "check/fuzz.hpp"
 #include "check/replay.hpp"
+#include "common/temp_path.hpp"
 #include "trace/lpm2.hpp"
-#include "trace/mmap_trace.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_source.hpp"
 
@@ -144,13 +144,11 @@ TEST(DiffOracle, RecordedTraceFeedsBothSimulatorsIdentically) {
   ReplayCase replayed = live;  // same machine; ops come back from disk
 
   for (std::size_t core = 0; core < live.ops.size(); ++core) {
-    const std::string path = testing::TempDir() + "/lpm_diff_recorded_" +
-                             std::to_string(core) + ".lpm2";
+    const std::string path =
+        test::temp_path("recorded_" + std::to_string(core) + ".lpm2");
     trace::VectorTrace source("recorded", live.ops[core]);
     trace::record_trace_v2(source, path);
-    trace::MmapTrace replay(path, "recorded",
-                            trace::MmapTraceOptions{.pipeline = core == 0,
-                                                    .chunk_ops = 128});
+    trace::Lpm2Trace replay(path, "recorded");
     replayed.ops[core] = trace::materialize(replay, live.ops[core].size() + 1);
     std::remove(path.c_str());
   }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "exp/experiment_engine.hpp"
 #include "exp/fault_plan.hpp"
 #include "exp/journal.hpp"
@@ -56,7 +57,7 @@ std::vector<exp::SimJob> five_jobs() {
 }
 
 std::string temp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = test::temp_path(name);
   std::filesystem::remove(path);
   return path;
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "exp/experiment_engine.hpp"
 #include "exp/journal.hpp"
 #include "trace/spec_like.hpp"
@@ -20,7 +21,7 @@ namespace lpm {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = test::temp_path(name);
   std::filesystem::remove(path);
   return path;
 }

@@ -17,6 +17,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "exp/experiment_engine.hpp"
 #include "exp/fault_plan.hpp"
 #include "exp/journal.hpp"
@@ -28,7 +29,7 @@ namespace lpm {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = test::temp_path(name);
   std::filesystem::remove(path);
   return path;
 }

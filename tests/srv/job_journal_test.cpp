@@ -9,11 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
+
 namespace lpm::srv {
 namespace {
 
 std::string temp_journal(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
+  const std::string path = test::temp_path(name);
   std::remove(path.c_str());
   return path;
 }

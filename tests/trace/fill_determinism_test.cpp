@@ -1,7 +1,7 @@
 // The fill() contract: the concatenation of batched chunks must be
 // byte-identical to the stream repeated next() calls produce — batching is
 // purely a throughput change. Covered per source (synthetic incl. burst
-// phases, vector, file, mmap in both delivery modes) and end-to-end: a
+// phases, vector, the LPM2 file reader) and end-to-end: a
 // System fed through a next()-only proxy produces the exact SystemResult of
 // the batched path, and a System replaying a recorded LPM2 file produces
 // the exact SystemResult of the live synthetic stream on all 16 profiles.
@@ -12,12 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "common/lpmt_file.hpp"
+#include "common/temp_path.hpp"
 #include "sim/system.hpp"
 #include "trace/lpm2.hpp"
-#include "trace/mmap_trace.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/trace_file.hpp"
 #include "trace/trace_source.hpp"
 
 namespace lpm::trace {
@@ -89,13 +89,13 @@ TEST(FillDeterminism, VectorTraceMatchesNext) {
   }
 }
 
-TEST(FillDeterminism, FileTraceMatchesNext) {
-  const std::string path = testing::TempDir() + "/lpm_fill_determinism.bin";
+TEST(FillDeterminism, Lpm2TraceMatchesNext) {
+  const std::string path = test::temp_path("fill.lpm2");
   SyntheticTrace gen(spec_profile(SpecBenchmark::kSoplex, 3000, 11));
-  record_trace(gen, path);
+  record_trace_v2(gen, path);
 
-  FileTrace by_next(path);
-  FileTrace by_fill(path);
+  Lpm2Trace by_next(path);
+  Lpm2Trace by_fill(path);
   expect_same_stream(drain_with_next(by_next), drain_with_fill(by_fill, 100));
   std::remove(path.c_str());
 }
@@ -153,13 +153,14 @@ TEST(FillDeterminism, SystemResultIdenticalBatchedVsUnbatched) {
   expect_same_system_result(a, b);
 }
 
-// --- recorded LPM2 replay: the mmap path joins the determinism net ----------
+// --- recorded LPM2 replay joins the determinism net ------------------------
 
-/// One recorded LPM2 file per fixture run, shared by the mmap tests below.
+/// One recorded LPM2 file per fixture run, longer than one reader chunk
+/// (kIoBatchOps) and ending mid-chunk.
 class Lpm2Determinism : public testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/lpm_fill_determinism.lpm2";
+    path_ = test::temp_path("determinism.lpm2");
     profile_ = spec_profile(SpecBenchmark::kGcc, 5000, 23);
     SyntheticTrace gen(profile_);
     record_trace_v2(gen, path_);
@@ -168,62 +169,56 @@ class Lpm2Determinism : public testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  [[nodiscard]] MmapTraceOptions mode(bool pipeline) const {
-    // A chunk much smaller than the trace so the pipelined drain cycles
-    // both slots many times instead of finishing in one handoff.
-    return MmapTraceOptions{.pipeline = pipeline, .chunk_ops = 512};
-  }
-
   std::string path_;
   WorkloadProfile profile_;
   std::vector<MicroOp> expected_;
 };
 
-TEST_F(Lpm2Determinism, MmapMatchesSyntheticAtEveryChunkSize) {
-  for (const bool pipeline : {false, true}) {
-    // Chunk sizes below, straddling, and far above the pipeline slot size —
-    // including single-op pulls and a non-divisor of the trace length.
-    for (const std::size_t chunk : {1ul, 7ul, 64ul, 4096ul}) {
-      MmapTrace by_fill(path_, "by-fill", mode(pipeline));
-      expect_same_stream(expected_, drain_with_fill(by_fill, chunk));
-    }
-    MmapTrace by_next(path_, "by-next", mode(pipeline));
-    expect_same_stream(expected_, drain_with_next(by_next));
+TEST_F(Lpm2Determinism, ReaderMatchesSyntheticAtEveryChunkSize) {
+  // Pull sizes from single ops to the reader's own chunk size, including a
+  // non-divisor of the trace length and of the chunk.
+  for (const std::size_t chunk : {1ul, 7ul, 64ul, 4096ul}) {
+    Lpm2Trace by_fill(path_, "by-fill");
+    expect_same_stream(expected_, drain_with_fill(by_fill, chunk));
   }
+  Lpm2Trace by_next(path_, "by-next");
+  expect_same_stream(expected_, drain_with_next(by_next));
 }
 
 TEST_F(Lpm2Determinism, MidStreamResetReplaysTheIdenticalStream) {
-  for (const bool pipeline : {false, true}) {
-    MmapTrace src(path_, "reset", mode(pipeline));
-    // Consume a prefix that ends mid-chunk, then rewind: the full replay
-    // must match the untouched stream exactly.
-    std::vector<MicroOp> prefix(expected_.size() / 3 + 5);
-    ASSERT_EQ(src.fill(prefix.data(), prefix.size()), prefix.size());
-    src.reset();
-    expect_same_stream(expected_, drain_with_fill(src, 100));
-    // And a reset after full exhaustion replays again too.
-    src.reset();
-    expect_same_stream(expected_, drain_with_next(src));
-  }
+  Lpm2Trace src(path_, "reset");
+  // Consume a prefix that ends mid-chunk, then rewind: the full replay
+  // must match the untouched stream exactly.
+  std::vector<MicroOp> prefix(expected_.size() / 3 + 5);
+  ASSERT_EQ(src.fill(prefix.data(), prefix.size()), prefix.size());
+  src.reset();
+  expect_same_stream(expected_, drain_with_fill(src, 100));
+  // And a reset after full exhaustion replays again too.
+  src.reset();
+  expect_same_stream(expected_, drain_with_next(src));
 }
 
 TEST_F(Lpm2Determinism, V1ResidentAndV2StreamingReplayIdentically) {
-  const std::string v1_path = testing::TempDir() + "/lpm_fill_determinism.lpmt";
-  SyntheticTrace gen(profile_);
-  record_trace(gen, v1_path);
+  // A v1 recording of the same stream, brought in through the one v1 entry
+  // point (convert), must replay exactly the stream of the direct LPM2
+  // recording.
+  const std::string v1_path = test::temp_path("determinism.lpmt");
+  const std::string converted = test::temp_path("converted.lpm2");
+  test::write_lpmt(v1_path, expected_);
+  (void)convert_lpmt_trace(v1_path, converted);
 
-  FileTrace resident(v1_path);
-  expect_same_stream(expected_, drain_with_fill(resident, 64));
-  MmapTrace streaming(path_, "v2", mode(true));
-  expect_same_stream(expected_, drain_with_fill(streaming, 64));
+  Lpm2Trace from_v1(converted, "v1");
+  expect_same_stream(expected_, drain_with_fill(from_v1, 64));
+  Lpm2Trace from_v2(path_, "v2");
+  expect_same_stream(expected_, drain_with_fill(from_v2, 64));
   std::remove(v1_path.c_str());
+  std::remove(converted.c_str());
 }
 
-TEST(FillDeterminism, MmapReplayMatchesLiveSyntheticOnAllSpecProfiles) {
-  // The record → mmap-replay → simulate path must be bit-identical to
-  // simulating the live generator, for every profile in the catalog.
-  // Alternate delivery modes across profiles so both are load-bearing.
-  const std::string path = testing::TempDir() + "/lpm_fill_det_profiles.lpm2";
+TEST(FillDeterminism, FileReplayMatchesLiveSyntheticOnAllSpecProfiles) {
+  // The record → make_trace replay → simulate path must be bit-identical
+  // to simulating the live generator, for every profile in the catalog.
+  const std::string path = test::temp_path("profiles.lpm2");
   std::size_t i = 0;
   for (const SpecBenchmark bench : all_spec_benchmarks()) {
     const auto profile = spec_profile(bench, 4000, 29 + i);
@@ -233,9 +228,8 @@ TEST(FillDeterminism, MmapReplayMatchesLiveSyntheticOnAllSpecProfiles) {
     }
     const sim::SystemResult live =
         run_system(std::make_unique<SyntheticTrace>(profile));
-    const sim::SystemResult replay = run_system(std::make_unique<MmapTrace>(
-        path, spec_name(bench),
-        MmapTraceOptions{.pipeline = (i % 2 == 0), .chunk_ops = 512}));
+    const sim::SystemResult replay =
+        run_system(make_trace(trace_file_profile(path, spec_name(bench))));
     SCOPED_TRACE(spec_name(bench));
     expect_same_system_result(live, replay);
     ++i;

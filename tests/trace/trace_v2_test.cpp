@@ -1,25 +1,26 @@
 // The LPM2 on-disk format's safety net: every truncation (at every byte
 // offset) and every single-bit flip of the header, the checksum, and the
 // record payload must surface as a typed util::IoError — never UB, an OOM,
-// or a silently short MicroOp stream. Plus the units underneath: the
-// streaming content checksum, the record codec, open_trace() dispatch and
-// its env knobs, the file-backed profile/fingerprint identity, and the
-// materialize() fill-contract enforcement.
+// or a silently short MicroOp stream — and so must a file truncated or
+// rewritten while a replay is reading it. Plus the units underneath: the
+// streaming content checksum, the record codec, the Lpm2Trace reader, v1
+// "LPMT" conversion and rejection, the file-backed profile/fingerprint
+// identity, and the materialize() fill-contract enforcement.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "common/lpmt_file.hpp"
+#include "common/temp_path.hpp"
 #include "trace/lpm2.hpp"
-#include "trace/mmap_trace.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/trace_file.hpp"
 #include "trace/trace_source.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
@@ -30,9 +31,8 @@ namespace {
 
 // --- helpers ----------------------------------------------------------------
 
-std::string temp_path(const std::string& leaf) {
-  return testing::TempDir() + "/" + leaf;
-}
+using test::temp_path;
+using test::write_lpmt;
 
 std::vector<unsigned char> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -64,13 +64,10 @@ std::vector<MicroOp> sample_ops(std::size_t n) {
   return ops;
 }
 
-/// Full drain through MmapTrace with a tiny chunk so the pipelined mode
-/// cycles both slots several times. Throws whatever the source throws.
-std::vector<MicroOp> drain_mmap(const std::string& path, bool pipeline) {
-  MmapTrace src(path, "torture", MmapTraceOptions{.pipeline = pipeline,
-                                                  .chunk_ops = 8});
+/// Drains `src` in pulls of `pull` ops. Throws whatever the source throws.
+std::vector<MicroOp> drain(TraceSource& src, std::size_t pull = 5) {
   std::vector<MicroOp> ops;
-  std::vector<MicroOp> buf(5);
+  std::vector<MicroOp> buf(pull);
   for (;;) {
     const std::size_t got = src.fill(buf.data(), buf.size());
     ops.insert(ops.end(), buf.begin(),
@@ -78,6 +75,18 @@ std::vector<MicroOp> drain_mmap(const std::string& path, bool pipeline) {
     if (got < buf.size()) break;
   }
   return ops;
+}
+
+/// Full drain of the file at `path` through a fresh reader.
+std::vector<MicroOp> drain_file(const std::string& path) {
+  Lpm2Trace src(path, "torture");
+  return drain(src);
+}
+
+/// The ops `profile` generates, in order.
+std::vector<MicroOp> generate(const WorkloadProfile& profile) {
+  SyntheticTrace gen(profile);
+  return materialize(gen, profile.length + 1);
 }
 
 /// The torture contract: `fn` must raise util::IoError — any other outcome
@@ -95,16 +104,13 @@ testing::AssertionResult raises_io_error(const std::function<void()>& fn) {
 }
 
 /// Asserts that a mutated file fails typed everywhere it can be consumed:
-/// the offline verifier and a full replay drain in both delivery modes.
+/// the offline verifier and a full replay drain.
 testing::AssertionResult fails_everywhere_typed(const std::string& path) {
   if (auto r = raises_io_error([&] { (void)verify_trace(path); }); !r) {
     return testing::AssertionFailure() << "verify_trace: " << r.message();
   }
-  if (auto r = raises_io_error([&] { (void)drain_mmap(path, false); }); !r) {
-    return testing::AssertionFailure() << "direct drain: " << r.message();
-  }
-  if (auto r = raises_io_error([&] { (void)drain_mmap(path, true); }); !r) {
-    return testing::AssertionFailure() << "pipelined drain: " << r.message();
+  if (auto r = raises_io_error([&] { (void)drain_file(path); }); !r) {
+    return testing::AssertionFailure() << "drain: " << r.message();
   }
   return testing::AssertionSuccess();
 }
@@ -195,34 +201,58 @@ TEST(Lpm2Format, RecordInspectVerifyAgree) {
   const TraceFileInfo verified = verify_trace(path);
   EXPECT_EQ(verified.checksum, recorded);
 
-  // And the replayed stream is the recorded stream, both delivery modes.
-  EXPECT_EQ(drain_mmap(path, false), ops);
-  EXPECT_EQ(drain_mmap(path, true), ops);
+  // And the replayed stream is the recorded stream.
+  EXPECT_EQ(drain_file(path), ops);
   std::remove(path.c_str());
 }
 
 TEST(Lpm2Format, V1AndV2RecordingsShareTheContentChecksum) {
-  // The two formats carry the same record layout, so the same stream must
-  // hash identically — that is what lets fingerprints key on content alone.
-  const std::string v1 = temp_path("lpm2_same_v1.lpmt");
-  const std::string v2 = temp_path("lpm2_same_v2.lpm2");
-  const auto profile = spec_profile(SpecBenchmark::kGcc, 2000, 9);
-  {
-    SyntheticTrace gen(profile);
-    record_trace(gen, v1);
-  }
+  // The two formats carry the same record layout, so converting a v1
+  // recording must give the bytes, content checksum, and op stream of a
+  // direct LPM2 recording of the same stream — that is what lets
+  // fingerprints key on content alone. The stream spans several reader
+  // chunks and ends mid-chunk.
+  const std::string v1 = temp_path("same.lpmt");
+  const std::string converted = temp_path("converted.lpm2");
+  const std::string direct = temp_path("direct.lpm2");
+  const auto profile = spec_profile(SpecBenchmark::kGcc, 2 * kIoBatchOps + 77, 9);
+  const std::vector<MicroOp> ops = generate(profile);
+  write_lpmt(v1, ops);
   SyntheticTrace gen(profile);
-  const std::uint64_t recorded = record_trace_v2(gen, v2);
+  const std::uint64_t recorded = record_trace_v2(gen, direct);
 
-  const TraceFileInfo i1 = inspect_trace(v1);
-  const TraceFileInfo i2 = inspect_trace(v2);
-  EXPECT_EQ(i1.version, 1u);
-  EXPECT_EQ(i2.version, 2u);
-  EXPECT_EQ(i1.count, i2.count);
-  EXPECT_EQ(i1.checksum, recorded);
-  EXPECT_EQ(i2.checksum, recorded);
+  EXPECT_EQ(convert_lpmt_trace(v1, converted), recorded);
+  EXPECT_EQ(read_file(converted), read_file(direct));
+  EXPECT_EQ(verify_trace(converted).checksum, recorded);
+  EXPECT_EQ(drain_file(converted), ops);
   std::remove(v1.c_str());
-  std::remove(v2.c_str());
+  std::remove(converted.c_str());
+  std::remove(direct.c_str());
+}
+
+TEST(Lpm2Format, ConvertRejectsABadLpmtHeader) {
+  const std::string v1 = temp_path("bad.lpmt");
+  const std::string out = temp_path("bad_out.lpm2");
+  const std::vector<MicroOp> ops = sample_ops(10);
+  write_lpmt(v1, ops);
+  std::vector<unsigned char> bytes = read_file(v1);
+
+  // An LPM2 file is not an LPMT file.
+  VectorTrace src("v2", ops);
+  record_trace_v2(src, out);
+  EXPECT_THROW((void)convert_lpmt_trace(out, temp_path("never.lpm2")), util::IoError);
+  // Wrong version, and a count beyond the records present.
+  bytes[4] = 2;
+  write_file(v1, bytes.data(), bytes.size());
+  EXPECT_THROW((void)convert_lpmt_trace(v1, out), util::IoError);
+  bytes[4] = 1;
+  bytes[8] = static_cast<unsigned char>(ops.size() + 1);
+  write_file(v1, bytes.data(), bytes.size());
+  EXPECT_THROW((void)convert_lpmt_trace(v1, out), util::IoError);
+  EXPECT_THROW((void)convert_lpmt_trace(temp_path("missing.lpmt"), out),
+               util::IoError);
+  std::remove(v1.c_str());
+  std::remove(out.c_str());
 }
 
 TEST(Lpm2Format, EmptyRecordingVerifiesButProfileRejectsIt) {
@@ -232,7 +262,7 @@ TEST(Lpm2Format, EmptyRecordingVerifiesButProfileRejectsIt) {
   record_trace_v2(src, path);
 
   EXPECT_EQ(verify_trace(path).count, 0u);
-  EXPECT_TRUE(drain_mmap(path, false).empty());
+  EXPECT_TRUE(drain_file(path).empty());
   // Nothing to simulate: the profile constructor refuses it loudly.
   EXPECT_THROW((void)trace_file_profile(path), util::ConfigError);
   std::remove(path.c_str());
@@ -243,8 +273,8 @@ TEST(Lpm2Format, EmptyRecordingVerifiesButProfileRejectsIt) {
 class Lpm2Torture : public testing::Test {
  protected:
   void SetUp() override {
-    path_ = temp_path("lpm2_torture.lpm2");
-    mutant_ = temp_path("lpm2_torture_mutant.lpm2");
+    path_ = temp_path("torture.lpm2");
+    mutant_ = temp_path("mutant.lpm2");
     ops_ = sample_ops(24);
     VectorTrace src("torture", ops_);
     record_trace_v2(src, path_);
@@ -253,8 +283,7 @@ class Lpm2Torture : public testing::Test {
     // Control: the unmutated file is clean everywhere — without this, the
     // EXPECT_THROWs below could pass vacuously against a broken writer.
     ASSERT_EQ(verify_trace(path_).count, ops_.size());
-    ASSERT_EQ(drain_mmap(path_, false), ops_);
-    ASSERT_EQ(drain_mmap(path_, true), ops_);
+    ASSERT_EQ(drain_file(path_), ops_);
   }
 
   void TearDown() override {
@@ -278,10 +307,8 @@ TEST_F(Lpm2Torture, TruncationAtEveryByteOffsetIsTypedIoError) {
         << "inspect_trace at length " << len;
     EXPECT_TRUE(raises_io_error([&] { (void)verify_trace(mutant_); }))
         << "verify_trace at length " << len;
-    EXPECT_TRUE(raises_io_error([&] { MmapTrace t(mutant_); }))
-        << "MmapTrace at length " << len;
-    EXPECT_TRUE(raises_io_error([&] { (void)open_trace(mutant_); }))
-        << "open_trace at length " << len;
+    EXPECT_TRUE(raises_io_error([&] { Lpm2Trace t(mutant_); }))
+        << "Lpm2Trace at length " << len;
   }
   // ...and so must a file with bytes appended past the declared count.
   std::vector<unsigned char> grown = bytes_;
@@ -293,7 +320,7 @@ TEST_F(Lpm2Torture, TruncationAtEveryByteOffsetIsTypedIoError) {
 TEST_F(Lpm2Torture, EveryHeaderBitFlipIsTypedIoError) {
   // Magic, version, count, record size, and reserved flips die at parse
   // time; checksum flips survive the open and must instead fail the
-  // verifier and both replay drains at end-of-stream.
+  // verifier and the replay drain at end-of-stream.
   for (std::size_t offset = 0; offset < kLpm2HeaderBytes; ++offset) {
     for (unsigned bit = 0; bit < 8; ++bit) {
       std::vector<unsigned char> mutated = bytes_;
@@ -309,7 +336,7 @@ TEST_F(Lpm2Torture, EveryRecordBitFlipIsTypedIoError) {
   // A type-byte flip may produce an out-of-range type (caught at decode) or
   // a different valid op; every other byte silently changes the payload. In
   // all cases the content checksum no longer matches the header, so the
-  // verifier and both full drains must raise — a replay that "succeeds"
+  // verifier and a full drain must raise — a replay that "succeeds"
   // with different ops would poison every consumer downstream.
   for (std::size_t offset = kLpm2HeaderBytes; offset < bytes_.size(); ++offset) {
     for (unsigned bit = 0; bit < 8; ++bit) {
@@ -330,163 +357,219 @@ TEST_F(Lpm2Torture, CorruptionFailureIsStickyUntilReset) {
   mutated[16] ^= 0x01;
   write_file(mutant_, mutated.data(), mutated.size());
 
-  for (const bool pipeline : {false, true}) {
-    MmapTrace src(mutant_, "sticky",
-                  MmapTraceOptions{.pipeline = pipeline, .chunk_ops = 8});
-    std::vector<MicroOp> buf(ops_.size() + 1);
-    EXPECT_THROW((void)src.fill(buf.data(), buf.size()), util::IoError)
-        << "pipeline=" << pipeline;
-    MicroOp op;
-    EXPECT_THROW((void)src.next(op), util::IoError) << "sticky";
-    src.reset();
-    EXPECT_THROW((void)src.fill(buf.data(), buf.size()), util::IoError)
-        << "after reset";
-  }
+  Lpm2Trace src(mutant_, "sticky");
+  std::vector<MicroOp> buf(ops_.size() + 1);
+  EXPECT_THROW((void)src.fill(buf.data(), buf.size()), util::IoError);
+  MicroOp op;
+  EXPECT_THROW((void)src.next(op), util::IoError) << "sticky";
+  src.reset();
+  EXPECT_THROW((void)src.fill(buf.data(), buf.size()), util::IoError)
+      << "after reset";
 }
 
-// --- MmapTrace behavior at the edges ----------------------------------------
+// --- the reader -------------------------------------------------------------
 
-TEST(MmapTraceEdges, ZeroFillAndExactExhaustion) {
-  const std::string path = temp_path("lpm2_edges.lpm2");
+TEST(Lpm2TraceEdges, ZeroFillAndExactExhaustion) {
+  const std::string path = temp_path("edges.lpm2");
   const std::vector<MicroOp> ops = sample_ops(10);
   VectorTrace src("edges", ops);
   record_trace_v2(src, path);
 
-  for (const bool pipeline : {false, true}) {
-    MmapTrace t(path, "edges", MmapTraceOptions{.pipeline = pipeline,
-                                                .chunk_ops = 4});
-    std::vector<MicroOp> buf(ops.size());
-    EXPECT_EQ(t.fill(buf.data(), 0), 0u);
-    // An exact-size request drains everything; the next call reports EOF.
-    ASSERT_EQ(t.fill(buf.data(), buf.size()), ops.size());
-    EXPECT_EQ(buf, ops);
-    EXPECT_EQ(t.fill(buf.data(), buf.size()), 0u);
-    MicroOp op;
-    EXPECT_FALSE(t.next(op));
-  }
+  Lpm2Trace t(path, "edges");
+  std::vector<MicroOp> buf(ops.size());
+  EXPECT_EQ(t.fill(buf.data(), 0), 0u);
+  // An exact-size request drains everything; the next call reports EOF.
+  ASSERT_EQ(t.fill(buf.data(), buf.size()), ops.size());
+  EXPECT_EQ(buf, ops);
+  EXPECT_EQ(t.fill(buf.data(), buf.size()), 0u);
+  MicroOp op;
+  EXPECT_FALSE(t.next(op));
   std::remove(path.c_str());
 }
 
-// --- open_trace dispatch + env knobs ----------------------------------------
+TEST(TraceFile, RoundTripPreservesEveryField) {
+  const std::string path = temp_path("roundtrip.lpm2");
+  const auto profile = spec_profile(SpecBenchmark::kMcf, 2000, 3);
+  SyntheticTrace src(profile);
+  record_trace_v2(src, path);
 
-/// Sets an environment variable for the enclosing scope, restoring the
-/// previous state on destruction so tests cannot leak knobs at each other.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
+  Lpm2Trace loaded(path);
+  EXPECT_EQ(loaded.info().count, 2000u);
+  // MicroOp's operator== compares every field.
+  EXPECT_EQ(drain(loaded, 333), generate(profile));
+  std::remove(path.c_str());
+}
+
+TEST(TraceFile, ReplaysAndResets) {
+  const std::string path = temp_path("replay.lpm2");
+  SyntheticTrace src(spec_profile(SpecBenchmark::kHmmer, 500, 9));
+  record_trace_v2(src, path);
+
+  Lpm2Trace ft(path, "hmmer-file");
+  EXPECT_EQ(ft.info().count, 500u);
+  EXPECT_EQ(ft.name(), "hmmer-file");
+  MicroOp op;
+  std::uint64_t n = 0;
+  while (ft.next(op)) ++n;
+  EXPECT_EQ(n, 500u);
+  ft.reset();
+  EXPECT_TRUE(ft.next(op));
+  std::remove(path.c_str());
+}
+
+TEST(TraceFile, MissingFileThrows) {
+  EXPECT_THROW(Lpm2Trace("/nonexistent/trace.lpm2"), util::IoError);
+}
+
+TEST(TraceFile, BadMagicThrows) {
+  const std::string path = temp_path("badmagic.lpm2");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "NOPE garbage, long enough to hold a whole header";
+  }
+  EXPECT_THROW(Lpm2Trace{path}, util::IoError);
+  std::remove(path.c_str());
+}
+
+TEST(TraceFile, TruncatedFileThrows) {
+  const std::string path = temp_path("trunc.lpm2");
+  SyntheticTrace src(spec_profile(SpecBenchmark::kSjeng, 100, 1));
+  record_trace_v2(src, path);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  EXPECT_THROW(Lpm2Trace{path}, util::IoError);
+  std::remove(path.c_str());
+}
+
+TEST(TraceFile, CorruptCountFailsTypedBeforeAllocation) {
+  const std::string path = temp_path("bigcount.lpm2");
+  SyntheticTrace src(spec_profile(SpecBenchmark::kGcc, 10, 1));
+  record_trace_v2(src, path);
+  // Overwrite the u64 count at offset 8 with a ludicrous value. The reader
+  // must compare it against the file size and throw a typed IoError — not
+  // size anything by it.
+  {
+    std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+    out.seekp(8);
+    const unsigned char huge[8] = {0xff, 0xff, 0xff, 0xff,
+                                   0xff, 0xff, 0xff, 0x7f};
+    out.write(reinterpret_cast<const char*>(huge), sizeof(huge));
+  }
+  EXPECT_THROW(Lpm2Trace{path}, util::IoError);
+  std::remove(path.c_str());
+}
+
+TEST(TraceFile, EmptyTraceIsValid) {
+  const std::string path = temp_path("empty.lpm2");
+  VectorTrace empty("none", {});
+  record_trace_v2(empty, path);
+  Lpm2Trace t(path);
+  EXPECT_EQ(t.info().count, 0u);
+  MicroOp op;
+  EXPECT_FALSE(t.next(op));
+  std::remove(path.c_str());
+}
+
+TEST(OpenTraceDispatch, SniffsMagicAndRejectsGarbage) {
+  // One reader, one format: LPM2 opens, a v1 LPMT file is refused at every
+  // entry point with an error naming the convert command, and anything
+  // else is a typed IoError.
+  const std::string v1 = temp_path("dispatch.lpmt");
+  const std::string v2 = temp_path("dispatch.lpm2");
+  const auto profile = spec_profile(SpecBenchmark::kMcf, 300, 5);
+  write_lpmt(v1, generate(profile));
+  SyntheticTrace gen(profile);
+  record_trace_v2(gen, v2);
+  EXPECT_EQ(Lpm2Trace(v2).info().count, 300u);
+
+  const std::vector<std::function<void()>> entry_points = {
+      [&] { Lpm2Trace t(v1); },
+      [&] { (void)inspect_trace(v1); },
+      [&] { (void)verify_trace(v1); },
+      [&] { (void)trace_file_profile(v1); },
+  };
+  for (const auto& open_v1 : entry_points) {
+    try {
+      open_v1();
+      ADD_FAILURE() << "a v1 LPMT file opened";
+    } catch (const util::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("lpm_trace convert lpmt="),
+                std::string::npos)
+          << e.what();
     }
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
-
-class OpenTraceDispatch : public testing::Test {
- protected:
-  void SetUp() override {
-    v1_ = temp_path("open_dispatch.lpmt");
-    v2_ = temp_path("open_dispatch.lpm2");
-    const auto profile = spec_profile(SpecBenchmark::kMcf, 300, 5);
-    {
-      SyntheticTrace gen(profile);
-      record_trace(gen, v1_);
-    }
-    SyntheticTrace gen(profile);
-    record_trace_v2(gen, v2_);
-  }
-  void TearDown() override {
-    std::remove(v1_.c_str());
-    std::remove(v2_.c_str());
   }
 
-  std::string v1_;
-  std::string v2_;
-};
-
-TEST_F(OpenTraceDispatch, SniffsMagicAndRejectsGarbage) {
-  const TraceSourcePtr legacy = open_trace(v1_);
-  EXPECT_NE(dynamic_cast<FileTrace*>(legacy.get()), nullptr);
-
-  const TraceSourcePtr streaming = open_trace(v2_);
-  auto* mmap = dynamic_cast<MmapTrace*>(streaming.get());
-  ASSERT_NE(mmap, nullptr);
-  // 300 records is far below the 8 MiB auto threshold: direct mode.
-  EXPECT_FALSE(mmap->pipelined());
-
-  EXPECT_THROW((void)open_trace(temp_path("open_dispatch_missing.lpm2")),
-               util::IoError);
-  const std::string junk = temp_path("open_dispatch_junk.bin");
+  EXPECT_THROW(Lpm2Trace{temp_path("missing.lpm2")}, util::IoError);
+  const std::string junk = temp_path("junk.bin");
   const unsigned char garbage[] = {'J', 'U', 'N', 'K', 0, 0, 0, 0};
   write_file(junk, garbage, sizeof(garbage));
-  EXPECT_THROW((void)open_trace(junk), util::IoError);
+  EXPECT_THROW(Lpm2Trace{junk}, util::IoError);
   std::remove(junk.c_str());
+  std::remove(v1.c_str());
+  std::remove(v2.c_str());
 }
 
-TEST_F(OpenTraceDispatch, ExplicitOptionsBeatTheAutoThreshold) {
-  OpenTraceOptions on;
-  on.pipeline = OpenTraceOptions::Pipeline::kOn;
-  const TraceSourcePtr forced = open_trace(v2_, "", on);
-  auto* forced_mmap = dynamic_cast<MmapTrace*>(forced.get());
-  ASSERT_NE(forced_mmap, nullptr);
-  EXPECT_TRUE(forced_mmap->pipelined());
+// --- a file that changes under a live replay --------------------------------
 
-  // A one-byte threshold makes auto mode pick the pipeline for any file.
-  OpenTraceOptions tiny;
-  tiny.pipeline_threshold_bytes = 1;
-  const TraceSourcePtr autod = open_trace(v2_, "", tiny);
-  auto* autod_mmap = dynamic_cast<MmapTrace*>(autod.get());
-  ASSERT_NE(autod_mmap, nullptr);
-  EXPECT_TRUE(autod_mmap->pipelined());
-}
+/// A recording several reader chunks long; each test opens a reader, pulls
+/// a prefix (so the first chunk is read), then changes the file.
+class Lpm2LiveMutation : public testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = temp_path("live.lpm2");
+    profile_ = spec_profile(SpecBenchmark::kLibquantum, 3 * kIoBatchOps + 100, 31);
+    SyntheticTrace gen(profile_);
+    record_trace_v2(gen, path_);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
 
-TEST_F(OpenTraceDispatch, EnvKnobsSteerTheAutoMode) {
-  {
-    ScopedEnv env("LPM_TRACE_PIPELINE", "on");
-    const TraceSourcePtr t = open_trace(v2_);
-    auto* mmap = dynamic_cast<MmapTrace*>(t.get());
-    ASSERT_NE(mmap, nullptr);
-    EXPECT_TRUE(mmap->pipelined());
-  }
-  {
-    ScopedEnv env("LPM_TRACE_PIPELINE", "off");
-    ScopedEnv thr("LPM_TRACE_PIPELINE_THRESHOLD", "1");  // would auto-engage
-    const TraceSourcePtr t = open_trace(v2_);
-    auto* mmap = dynamic_cast<MmapTrace*>(t.get());
-    ASSERT_NE(mmap, nullptr);
-    EXPECT_FALSE(mmap->pipelined());
-  }
-  {
-    ScopedEnv env("LPM_TRACE_PIPELINE_THRESHOLD", "1");
-    const TraceSourcePtr t = open_trace(v2_);
-    auto* mmap = dynamic_cast<MmapTrace*>(t.get());
-    ASSERT_NE(mmap, nullptr);
-    EXPECT_TRUE(mmap->pipelined());
-  }
-  {
-    // Malformed knobs warn and fall back instead of throwing or misreading.
-    ScopedEnv env("LPM_TRACE_PIPELINE", "sideways");
-    ScopedEnv chunk("LPM_TRACE_CHUNK_OPS", "not-a-number");
-    const TraceSourcePtr t = open_trace(v2_);
-    ASSERT_NE(t, nullptr);
-    std::vector<MicroOp> got;
+  std::string path_;
+  WorkloadProfile profile_;
+};
+
+TEST_F(Lpm2LiveMutation, TruncationDuringReplayIsTypedIoError) {
+  // The next chunk read comes up short. A reader that mapped the file
+  // would take SIGBUS here instead.
+  Lpm2Trace src(path_, "live");
+  std::vector<MicroOp> prefix(100);
+  ASSERT_EQ(src.fill(prefix.data(), prefix.size()), prefix.size());
+  std::filesystem::resize_file(path_, std::filesystem::file_size(path_) / 2);
+
+  EXPECT_TRUE(raises_io_error([&] { (void)drain(src, 1000); }));
+  EXPECT_TRUE(raises_io_error([&] {
     MicroOp op;
-    while (t->next(op)) got.push_back(op);
-    EXPECT_EQ(got.size(), 300u);
+    (void)src.next(op);
+  })) << "the failure is sticky";
+}
+
+TEST_F(Lpm2LiveMutation, SameSizeRewriteDuringReplayFailsTheChecksum) {
+  // Another stream of the same length overwrites the records in place:
+  // every later read succeeds, so only the end-of-stream checksum can tell.
+  Lpm2Trace src(path_, "live");
+  std::vector<MicroOp> prefix(100);
+  ASSERT_EQ(src.fill(prefix.data(), prefix.size()), prefix.size());
+
+  const std::string other = temp_path("other.lpm2");
+  WorkloadProfile other_profile = profile_;
+  other_profile.seed += 1;
+  SyntheticTrace gen(other_profile);
+  record_trace_v2(gen, other);
+  const std::vector<unsigned char> bytes = read_file(other);
+  std::remove(other.c_str());
+  ASSERT_EQ(bytes.size(), std::filesystem::file_size(path_));
+  {
+    std::fstream out(path_, std::ios::binary | std::ios::in | std::ios::out);
+    out.seekp(kLpm2HeaderBytes);
+    out.write(reinterpret_cast<const char*>(bytes.data() + kLpm2HeaderBytes),
+              static_cast<std::streamsize>(bytes.size() - kLpm2HeaderBytes));
+    ASSERT_TRUE(out.good());
+  }
+
+  try {
+    (void)drain(src, 1000);
+    ADD_FAILURE() << "a rewritten file replayed without an error";
+  } catch (const util::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum mismatch"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -559,7 +642,7 @@ TEST(FileBackedProfile, ProbesTheHeaderAndValidates) {
   EXPECT_EQ(wl.trace_path, path);
   EXPECT_EQ(wl.trace_checksum, recorded);
   EXPECT_EQ(wl.length, 400u);
-  EXPECT_EQ(wl.name, "profile_probe.lpm2");  // basename default
+  EXPECT_EQ(wl.name, std::filesystem::path(path).filename());  // basename default
   wl.validate();
 
   // A file-backed profile cannot drive the synthetic generator.
@@ -568,21 +651,20 @@ TEST(FileBackedProfile, ProbesTheHeaderAndValidates) {
 }
 
 TEST(FileBackedProfile, FingerprintKeysOnContentNotPath) {
-  // The same stream recorded at two paths — and in the two formats — must
-  // fingerprint identically (memo caches key on what the bytes replay, not
-  // where they sit); a different stream must not.
+  // The same stream recorded at two paths — one of them converted from a
+  // v1 recording — must fingerprint identically (memo caches key on what
+  // the bytes replay, not where they sit); a different stream must not.
   const std::string a = temp_path("fp_a.lpm2");
-  const std::string b = temp_path("fp_b.lpmt");
+  const std::string v1 = temp_path("fp_b.lpmt");
+  const std::string b = temp_path("fp_b.lpm2");
   const std::string c = temp_path("fp_c.lpm2");
   const auto profile = spec_profile(SpecBenchmark::kLeslie3d, 600, 13);
   {
     SyntheticTrace gen(profile);
     record_trace_v2(gen, a);
   }
-  {
-    SyntheticTrace gen(profile);
-    record_trace(gen, b);  // v1 resident format, same stream
-  }
+  write_lpmt(v1, generate(profile));
+  convert_lpmt_trace(v1, b);
   {
     SyntheticTrace gen(spec_profile(SpecBenchmark::kLeslie3d, 600, 14));
     record_trace_v2(gen, c);
@@ -592,9 +674,7 @@ TEST(FileBackedProfile, FingerprintKeysOnContentNotPath) {
   const std::uint64_t fc = util::fingerprint(trace_file_profile(c, "same"));
   EXPECT_EQ(fa, fb);
   EXPECT_NE(fa, fc);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  std::remove(c.c_str());
+  for (const std::string& path : {a, v1, b, c}) std::remove(path.c_str());
 }
 
 TEST(FileBackedProfile, MakeTraceReplaysAndGuardsAgainstFileChanges) {

@@ -1,18 +1,21 @@
 // Trace-file workbench for the LPM2 streaming format (see DESIGN.md and the
 // header comments in src/trace/lpm2.hpp).
 //
-//   $ lpm_trace record workload=403.gcc out=gcc.lpm2 [length=N] [seed=S] [v1=0|1]
+//   $ lpm_trace record workload=403.gcc out=gcc.lpm2 [length=N] [seed=S]
 //   $ lpm_trace convert replay=lpm-repro-7.json out=case.lpm2 [core=0]
+//   $ lpm_trace convert lpmt=old.lpmt out=new.lpm2
 //   $ lpm_trace info file=gcc.lpm2
 //   $ lpm_trace verify file=gcc.lpm2
 //
 // record  — generate one of the 16 synthetic SPEC analogue profiles and
-//           stream it to disk (LPM2 by default; v1=1 writes legacy LPMT).
-// convert — lift one core's micro-op stream out of an lpm-replay-v1 JSON
-//           repro (the differential harness's exchange format) into LPM2,
-//           so a divergence case can be replayed through the mmap path.
+//           stream it to disk as LPM2.
+// convert — replay=: lift one core's micro-op stream out of an
+//           lpm-replay-v1 JSON repro (the differential harness's exchange
+//           format) into LPM2, so a divergence case can be replayed from
+//           disk. lpmt=: copy the records of a v1 "LPMT" file into LPM2 —
+//           the only way v1 recordings load.
 // info    — print the validated header (version, count, checksum, bytes).
-// verify  — full scan: header, record type bytes, content checksum.
+// verify  — full drain: header, record type bytes, content checksum.
 //
 // Exit status: 0 = ok, 1 = verification failed / corrupt file, 2 = usage.
 #include <cstdio>
@@ -33,8 +36,9 @@ void print_info(const char* path, const lpm::trace::TraceFileInfo& info) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: lpm_trace record workload=NAME out=FILE [length=N] [seed=S] [v1=0|1]\n"
+      "usage: lpm_trace record workload=NAME out=FILE [length=N] [seed=S]\n"
       "       lpm_trace convert replay=FILE out=FILE [core=0]\n"
+      "       lpm_trace convert lpmt=FILE out=FILE\n"
       "       lpm_trace info file=FILE\n"
       "       lpm_trace verify file=FILE\n");
   return 2;
@@ -59,23 +63,25 @@ int main(int argc, char** argv) {
       // and its unknown-name error stay identical to lpm::simulate's.
       const TraceSpec spec = TraceSpec::spec(workload, length, seed);
       trace::SyntheticTrace source(spec.workloads.front());
-      if (args.get_bool_or("v1", false)) {
-        const std::uint64_t count = trace::record_trace(source, out);
-        std::printf("recorded %s: %llu ops (LPMT v1) -> %s\n", workload.c_str(),
-                    static_cast<unsigned long long>(count), out.c_str());
-      } else {
-        const std::uint64_t checksum = trace::record_trace_v2(source, out);
-        std::printf("recorded %s: checksum %016llx -> %s\n", workload.c_str(),
-                    static_cast<unsigned long long>(checksum), out.c_str());
-      }
+      const std::uint64_t checksum = trace::record_trace_v2(source, out);
+      std::printf("recorded %s: checksum %016llx -> %s\n", workload.c_str(),
+                  static_cast<unsigned long long>(checksum), out.c_str());
       print_info(out.c_str(), trace::inspect_trace(out));
       return 0;
     }
 
     if (cmd == "convert") {
       const std::string replay = args.get_or("replay", "");
+      const std::string lpmt = args.get_or("lpmt", "");
       const std::string out = args.get_or("out", "");
-      if (replay.empty() || out.empty()) return usage();
+      if (replay.empty() == lpmt.empty() || out.empty()) return usage();
+      if (!lpmt.empty()) {
+        const std::uint64_t checksum = trace::convert_lpmt_trace(lpmt, out);
+        std::printf("converted %s: checksum %016llx -> %s\n", lpmt.c_str(),
+                    static_cast<unsigned long long>(checksum), out.c_str());
+        print_info(out.c_str(), trace::inspect_trace(out));
+        return 0;
+      }
       const auto core = static_cast<std::size_t>(args.get_uint_or("core", 0));
       const check::ReplayCase c = check::load_replay(replay);
       if (core >= c.ops.size()) {
