@@ -4,8 +4,8 @@
 //   $ ./reconfigure [workload=410.bwaves] [delta=10] [length=300000] [threads=0]
 //
 // threads=N sizes the experiment engine's worker pool (0 = auto: LPM_THREADS
-// or the hardware concurrency). With threads>1 the walk speculatively
-// simulates likely next configurations while the current one is inspected.
+// or the hardware concurrency). Workers simulate the over-provision trim
+// candidates of a step concurrently; the walk itself is the same for any N.
 #include <cstdio>
 
 #include "lpm.hpp"

@@ -174,7 +174,7 @@ void DesignSpaceExplorer::evaluate_batch(const std::vector<ArchKnobs>& batch) {
   std::vector<exp::SimJob> jobs;
   jobs.reserve(todo.size());
   for (const ArchKnobs& k : todo) jobs.push_back(make_job(k));
-  // Batched candidates are speculative or independent trials: one failing
+  // Batched candidates are prefetch hints or independent trials: one failing
   // point must not abort the others, so collect-and-continue. A failed
   // candidate stays out of the memo — callers treat it as unavailable, and
   // an on-path evaluation of the same point would retry and then fail fast
@@ -200,46 +200,12 @@ void DesignSpaceExplorer::evaluate_batch(const std::vector<ArchKnobs>& batch) {
 }
 
 void DesignSpaceExplorer::prefetch_candidates() {
-  if (!hints_.empty()) {
-    // One-shot warm-up: the screening trajectory simulates as one
-    // concurrent batch before the first on-path evaluation needs it.
-    std::vector<ArchKnobs> hints;
-    hints.swap(hints_);
-    evaluate_batch(hints);
-  }
-  if (!speculate_) return;
-  // Speculation trades extra simulations for wall-clock: only worth it when
-  // the engine can actually overlap them.
-  if (engine().threads() <= 1) return;
-  std::vector<ArchKnobs> batch;
-  batch.push_back(knobs_);
-  {
-    ArchKnobs n = knobs_;
-    n.l1_ports = step_up(levels_.l1_ports, knobs_.l1_ports);
-    batch.push_back(n);
-  }
-  {
-    ArchKnobs n = knobs_;
-    n.mshr_entries = step_up(levels_.mshr_entries, knobs_.mshr_entries);
-    batch.push_back(n);
-  }
-  {
-    ArchKnobs n = knobs_;
-    n.rob_size = step_up(levels_.rob_size, knobs_.rob_size);
-    n.iw_size = step_up(levels_.iw_size, knobs_.iw_size);
-    batch.push_back(n);
-  }
-  {
-    ArchKnobs n = knobs_;
-    n.issue_width = step_up(levels_.issue_width, knobs_.issue_width);
-    batch.push_back(n);
-  }
-  {
-    ArchKnobs n = knobs_;
-    n.l2_interleave = step_up(levels_.l2_interleave, knobs_.l2_interleave);
-    batch.push_back(n);
-  }
-  evaluate_batch(batch);
+  if (hints_.empty()) return;
+  // One-shot warm-up: the screening trajectory simulates as one concurrent
+  // batch before the first on-path evaluation needs it.
+  std::vector<ArchKnobs> hints;
+  hints.swap(hints_);
+  evaluate_batch(hints);
 }
 
 LpmObservation DesignSpaceExplorer::observe(const ArchKnobs& knobs) {

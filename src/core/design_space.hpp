@@ -81,10 +81,10 @@ class DesignSpaceExplorer final : public LpmTunable {
   bool optimize_l1() override;
   bool optimize_l2() override;
   bool reduce_overprovision() override;
-  /// Batches the speculative step-up frontier (every knob one level up)
-  /// through the engine so the threshold loop's next measurements are
-  /// already simulating concurrently. No-op on a single-threaded engine,
-  /// where speculation would only add serial work.
+  /// Submits the pending prefetch hints (set_prefetch_hints) as one
+  /// concurrent batch; a no-op once they are consumed. There is no
+  /// speculative frontier: a batch blocks the walk until its slowest job
+  /// finishes, so guessing the next step never beats taking it.
   void prefetch_candidates() override;
 
   [[nodiscard]] const ArchKnobs& current() const { return knobs_; }
@@ -105,13 +105,9 @@ class DesignSpaceExplorer final : public LpmTunable {
   /// concurrently up front; purely a throughput hint — failed or unused
   /// hints never affect the walk.
   void set_prefetch_hints(std::vector<ArchKnobs> hints);
-  /// Disables the speculative step-up frontier in prefetch_candidates()
-  /// (prefetch hints still fire). The confirm stage turns speculation off:
-  /// the screening trajectory already covers the likely path.
-  void set_speculation(bool on) { speculate_ = on; }
   /// Every configuration this explorer evaluated, in first-evaluation
   /// order (on-path and batched alike) — the screening trajectory handed
-  /// to the confirm stage.
+  /// to the confirm stage. Independent of the engine's thread count.
   [[nodiscard]] const std::vector<ArchKnobs>& visited() const {
     return visited_;
   }
@@ -158,7 +154,6 @@ class DesignSpaceExplorer final : public LpmTunable {
   std::map<ArchKnobs, model::LayerEstimates> memo_;
   std::vector<ArchKnobs> visited_;
   std::vector<ArchKnobs> hints_;
-  bool speculate_ = true;
   std::uint64_t reconfig_ops_ = 0;
 };
 

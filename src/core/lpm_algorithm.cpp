@@ -77,7 +77,7 @@ LpmOutcome LpmAlgorithm::run(LpmTunable& system) const {
   for (int iter = 0; iter < cfg_.max_iterations; ++iter) {
     obs::ScopedSpan iter_span(obs::TraceSession::global(), "lpm.iteration",
                               "lpm");
-    if (cfg_.prefetch_candidates) system.prefetch_candidates();
+    system.prefetch_candidates();
     LpmObservation obs = system.measure();
     const LpmAction action = classify(obs);
     iter_span.arg("lpmr1", obs.lpmr.lpmr1);

@@ -63,10 +63,6 @@ struct LpmAlgorithmConfig {
   double margin_fraction = 0.5;  ///< delta = margin_fraction * T1 (paper: 50%)
   int max_iterations = 64;
   bool trim_overprovision = true;  ///< Case III is optional in the paper
-  /// Let the tunable batch speculative candidate simulations each
-  /// iteration (wall-clock win on multi-core engines; never changes the
-  /// walk itself).
-  bool prefetch_candidates = true;
 };
 
 struct LpmStep {

@@ -12,6 +12,7 @@
 #include "exp/journal.hpp"
 #include "exp/result_sink.hpp"
 #include "obs/trace.hpp"
+#include "sim/calibration.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/synthetic.hpp"
 #include "util/fingerprint.hpp"
@@ -586,9 +587,7 @@ SimJobResult ExperimentEngine::execute(const SimJob& job,
     if (job.calibrate) {
       out.calib.reserve(job.workloads.size());
       for (const auto& wl : job.workloads) {
-        const trace::TraceSourcePtr calib_trace = trace::make_trace(wl);
-        out.calib.push_back(
-            sim::measure_cpi_exe(job.machine, *calib_trace, guard));
+        out.calib.push_back(sim::cached_cpi_exe(job.machine, wl, guard));
       }
     }
   } else {

@@ -113,7 +113,8 @@ struct SimJob {
   /// One workload per core (workloads.size() must equal machine.num_cores).
   std::vector<trace::WorkloadProfile> workloads;
   /// Also run the perfect-cache CPIexe/fmem calibration for every workload
-  /// (sim::measure_cpi_exe); needed by any consumer computing LPM ratios.
+  /// (sim::cached_cpi_exe: one measure_cpi_exe per core configuration and
+  /// workload per process); needed by any consumer computing LPM ratios.
   bool calibrate = false;
   /// Free-form label carried into ResultSink records; NOT part of the
   /// cache key (two jobs differing only in tag share one simulation).
@@ -166,7 +167,7 @@ enum class FailurePolicy {
   /// walk's on-path evaluations, schedule ranking).
   kFailFast,
   /// Run every job regardless; failures are reported per job. The right
-  /// choice for sweeps and speculative batches where each point stands
+  /// choice for sweeps and prefetch batches where each point stands
   /// alone.
   kCollect,
 };

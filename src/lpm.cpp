@@ -65,11 +65,9 @@ ScreenedWalkReport run_lpm_walk_screened(const sim::MachineConfig& base,
   ScreenedWalkReport report;
   report.screen = algorithm.run(screen);
   // The screening trajectory becomes a one-shot concurrent warm-up batch
-  // for the confirm walk; its own speculative frontier stays off so every
-  // cycle simulation is either on the screened path or on the confirm
-  // walk's own critical path.
+  // for the confirm walk: every cycle simulation is either on the screened
+  // path or on the confirm walk's own critical path.
   confirm.set_prefetch_hints(screen.visited());
-  confirm.set_speculation(false);
   report.confirm = algorithm.run(confirm);
   report.final_config = confirm.current();
   report.screen_configs = screen.configs_evaluated();

@@ -132,7 +132,7 @@ struct ScreenedWalkReport {
 /// The multi-fidelity Fig. 3 walk over the Case Study I design space:
 /// stage 1 walks with an analytic backend (microseconds per config),
 /// stage 2 re-walks cycle-accurately with the screening trajectory as
-/// batched prefetch hints and speculation disabled. Throws
+/// one batch of prefetch hints. Throws
 /// util::ConfigError for an unknown screen backend.
 [[nodiscard]] ScreenedWalkReport run_lpm_walk_screened(
     const sim::MachineConfig& base, const trace::WorkloadProfile& workload,

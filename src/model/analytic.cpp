@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "sim/calibration.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
@@ -370,7 +371,7 @@ MissEstimate rdh_misses(const ReuseProfile& p, std::uint64_t sets,
   return e;
 }
 
-// --- profile / calibration cache -------------------------------------------
+// --- profile cache ----------------------------------------------------------
 
 ProfileCache& ProfileCache::global() {
   static ProfileCache cache;
@@ -399,34 +400,9 @@ std::shared_ptr<const ReuseProfile> ProfileCache::reuse(
   return profiles_.emplace(key, std::move(built)).first->second;
 }
 
-std::shared_ptr<const sim::CpiExeResult> ProfileCache::calibration(
-    const sim::MachineConfig& machine, const trace::WorkloadProfile& wl) {
-  // CPIexe depends on the core and the L1's hit latency / port count only
-  // (measure_cpi_exe runs against a perfect memory): one calibration is
-  // shared by every cache geometry of a sweep.
-  util::Fingerprint f;
-  f.mix("AnalyticCalib/v1");
-  f.mix_u64(util::fingerprint(machine.core));
-  f.mix(machine.l1.hit_latency);
-  f.mix(machine.l1.ports);
-  f.mix_u64(util::fingerprint(wl));
-  const std::uint64_t key = f.value();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = calibrations_.find(key); it != calibrations_.end()) {
-      obs::MetricsRegistry::global()
-          .counter("model.backend.calibration_cache_hits")
-          .inc();
-      return it->second;
-    }
-  }
-  const trace::TraceSourcePtr calib_trace = trace::make_trace(wl);
-  auto calib = std::make_shared<const sim::CpiExeResult>(
-      sim::measure_cpi_exe(machine, *calib_trace, nullptr));
-  obs::MetricsRegistry::global().counter("model.backend.calibrations").inc();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++calibration_runs_;
-  return calibrations_.emplace(key, std::move(calib)).first->second;
+sim::CpiExeResult ProfileCache::calibration(const sim::MachineConfig& machine,
+                                             const trace::WorkloadProfile& wl) {
+  return sim::cached_cpi_exe(machine, wl);
 }
 
 std::uint64_t ProfileCache::profile_builds() const {
@@ -435,8 +411,7 @@ std::uint64_t ProfileCache::profile_builds() const {
 }
 
 std::uint64_t ProfileCache::calibration_runs() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return calibration_runs_;
+  return sim::calibration_runs();
 }
 
 // --- analytic evaluation ----------------------------------------------------
@@ -793,12 +768,13 @@ exp::SimJobResult execute_analytic(const exp::SimJob& job,
     throw util::TimeoutError("analytic evaluation cancelled (job '" +
                              job.tag + "')");
   }
-  return evaluate_analytic(job);
+  return evaluate_analytic(job, guard);
 }
 
 }  // namespace
 
-exp::SimJobResult evaluate_analytic(const exp::SimJob& job) {
+exp::SimJobResult evaluate_analytic(const exp::SimJob& job,
+                                    const sim::RunGuard* guard) {
   util::require(job.backend == kRdhBackend || job.backend == kFaBackend,
                 "evaluate_analytic: backend must be rdh or fa, got '" +
                     job.backend + "'");
@@ -823,8 +799,8 @@ exp::SimJobResult evaluate_analytic(const exp::SimJob& job) {
     const auto profile = cache.reuse(wl);
     // CPIexe comes from the real perfect-cache calibration (cached across
     // cache geometries); the cache behaviour itself never ticks a cycle.
-    const auto calib = cache.calibration(job.machine, wl);
-    const CoreChain chain = evaluate_core(job, wl, *profile, *calib);
+    const sim::CpiExeResult calib = sim::cached_cpi_exe(job.machine, wl, guard);
+    const CoreChain chain = evaluate_core(job, wl, *profile, calib);
 
     run.cores.push_back(chain.stats);
     run.l1.push_back(chain.l1);
@@ -863,7 +839,7 @@ exp::SimJobResult evaluate_analytic(const exp::SimJob& job) {
     add(l2_agg, chain.l2);
     add(dram_agg, chain.dram);
 
-    if (job.calibrate) out.calib.push_back(*calib);
+    if (job.calibrate) out.calib.push_back(calib);
   }
 
   run.l2 = l2_agg;

@@ -20,8 +20,8 @@
 // and synthesized into counter blocks that satisfy the Eq. 2/3 identities
 // *by construction* (check::check_metric_identities passes on analytic
 // results). CPIexe still comes from the real perfect-cache calibration —
-// it depends only on the core + L1 latency, so it is cached and shared
-// across every cache configuration of a sweep.
+// it depends only on the core + L1 latency, so sim::cached_cpi_exe shares
+// one calibration across every cache configuration and both backends.
 //
 // Known approximations (quantified by src/check/fidelity.hpp): lower-level
 // caches see globally-measured stack distances (inclusive-hierarchy
@@ -148,38 +148,39 @@ struct MissEstimate {
     double prefetch_alpha,
     double burst_window = ReuseProfile::kMaxBurstWindow);
 
-/// Process-wide cache of reuse profiles (keyed by workload fingerprint)
-/// and perfect-cache CPIexe calibrations (keyed by the calibration-relevant
-/// subset of the machine: core config + L1 hit latency/ports + workload).
-/// Both are the expensive parts of an analytic evaluation; everything
-/// downstream is closed-form. Thread-safe.
+/// Process-wide cache of reuse profiles (keyed by workload fingerprint),
+/// the expensive part of an analytic evaluation besides the CPIexe
+/// calibration (shared with the cycle backend in sim::cached_cpi_exe);
+/// everything downstream is closed-form. Thread-safe.
 class ProfileCache {
  public:
   static ProfileCache& global();
 
   [[nodiscard]] std::shared_ptr<const ReuseProfile> reuse(
       const trace::WorkloadProfile& wl);
-  [[nodiscard]] std::shared_ptr<const sim::CpiExeResult> calibration(
+  /// Forwards to sim::cached_cpi_exe; for callers that time the
+  /// calibration apart from the evaluation.
+  [[nodiscard]] sim::CpiExeResult calibration(
       const sim::MachineConfig& machine, const trace::WorkloadProfile& wl);
 
   [[nodiscard]] std::uint64_t profile_builds() const;
+  /// sim::calibration_runs(): every backend's calibrations, process-wide.
   [[nodiscard]] std::uint64_t calibration_runs() const;
 
  private:
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const ReuseProfile>>
       profiles_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const sim::CpiExeResult>>
-      calibrations_;
   std::uint64_t profile_builds_ = 0;
-  std::uint64_t calibration_runs_ = 0;
 };
 
 /// Evaluates one backend-tagged job ("rdh" or "fa") analytically and
 /// returns a fully-populated result whose counters satisfy the Eq. 2/3
 /// identities exactly. Deterministic; microseconds per call once the
-/// workload's profile and calibration are cached.
-[[nodiscard]] exp::SimJobResult evaluate_analytic(const exp::SimJob& job);
+/// workload's profile and calibration are cached. A non-null `guard`
+/// makes the calibration cancellable (util::TimeoutError).
+[[nodiscard]] exp::SimJobResult evaluate_analytic(
+    const exp::SimJob& job, const sim::RunGuard* guard = nullptr);
 
 /// Registers the "rdh" and "fa" executors with the experiment engine.
 /// Idempotent and thread-safe; called by every AnalyticBackend

@@ -101,12 +101,14 @@ class System {
 };
 
 /// Measures CPIexe and fmem: the core re-runs `trace` against a perfect
-/// memory with the L1's hit latency and port count (no misses possible).
+/// memory with the L1's hit latency and unlimited ports (no misses
+/// possible). sim::cached_cpi_exe (sim/calibration.hpp) memoizes it.
 struct CpiExeResult {
   double cpi_exe = 0.0;
   double fmem = 0.0;
   std::uint64_t instructions = 0;
   Cycle cycles = 0;
+  friend bool operator==(const CpiExeResult&, const CpiExeResult&) = default;
 };
 CpiExeResult measure_cpi_exe(const MachineConfig& cfg, trace::TraceSource& trace,
                              const RunGuard* guard = nullptr);

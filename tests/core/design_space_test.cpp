@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <tuple>
+
+#include "exp/experiment_engine.hpp"
 #include "trace/spec_like.hpp"
 #include "util/error.hpp"
 
 namespace lpm::core {
+
+// Readable gtest failure output for knob sets and the visited() vectors.
+void PrintTo(const ArchKnobs& k, std::ostream* os) { *os << k.label(); }
+
 namespace {
 
 trace::WorkloadProfile bwaves(std::uint64_t length = 150000) {
@@ -141,6 +149,44 @@ TEST(DesignSpaceExplorer, AlgorithmDrivesLpmr1Down) {
   const double last_stall = out.final_observation.stall_per_instr;
   EXPECT_LT(last_stall, first_stall);
   EXPECT_LT(last, first * 1.05);
+}
+
+TEST(DesignSpaceExplorer, WalkIsIndependentOfTheThreadCount) {
+  // The Fig. 3 walk's batches (prefetch hints, over-provision trims) have
+  // contents fixed by the walk alone, so a pooled engine must reproduce the
+  // serial walk exactly: decisions, trajectory and simulated set.
+  const auto walk = [](unsigned threads) {
+    exp::ExperimentEngine engine(
+        exp::ExperimentEngine::Options::builder().threads(threads).build());
+    DesignSpaceExplorer ex(sim::MachineConfig::single_core_default(),
+                           bwaves(60000), KnobLevels::standard(),
+                           ArchKnobs::config_a(), kCoarseGrainedDelta, &engine);
+    LpmAlgorithmConfig acfg;
+    acfg.delta_percent = kCoarseGrainedDelta;
+    acfg.max_iterations = 24;
+    const LpmOutcome outcome = LpmAlgorithm(acfg).run(ex);
+    return std::make_tuple(outcome, ex.current(), ex.visited(),
+                           ex.configs_evaluated());
+  };
+  const auto [serial, serial_final, serial_visited, serial_configs] = walk(1);
+  const auto [pooled, pooled_final, pooled_visited, pooled_configs] = walk(4);
+
+  ASSERT_GT(serial.steps.size(), 1u);
+  EXPECT_EQ(pooled_final, serial_final);
+  EXPECT_EQ(pooled.converged, serial.converged);
+  ASSERT_EQ(pooled.steps.size(), serial.steps.size());
+  for (std::size_t i = 0; i < serial.steps.size(); ++i) {
+    EXPECT_EQ(pooled.steps[i].action, serial.steps[i].action) << "step " << i;
+    EXPECT_EQ(pooled.steps[i].applied, serial.steps[i].applied) << "step " << i;
+    EXPECT_EQ(pooled.steps[i].observation.config_label,
+              serial.steps[i].observation.config_label)
+        << "step " << i;
+    EXPECT_EQ(pooled.steps[i].observation.lpmr.lpmr1,
+              serial.steps[i].observation.lpmr.lpmr1)
+        << "step " << i;
+  }
+  EXPECT_EQ(pooled_visited, serial_visited);
+  EXPECT_EQ(pooled_configs, serial_configs);
 }
 
 TEST(DesignSpaceExplorer, RejectsMultiCoreBase) {

@@ -61,7 +61,6 @@ TEST(TwoStageWalk, ConfirmOutcomeIsIndependentOfScreen) {
   LadderTunable confirm(confirm_ladder);
 
   core::LpmAlgorithmConfig cfg;
-  cfg.prefetch_candidates = false;
   const core::LpmAlgorithm algorithm(cfg);
   const auto two_stage = algorithm.run_two_stage(screen, confirm);
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "core/design_space.hpp"
 #include "core/lpm_algorithm.hpp"
 #include "exp/experiment_engine.hpp"
@@ -50,7 +51,8 @@ class TwoStepTunable final : public core::LpmTunable {
 TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
   // One two-level and one three-level point through the engine: together
   // they touch every sim.cache.* / sim.camat.* level suffix. calibrate=true
-  // exercises sim.calibrations.
+  // exercises sim.calibrations; the repeat and the analytic points below
+  // share that calibration (sim.calibration_cache_hits).
   exp::ExperimentEngine engine(
       exp::ExperimentEngine::Options::builder().threads(2).build());
   const auto workload =
@@ -65,8 +67,8 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
   // Repeat of the first point: exercises the memo cache (exp.jobs.cache_hits).
   jobs.push_back(exp::SimJob::solo(two_level, workload, /*calibrate=*/true));
   // Analytic points (model.backend.*): two distinct rdh configs of one
-  // workload — the second is served by the cached reuse profile and
-  // calibration — plus one fa config for its evals counter.
+  // workload — the second is served by the cached reuse profile — plus one
+  // fa config for its evals counter.
   model::register_analytic_executors();
   {
     exp::SimJob rdh =
@@ -97,7 +99,6 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
 
   TwoStepTunable tunable;
   core::LpmAlgorithmConfig cfg;
-  cfg.prefetch_candidates = false;
   const core::LpmAlgorithm algorithm(cfg);
   const auto outcome = algorithm.run(tunable);
   ASSERT_TRUE(outcome.converged);
@@ -117,6 +118,7 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
       "exp.queue.enqueue_spins", "exp.queue.pop_spins", "exp.queue.parks",
       "exp.workers.pinned", "exp.workers.pin_failed",
       "sim.runs", "sim.cycles", "sim.instructions", "sim.calibrations",
+      "sim.calibration_cache_hits",
       "sim.cache.accesses.l1", "sim.cache.hits.l1", "sim.cache.misses.l1",
       "sim.cache.accesses.l2", "sim.cache.hits.l2", "sim.cache.misses.l2",
       "sim.cache.accesses.l2p", "sim.cache.hits.l2p", "sim.cache.misses.l2p",
@@ -126,8 +128,7 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
       "lpm.two_stage_walks", "lpm.screened_sweeps",
       "model.backend.evals.cycle", "model.backend.evals.rdh",
       "model.backend.evals.fa", "model.backend.profile_builds",
-      "model.backend.profile_cache_hits", "model.backend.calibrations",
-      "model.backend.calibration_cache_hits",
+      "model.backend.profile_cache_hits",
   };
   for (const auto& name : counters) {
     EXPECT_TRUE(snap.counters.contains(name)) << "missing counter: " << name;
@@ -165,8 +166,8 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
   EXPECT_GE(snap.counter_or_zero("model.backend.evals.fa"), 1u);
   EXPECT_GE(snap.counter_or_zero("model.backend.profile_builds"), 1u);
   EXPECT_GE(snap.counter_or_zero("model.backend.profile_cache_hits"), 1u);
-  EXPECT_GE(snap.counter_or_zero("model.backend.calibrations"), 1u);
-  EXPECT_GE(snap.counter_or_zero("model.backend.calibration_cache_hits"), 1u);
+  EXPECT_GE(snap.counter_or_zero("sim.calibrations"), 1u);
+  EXPECT_GE(snap.counter_or_zero("sim.calibration_cache_hits"), 1u);
   EXPECT_GT(snap.histograms.at("exp.job.run_ms").count, 0u);
   EXPECT_GT(snap.histograms.at("lpm.lpmr1").count, 0u);
 }
@@ -177,8 +178,8 @@ TEST(MetricCatalogue, ServerNamesAreEmitted) {
   // core counters move. Keep the name lists in lockstep with the srv.*
   // section of OBSERVABILITY.md.
   srv::Server::Options opts;
-  opts.endpoint = testing::TempDir() + "catalogue_lpmd.sock";
-  opts.journal_path = testing::TempDir() + "catalogue_lpmd.journal";
+  opts.endpoint = test::temp_path("lpmd.sock");
+  opts.journal_path = test::temp_path("lpmd.journal");
   std::remove(opts.journal_path.c_str());
   srv::Server server(std::move(opts));
   server.start();

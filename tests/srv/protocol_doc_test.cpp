@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/temp_path.hpp"
 #include "srv/client.hpp"
 #include "srv/job_spec.hpp"
 #include "srv/server.hpp"
@@ -128,7 +129,7 @@ TEST(ProtocolDoc, VersionAndFrameCapLiteralsMatch) {
 // frame of every request op and require an answer from response_ops().
 TEST(ProtocolDoc, LiveServerAnswersEveryRequestOpFromResponseOps) {
   Server::Options opts;
-  opts.endpoint = testing::TempDir() + "protocol_doc.sock";
+  opts.endpoint = test::temp_path("lpmd.sock");
   opts.workers = 1;
   Server server(opts);
   server.start();

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/temp_path.hpp"
 #include "srv/client.hpp"
 #include "srv/job_spec.hpp"
 #include "srv/server.hpp"
@@ -27,10 +28,9 @@ using Clock = std::chrono::steady_clock;
 struct Topology {
   Server::Options shard_opts(const std::string& tag, int index) {
     Server::Options opts;
-    opts.endpoint =
-        testing::TempDir() + "router_" + tag + std::to_string(index) + ".sock";
-    opts.journal_path = testing::TempDir() + "router_" + tag +
-                        std::to_string(index) + ".journal";
+    opts.endpoint = test::temp_path(tag + std::to_string(index) + ".sock");
+    opts.journal_path =
+        test::temp_path(tag + std::to_string(index) + ".journal");
     std::remove(opts.endpoint.c_str());
     std::remove(opts.journal_path.c_str());
     opts.workers = 1;

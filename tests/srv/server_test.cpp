@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "obs/metrics.hpp"
 #include "srv/client.hpp"
 #include "srv/job_journal.hpp"
@@ -27,8 +28,8 @@ class ServerTest : public testing::Test {
  protected:
   Server::Options base_options(const std::string& tag) {
     Server::Options opts;
-    opts.endpoint = testing::TempDir() + "lpmd_" + tag + ".sock";
-    opts.journal_path = testing::TempDir() + "lpmd_" + tag + ".journal";
+    opts.endpoint = test::temp_path(tag + ".sock");
+    opts.journal_path = test::temp_path(tag + ".journal");
     std::remove(opts.endpoint.c_str());
     std::remove(opts.journal_path.c_str());
     opts.workers = 2;

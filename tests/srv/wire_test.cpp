@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "common/temp_path.hpp"
 #include "util/error.hpp"
 #include "util/flat_json.hpp"
 
@@ -98,7 +99,7 @@ TEST(Wire, LargeFrameSurvivesPartialWrites) {
 }
 
 TEST(Wire, ListenerAcceptRoundTrip) {
-  const std::string path = testing::TempDir() + "wire_listener.sock";
+  const std::string path = test::temp_path("listener.sock");
   ::unlink(path.c_str());
   Fd listener = listen_unix(path);
   Fd client = connect_unix(path);
@@ -112,7 +113,7 @@ TEST(Wire, ListenerAcceptRoundTrip) {
 }
 
 TEST(Wire, AcceptTimesOutIdle) {
-  const std::string path = testing::TempDir() + "wire_idle.sock";
+  const std::string path = test::temp_path("idle.sock");
   ::unlink(path.c_str());
   Fd listener = listen_unix(path);
   EXPECT_FALSE(accept_socket(listener, 50).has_value());
@@ -123,7 +124,7 @@ TEST(Wire, AcceptReturnsPromptlyAfterShutdown) {
   // Regression: a shut-down listener polls readable-with-POLLHUP while
   // accept(2) keeps returning EAGAIN; without a deadline check the accept
   // loop spins forever and Server::stop() never joins the listener thread.
-  const std::string path = testing::TempDir() + "wire_shutdown.sock";
+  const std::string path = test::temp_path("shutdown.sock");
   ::unlink(path.c_str());
   Fd listener = listen_unix(path);
   listener.shutdown_both();
