@@ -15,10 +15,9 @@
 //     near-zero-cost jobs (a registered null backend) submitted from
 //     several threads at once, so the number measures the engine itself —
 //     queue handoff, dispatch, dedup, ordered outcome reassembly — not the
-//     simulator. This is the submit-side-contention gate for the lock-free
-//     MPMC job ring (see DESIGN.md §7); before the ring landed, the same
-//     sweep through the mutex+condvar queue is the "locked baseline"
-//     recorded in EXPERIMENTS.md.
+//     simulator. This is the submit-side-contention gate for the engine's
+//     mutex+condvar job queue (see DESIGN.md §7 and EXPERIMENTS.md
+//     "Performance tracking").
 //   * analytic_configs_per_sec — distinct machine configurations per second
 //     through the "rdh" analytic backend after its one-off profiling pass,
 //     i.e. the screening rate of a multi-fidelity sweep. The headline claim

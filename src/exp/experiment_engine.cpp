@@ -4,11 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "exp/journal.hpp"
 #include "exp/result_sink.hpp"
 #include "obs/trace.hpp"
@@ -61,15 +56,6 @@ bool retryable(util::ErrorCode code) {
   return code != util::ErrorCode::kConfig;
 }
 
-/// One pause/yield step of a bounded spin (step counts up from 0).
-inline void spin_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
 /// Process-wide backend-executor registry. Executors are identified by
 /// name only, so a job's fingerprint stays stable across processes while
 /// the dispatch stays pluggable (src/model registers "rdh" / "fa").
@@ -110,13 +96,6 @@ struct BackendRegistry {
 };
 
 }  // namespace
-
-std::optional<AffinityPolicy> parse_affinity_policy(std::string_view name) {
-  if (name == "none") return AffinityPolicy::kNone;
-  if (name == "compact") return AffinityPolicy::kCompact;
-  if (name == "spread") return AffinityPolicy::kSpread;
-  return std::nullopt;
-}
 
 void ExperimentEngine::register_backend_executor(const std::string& name,
                                                  BackendExecutor executor) {
@@ -226,23 +205,6 @@ struct BatchCtx {
 ExperimentEngine::Options ExperimentEngine::Options::Builder::build() const {
   util::require(opts_.threads <= 256,
                 "EngineOptions: threads must be <= 256 (0 = auto)");
-  util::require(opts_.queue_capacity >= 1 &&
-                    (opts_.queue_capacity & (opts_.queue_capacity - 1)) == 0,
-                "EngineOptions: queue_capacity must be a power of two >= 1");
-  if (opts_.affinity != AffinityPolicy::kNone && opts_.threads > 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    // hw == 0 means "unknown" — degrade silently at pin time instead of
-    // rejecting a configuration the platform cannot even describe.
-    if (hw > 0 && opts_.threads > hw) {
-      throw util::ConfigError(
-          "EngineOptions: affinity '" +
-          std::string(affinity_policy_name(opts_.affinity)) + "' with " +
-          std::to_string(opts_.threads) + " threads exceeds the " +
-          std::to_string(hw) +
-          " hardware threads — pinning more workers than CPUs thrashes "
-          "instead of isolating (drop the affinity or the thread count)");
-    }
-  }
   return opts_;
 }
 
@@ -250,8 +212,6 @@ ExperimentEngine::ExperimentEngine() : ExperimentEngine(Options{}) {}
 
 ExperimentEngine::ExperimentEngine(Options opts)
     : threads_(resolve_threads(opts.threads)),
-      queue_capacity_(opts.queue_capacity),
-      affinity_(opts.affinity),
       cache_enabled_(opts.cache_enabled),
       max_retries_(opts.max_retries),
       retry_backoff_base_ms_(opts.retry_backoff_base_ms),
@@ -277,11 +237,6 @@ ExperimentEngine::ExperimentEngine(Options opts)
       reg.counter("exp.jobs.timeouts"),
       reg.counter("exp.jobs.faults_injected"),
       reg.counter("exp.jobs.journal_skips"),
-      reg.counter("exp.queue.enqueue_spins"),
-      reg.counter("exp.queue.pop_spins"),
-      reg.counter("exp.queue.parks"),
-      reg.counter("exp.workers.pinned"),
-      reg.counter("exp.workers.pin_failed"),
       reg.histogram("exp.job.queue_wait_ms",
                     obs::MetricsRegistry::latency_ms_bounds()),
       reg.histogram("exp.job.run_ms",
@@ -293,14 +248,10 @@ ExperimentEngine::ExperimentEngine(Options opts)
       reg.histogram("exp.worker.tasks",
                     {1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}),
   };
-  util::require(queue_capacity_ >= 1 &&
-                    (queue_capacity_ & (queue_capacity_ - 1)) == 0,
-                "ExperimentEngine: queue_capacity must be a power of two >= 1");
   // threads_ == 1 means strictly serial: jobs run inline on the submitting
   // thread and no pool exists (the reference configuration for the
   // determinism tests).
   if (threads_ > 1) {
-    ring_ = std::make_unique<MpmcRing<TaskItem>>(queue_capacity_);
     worker_shards_ = std::make_unique<WorkerShard[]>(threads_);
     workers_.reserve(threads_);
     for (unsigned i = 0; i < threads_; ++i) {
@@ -313,12 +264,12 @@ ExperimentEngine::ExperimentEngine(Options opts)
 }
 
 ExperimentEngine::~ExperimentEngine() {
-  shutting_down_.store(true, std::memory_order_seq_cst);
   if (!workers_.empty()) {
-    // The empty critical section orders the notify after any in-progress
-    // park decision; parked workers also wake on their own within 2 ms.
-    { const std::lock_guard<std::mutex> lock(park_mutex_); }
-    park_cv_.notify_all();
+    {
+      const std::lock_guard<std::mutex> lock(queue_mutex_);
+      shutting_down_ = true;
+    }
+    queue_cv_.notify_all();
     for (auto& w : workers_) w.join();
   }
   if (watchdog_.joinable()) {
@@ -341,63 +292,8 @@ std::vector<std::uint64_t> ExperimentEngine::worker_task_counts() const {
   return counts;
 }
 
-namespace {
-
-/// Pins the calling thread to one CPU chosen from the allowed set by
-/// `policy`. Returns: 1 = pinned, 0 = skipped (policy none, affinity
-/// unreadable, or fewer than two allowed CPUs — nothing to place), -1 =
-/// the set call itself was rejected (restricted cpuset). Linux-only; other
-/// platforms always skip.
-int pin_worker_thread(unsigned index, unsigned total, AffinityPolicy policy) {
-#if defined(__linux__)
-  if (policy == AffinityPolicy::kNone) return 0;
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return 0;
-  std::vector<int> cpus;
-  for (int c = 0; c < CPU_SETSIZE; ++c) {
-    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
-  }
-  if (cpus.size() < 2) return 0;
-  std::size_t slot = 0;
-  if (policy == AffinityPolicy::kCompact) {
-    slot = index % cpus.size();
-  } else {
-    slot = (static_cast<std::size_t>(index) * cpus.size()) /
-           std::max(1u, total) % cpus.size();
-  }
-  cpu_set_t target;
-  CPU_ZERO(&target);
-  CPU_SET(cpus[slot], &target);
-  return pthread_setaffinity_np(pthread_self(), sizeof(target), &target) == 0
-             ? 1
-             : -1;
-#else
-  (void)index;
-  (void)total;
-  (void)policy;
-  return 0;
-#endif
-}
-
-}  // namespace
-
 void ExperimentEngine::worker_loop(int worker_id) {
   util::set_thread_worker_id(worker_id);
-  switch (pin_worker_thread(static_cast<unsigned>(worker_id), threads_,
-                            affinity_)) {
-    case 1:
-      workers_pinned_.fetch_add(1, std::memory_order_relaxed);
-      obs_.workers_pinned.inc();
-      break;
-    case -1:
-      // Silent degradation: the worker runs unpinned and only the counter
-      // records that the cpuset refused the request.
-      workers_pin_failed_.fetch_add(1, std::memory_order_relaxed);
-      obs_.workers_pin_failed.inc();
-      break;
-    default: break;
-  }
   WorkerShard& shard = worker_shards_[worker_id];
   TaskItem item;
   while (next_task(item)) {
@@ -411,86 +307,15 @@ void ExperimentEngine::worker_loop(int worker_id) {
       static_cast<double>(shard.tasks.load(std::memory_order_relaxed)));
 }
 
-void ExperimentEngine::push_task(TaskItem item) {
-  // Queue telemetry is sampled (every 16th group of a batch): a clock read
-  // plus two histogram observations per push would cost a meaningful slice
-  // of the push itself. Spin counters stay exact — they only pay when the
-  // ring pushes back.
-  const bool sampled = (item.group & 15u) == 0;
-  if (sampled) item.enqueued_at = std::chrono::steady_clock::now();
-  unsigned spins = 0;
-  while (!ring_->try_push(item)) {
-    // Full ring: the batch outruns the pool. Back off without a lock —
-    // a worker must finish a task before a slot frees, so after a short
-    // pause burst yielding is strictly better than burning the core
-    // (essential on single-CPU runners, where the spinning submitter
-    // would otherwise starve the worker it is waiting on).
-    ++spins;
-    if (spins < 32) {
-      spin_pause();
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  if (spins > 0) obs_.queue_enqueue_spins.add(spins);
-  if (sampled) {
-    obs_.queue_depth.observe(static_cast<double>(ring_->size_approx()));
-  }
-  // Dekker handshake with next_task(): the seq_cst fence orders our ring
-  // publication before the parked_ read, and the consumer's seq_cst
-  // parked_ increment before its ring re-check — one side always sees the
-  // other, so the wake cannot be lost.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_relaxed) > 0) {
-    const std::lock_guard<std::mutex> lock(park_mutex_);
-    park_cv_.notify_one();
-  }
-}
-
 bool ExperimentEngine::next_task(TaskItem& item) {
-  constexpr unsigned kPauseSpins = 64;   // ~cheap: stay hot for short gaps
-  constexpr unsigned kYieldSpins = 8;    // then cede the core
-  unsigned spins = 0;
-  for (;;) {
-    if (ring_->try_pop(item)) {
-      if (spins > 0) obs_.queue_pop_spins.add(spins);
-      return true;
-    }
-    if (shutting_down_.load(std::memory_order_acquire)) {
-      // Drain-then-exit: a task pushed just before shutdown must still
-      // run (its batch is blocked on it).
-      return ring_->try_pop(item);
-    }
-    ++spins;
-    if (spins <= kPauseSpins) {
-      spin_pause();
-      continue;
-    }
-    if (spins <= kPauseSpins + kYieldSpins) {
-      std::this_thread::yield();
-      continue;
-    }
-    // Park. The seq_cst increment is the consumer half of the Dekker
-    // handshake in push_task(); re-check the ring after it so a push that
-    // missed our parked_ flag is seen here instead.
-    parked_.fetch_add(1, std::memory_order_seq_cst);
-    if (ring_->try_pop(item)) {
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-      obs_.queue_pop_spins.add(spins);
-      return true;
-    }
-    if (shutting_down_.load(std::memory_order_acquire)) {
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-      return ring_->try_pop(item);
-    }
-    {
-      std::unique_lock<std::mutex> lock(park_mutex_);
-      park_cv_.wait_for(lock, std::chrono::milliseconds(2));
-    }
-    parked_.fetch_sub(1, std::memory_order_relaxed);
-    obs_.queue_parks.inc();
-    spins = 0;
-  }
+  std::unique_lock<std::mutex> lock(queue_mutex_);
+  // Drain-then-exit: a task pushed just before shutdown must still run
+  // (its batch is blocked on it).
+  queue_cv_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
+  if (queue_.empty()) return false;
+  item = queue_.front();
+  queue_.pop_front();
+  return true;
 }
 
 // --- watchdog -------------------------------------------------------------
@@ -752,7 +577,7 @@ void ExperimentEngine::run_group(BatchCtx& ctx, std::uint32_t gi) {
 }
 
 void ExperimentEngine::run_task(const TaskItem& item) {
-  // Only sampled tasks carry an enqueue timestamp (see push_task); the
+  // Only sampled tasks carry an enqueue timestamp (see run_batch_impl); the
   // default-constructed time_point marks the unsampled ones.
   if (item.enqueued_at != std::chrono::steady_clock::time_point{}) {
     obs_.queue_wait_ms.observe(
@@ -866,8 +691,27 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
       for (std::uint32_t gi = 0; gi < n_groups; ++gi) run_group(ctx, gi);
     } else {
       ctx.remaining.store(ctx.groups.size(), std::memory_order_relaxed);
-      for (std::uint32_t gi = 0; gi < n_groups; ++gi) {
-        push_task(TaskItem{&ctx, gi});
+      // Queue telemetry is sampled (every 16th group) so a large batch does
+      // not pay a histogram observation per push under the lock; one clock
+      // read stamps every sampled task.
+      const auto now = std::chrono::steady_clock::now();
+      {
+        // One lock acquisition and one wake-up per batch, not per group: a
+        // lock and notify_one per group cut perf_simulator's null-job
+        // sweep from 441-494k to 248-341k jobs/s on a 4-core host.
+        const std::lock_guard<std::mutex> lock(queue_mutex_);
+        for (std::uint32_t gi = 0; gi < n_groups; ++gi) {
+          queue_.push_back(TaskItem{&ctx, gi});
+          if ((gi & 15u) == 0) {
+            queue_.back().enqueued_at = now;
+            obs_.queue_depth.observe(static_cast<double>(queue_.size()));
+          }
+        }
+      }
+      if (n_groups == 1) {
+        queue_cv_.notify_one();
+      } else {
+        queue_cv_.notify_all();
       }
       std::unique_lock<std::mutex> lock(ctx.mutex);
       ctx.cv.wait(lock, [&ctx] { return ctx.done; });
@@ -975,31 +819,14 @@ ExperimentEngine& ExperimentEngine::shared() {
     }
   }();
   static ExperimentEngine engine{[] {
-    auto builder =
-        Options::builder()
-            .sink(sink.get())
-            .journal(journal.get())
-            .max_retries(
-                static_cast<unsigned>(env_u64_or("LPM_MAX_RETRIES", 0)))
-            .retry_backoff_base_ms(env_u64_or("LPM_RETRY_BACKOFF_MS", 10))
-            .job_timeout_ms(env_u64_or("LPM_JOB_TIMEOUT_MS", 0))
-            .fault_plan(FaultPlan::from_env());
-    if (const char* env = std::getenv("LPM_AFFINITY")) {
-      if (const auto policy = parse_affinity_policy(env)) {
-        builder.affinity(*policy);
-      } else {
-        util::log_warn() << "ignoring invalid LPM_AFFINITY='" << env
-                         << "' (want none|compact|spread)";
-      }
-    }
-    const std::uint64_t capacity = env_u64_or("LPM_QUEUE_CAPACITY", 1024);
-    if (capacity >= 1 && (capacity & (capacity - 1)) == 0) {
-      builder.queue_capacity(static_cast<std::size_t>(capacity));
-    } else {
-      util::log_warn() << "ignoring LPM_QUEUE_CAPACITY=" << capacity
-                       << " (must be a power of two >= 1)";
-    }
-    return builder.build();
+    return Options::builder()
+        .sink(sink.get())
+        .journal(journal.get())
+        .max_retries(static_cast<unsigned>(env_u64_or("LPM_MAX_RETRIES", 0)))
+        .retry_backoff_base_ms(env_u64_or("LPM_RETRY_BACKOFF_MS", 10))
+        .job_timeout_ms(env_u64_or("LPM_JOB_TIMEOUT_MS", 0))
+        .fault_plan(FaultPlan::from_env())
+        .build();
   }()};
   return engine;
 }

@@ -36,21 +36,18 @@
 // sweep resume without re-simulating completed points
 // (tests/exp/fault_injection_test.cpp).
 //
-// Concurrency core (DESIGN.md "Engine concurrency"): the job queue is a
-// bounded lock-free MPMC ring (exp/mpmc_queue.hpp) — submitters never take
-// a lock to hand work to the pool, and workers spin briefly, then yield,
-// then park on a condition variable only when the ring stays empty.
-// Outcomes land in per-group cache-line-aligned slots (single writer each)
-// and are merged back into submission order on the submitting thread —
-// merge-on-read, the same shape src/obs uses for metric shards — which is
-// what keeps N workers bit-identical to serial. An affinity policy
-// (none | compact | spread) optionally pins workers to distinct allowed
-// CPUs via pthread_setaffinity_np, silently degrading where the cpuset
-// forbids pinning or the machine has a single hardware thread.
+// Concurrency core (DESIGN.md "Engine concurrency"): the job queue is one
+// mutex + condition variable + deque. A submitter pushes all of a batch's
+// groups under one lock acquisition and wakes the pool once; workers block
+// on the condition variable while the deque is empty. Outcomes land in
+// per-group cache-line-aligned slots (single writer each) and are merged
+// back into submission order on the submitting thread — merge-on-read, the
+// same shape src/obs uses for metric shards — which is what keeps N
+// workers bit-identical to serial.
 //
 // Observability: the engine publishes its telemetry (job counts, memo-cache
 // hits/misses, retry/timeout/fault tallies, queue-wait and run-time
-// histograms, exp.queue.* ring-contention counters, per-worker occupancy)
+// histograms, sampled queue depth, per-worker occupancy)
 // to obs::MetricsRegistry::global() and emits exp.run_batch / exp.execute
 // spans on the global trace session — see OBSERVABILITY.md for the name
 // catalogue and the $LPM_METRICS / $LPM_TRACE knobs.
@@ -69,18 +66,17 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "exp/fault_plan.hpp"
-#include "exp/mpmc_queue.hpp"
 #include "obs/metrics.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/system.hpp"
@@ -211,40 +207,12 @@ struct BatchOptions {
 using BackendExecutor =
     std::function<SimJobResult(const SimJob&, const sim::RunGuard*)>;
 
-/// Where the pool's worker threads run relative to the CPUs the process is
-/// allowed on (the cpuset from sched_getaffinity, not the raw machine).
-enum class AffinityPolicy {
-  /// No pinning; the OS scheduler places workers freely.
-  kNone,
-  /// Worker i pins to allowed CPU i mod n — packs workers onto
-  /// neighbouring CPUs (shared caches; the single-socket sweet spot).
-  kCompact,
-  /// Worker i pins to allowed CPU floor(i*n/threads) mod n — spaces
-  /// workers across the allowed set (maximum aggregate bandwidth on
-  /// multi-socket / multi-CCX parts).
-  kSpread,
-};
-
-[[nodiscard]] constexpr const char* affinity_policy_name(AffinityPolicy p) {
-  switch (p) {
-    case AffinityPolicy::kNone: return "none";
-    case AffinityPolicy::kCompact: return "compact";
-    case AffinityPolicy::kSpread: return "spread";
-  }
-  return "?";
-}
-
-/// Parses "none" / "compact" / "spread" (the $LPM_AFFINITY values);
-/// nullopt for anything else.
-[[nodiscard]] std::optional<AffinityPolicy> parse_affinity_policy(
-    std::string_view name);
-
-/// Per-batch coordination block (defined in the .cpp); the ring carries
+/// Per-batch coordination block (defined in the .cpp); the queue carries
 /// (batch, group-index) pairs instead of heap-allocated closures.
 struct BatchCtx;
 
 /// One unit of pool work: group `group` of the batch behind `ctx`. POD on
-/// purpose — pushing a task allocates nothing.
+/// purpose — the queue carries 24-byte items, not closures.
 struct TaskItem {
   BatchCtx* ctx = nullptr;
   std::uint32_t group = 0;
@@ -258,8 +226,7 @@ class ExperimentEngine {
   /// Engine construction knobs.
   ///
   /// Prefer `Options::builder()` over filling the bare struct: the builder
-  /// validates at build() (thread ceiling, power-of-two ring capacity,
-  /// affinity vs hardware_concurrency) so an inconsistent engine
+  /// validates at build() (the thread ceiling) so an inconsistent engine
   /// configuration never reaches the constructor — the same idiom as
   /// sim::MachineConfig::builder(), and the documented house style since
   /// DESIGN.md deprecated bare-struct init for both.
@@ -291,14 +258,6 @@ class ExperimentEngine {
     FaultPlan fault_plan;
     /// Optional crash-safe sweep journal (non-owning; may be nullptr).
     SweepJournal* journal = nullptr;
-    /// Capacity of the lock-free MPMC job ring (power of two >= 1). Only
-    /// bounds in-flight handoff, not batch size: a submitter whose push
-    /// finds the ring full spins/yields until a worker drains a slot.
-    std::size_t queue_capacity = 1024;
-    /// Worker CPU pinning policy. Pinning silently degrades (workers stay
-    /// unpinned, exp.workers.pin_failed counts) where the cpuset forbids
-    /// it or fewer than two CPUs are allowed.
-    AffinityPolicy affinity = AffinityPolicy::kNone;
 
     class Builder;
     /// Fluent construction from the defaults; build() validates and throws
@@ -344,18 +303,6 @@ class ExperimentEngine {
                                                       std::uint64_t base_ms);
 
   [[nodiscard]] unsigned threads() const { return threads_; }
-  [[nodiscard]] AffinityPolicy affinity() const { return affinity_; }
-  [[nodiscard]] std::size_t queue_capacity() const { return queue_capacity_; }
-  /// Workers successfully pinned to a CPU (0 under AffinityPolicy::kNone,
-  /// on single-CPU cpusets, and wherever pinning silently degraded).
-  [[nodiscard]] unsigned workers_pinned() const {
-    return workers_pinned_.load(std::memory_order_relaxed);
-  }
-  /// Workers whose pthread_setaffinity_np call was rejected (restricted
-  /// cpuset); these workers run unpinned — degradation, not failure.
-  [[nodiscard]] unsigned workers_pin_failed() const {
-    return workers_pin_failed_.load(std::memory_order_relaxed);
-  }
   /// Tasks executed per worker so far (merge-on-read over the per-worker
   /// shards; index = worker id). Empty for serial engines.
   [[nodiscard]] std::vector<std::uint64_t> worker_task_counts() const;
@@ -416,13 +363,10 @@ class ExperimentEngine {
   };
 
   void worker_loop(int worker_id);
-  /// Publishes one task to the ring (spinning/yielding while full) and
-  /// wakes a parked worker if any.
-  void push_task(TaskItem item);
-  /// Pops the next task: bounded spin, then yield, then park with a 2 ms
-  /// bound. False only at shutdown with the ring drained.
+  /// Blocks until a task is queued and pops it. False only at shutdown
+  /// with the queue drained.
   bool next_task(TaskItem& item);
-  /// Runs one ring task end to end (group execution + batch completion).
+  /// Runs one queued task end to end (group execution + batch completion).
   void run_task(const TaskItem& item);
   /// Executes group `gi` of `ctx` into its outcome slot (single writer).
   void run_group(BatchCtx& ctx, std::uint32_t gi);
@@ -453,8 +397,6 @@ class ExperimentEngine {
   void watchdog_loop();
 
   unsigned threads_ = 1;
-  std::size_t queue_capacity_ = 1024;
-  AffinityPolicy affinity_ = AffinityPolicy::kNone;
   bool cache_enabled_ = true;
   unsigned max_retries_ = 0;
   std::uint64_t retry_backoff_base_ms_ = 0;
@@ -482,11 +424,6 @@ class ExperimentEngine {
     obs::MetricsRegistry::Counter timeouts;
     obs::MetricsRegistry::Counter faults_injected;
     obs::MetricsRegistry::Counter journal_skips;
-    obs::MetricsRegistry::Counter queue_enqueue_spins;
-    obs::MetricsRegistry::Counter queue_pop_spins;
-    obs::MetricsRegistry::Counter queue_parks;
-    obs::MetricsRegistry::Counter workers_pinned;
-    obs::MetricsRegistry::Counter workers_pin_failed;
     obs::MetricsRegistry::Histogram queue_wait_ms;
     obs::MetricsRegistry::Histogram run_ms;
     obs::MetricsRegistry::Histogram batch_size;
@@ -505,18 +442,13 @@ class ExperimentEngine {
   /// thread in submission order so injection sites are pool-independent.
   std::atomic<std::uint64_t> fault_cursor_{0};
 
-  // The lock-free job path: ring + spin-then-park. parked_ is the Dekker
-  // flag between a producer's post-push check and a consumer's pre-park
-  // re-check (both seq_cst), so a wake is never lost; the 2 ms park bound
-  // is belt and braces, not the correctness mechanism.
-  std::unique_ptr<MpmcRing<TaskItem>> ring_;
-  std::atomic<bool> shutting_down_{false};
-  std::atomic<unsigned> parked_{0};
-  std::mutex park_mutex_;
-  std::condition_variable park_cv_;
+  // The job queue. Workers exit only once shutting_down_ is set and the
+  // deque is empty, so a task pushed before shutdown still runs.
+  std::mutex queue_mutex_;
+  std::condition_variable queue_cv_;
+  std::deque<TaskItem> queue_;
+  bool shutting_down_ = false;
   std::unique_ptr<WorkerShard[]> worker_shards_;
-  std::atomic<unsigned> workers_pinned_{0};
-  std::atomic<unsigned> workers_pin_failed_{0};
   std::vector<std::thread> workers_;
 
   /// Per-backend eval-counter handles, resolved once per backend name so
@@ -588,21 +520,7 @@ class ExperimentEngine::Options::Builder {
     opts_.journal = journal;
     return *this;
   }
-  /// Ring capacity; build() requires a power of two >= 1.
-  Builder& queue_capacity(std::size_t capacity) {
-    opts_.queue_capacity = capacity;
-    return *this;
-  }
-  Builder& affinity(AffinityPolicy policy) {
-    opts_.affinity = policy;
-    return *this;
-  }
-
-  /// Validates and returns the finished Options: threads <= 256, queue
-  /// capacity a power of two >= 1, and an affinity request with an
-  /// explicit thread count is checked against hardware_concurrency (more
-  /// pinned workers than hardware threads is a configuration mistake, not
-  /// a degradation case).
+  /// Validates and returns the finished Options: threads <= 256.
   [[nodiscard]] Options build() const;
 
  private:

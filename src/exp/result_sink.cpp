@@ -1,6 +1,5 @@
 #include "exp/result_sink.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -14,34 +13,6 @@
 #include "util/table.hpp"
 
 namespace lpm::exp {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string csv_field(const std::string& value) {
   const bool needs_quotes =
@@ -294,8 +265,8 @@ void ResultSink::write(const ResultRecord& r) {
        << util::fmt(r.camat2, 6) << ',' << util::fmt(r.cpi_exe, 6) << ','
        << util::fmt(r.duration_ms, 3) << "\n";
   } else {
-    os << "{\"tag\":\"" << json_escape(r.tag) << "\",\"fingerprint\":\""
-       << r.fingerprint << "\",\"backend\":\"" << json_escape(r.backend)
+    os << "{\"tag\":\"" << util::json_escape(r.tag) << "\",\"fingerprint\":\""
+       << r.fingerprint << "\",\"backend\":\"" << util::json_escape(r.backend)
        << "\",\"from_cache\":" << (r.from_cache ? "true" : "false")
        << ",\"completed\":" << (r.completed ? "true" : "false")
        << ",\"cycles\":" << r.cycles << ",\"cores\":" << r.cores

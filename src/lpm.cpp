@@ -13,8 +13,6 @@ std::unique_ptr<exp::ExperimentEngine> make_engine(const EngineOptions& opts) {
   return std::make_unique<exp::ExperimentEngine>(
       exp::ExperimentEngine::Options::builder()
           .threads(opts.threads)
-          .queue_capacity(opts.queue_capacity)
-          .affinity(opts.affinity)
           .cache(opts.cache_enabled)
           .build());
 }

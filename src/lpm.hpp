@@ -53,11 +53,6 @@ namespace lpm {
 /// shares one description; re-exported here under its historical name).
 using TraceSpec = model::TraceSpec;
 
-/// Worker-pinning policy of an engine's pool, re-exported so facade users
-/// never spell an exp:: name (none | compact | spread; see
-/// exp::AffinityPolicy for placement semantics).
-using AffinityPolicy = exp::AffinityPolicy;
-
 /// Concurrency knobs of an experiment engine, facade-shaped: the subset of
 /// exp::ExperimentEngine::Options a consumer of lpm.hpp reasonably sets,
 /// with the fault-tolerance internals left to their defaults. Build a real
@@ -67,19 +62,13 @@ struct EngineOptions {
   /// Worker threads. 0 = auto ($LPM_THREADS, else hardware_concurrency);
   /// 1 = fully serial.
   unsigned threads = 0;
-  /// Capacity of the lock-free job ring (power of two >= 1).
-  std::size_t queue_capacity = 1024;
-  /// CPU pinning for the pool's workers; silently degrades where the
-  /// cpuset forbids pinning.
-  AffinityPolicy affinity = AffinityPolicy::kNone;
   /// Memoizing result cache; disable only for benchmarking.
   bool cache_enabled = true;
 };
 
 /// Builds an engine from facade options, validating through
 /// exp::ExperimentEngine::Options::builder() (throws util::ConfigError on
-/// an inconsistent combination, e.g. a non-power-of-two ring or more
-/// pinned workers than hardware threads).
+/// an invalid value, e.g. more than 256 threads).
 [[nodiscard]] std::unique_ptr<exp::ExperimentEngine> make_engine(
     const EngineOptions& opts = {});
 

@@ -74,7 +74,6 @@ bool valid_name(const std::string& name) {
 
 Server::Options Server::Options::from_env() {
   Options opts;
-  opts.endpoint = env_str("LPMD_SOCKET", opts.endpoint);
   opts.endpoint = env_str("LPMD_ENDPOINT", opts.endpoint);
   opts.journal_path = env_str("LPMD_JOURNAL", opts.journal_path);
   opts.workers =

@@ -102,11 +102,10 @@ class Server {
     int io_timeout_ms = 5'000;
 
     /// Reads the LPMD_* environment knobs over these defaults (see
-    /// docs/OPERATIONS.md): LPMD_ENDPOINT (LPMD_SOCKET is the legacy
-    /// alias), LPMD_JOURNAL, LPMD_WORKERS, LPMD_QUEUE_MAX,
-    /// LPMD_PER_CLIENT_MAX, LPMD_DEGRADE_WATERMARK, LPMD_DEGRADE_BACKEND,
-    /// LPMD_RETRY_AFTER_MS, LPMD_MEMO_BYTES, LPMD_JOB_TIMEOUT_MS,
-    /// LPMD_MAX_RETRIES, LPMD_IDLE_TIMEOUT_MS.
+    /// docs/OPERATIONS.md): LPMD_ENDPOINT, LPMD_JOURNAL, LPMD_WORKERS,
+    /// LPMD_QUEUE_MAX, LPMD_PER_CLIENT_MAX, LPMD_DEGRADE_WATERMARK,
+    /// LPMD_DEGRADE_BACKEND, LPMD_RETRY_AFTER_MS, LPMD_MEMO_BYTES,
+    /// LPMD_JOB_TIMEOUT_MS, LPMD_MAX_RETRIES, LPMD_IDLE_TIMEOUT_MS.
     [[nodiscard]] static Options from_env();
   };
 

@@ -17,6 +17,7 @@
 #include <cstdlib>
 
 #include "util/error.hpp"
+#include "util/flat_json.hpp"
 
 namespace lpm::srv {
 
@@ -392,41 +393,17 @@ IoStatus read_frame(const Fd& fd, std::string& payload, int timeout_ms) {
   return read_all(fd, payload.data(), len, deadline);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void JsonWriter::key(const std::string& k) {
   if (!body_.empty()) body_ += ',';
   body_ += '"';
-  body_ += json_escape(k);
+  body_ += util::json_escape(k);
   body_ += "\":";
 }
 
 JsonWriter& JsonWriter::str(const std::string& k, const std::string& value) {
   key(k);
   body_ += '"';
-  body_ += json_escape(value);
+  body_ += util::json_escape(value);
   body_ += '"';
   return *this;
 }

@@ -138,8 +138,9 @@ struct Endpoint {
                                   int timeout_ms);
 
 /// Builder for one flat JSON object, the only payload shape the protocol
-/// uses. Key order is insertion order; values are escaped the same way the
-/// ResultSink JSON-lines writer escapes (every control character covered).
+/// uses. Key order is insertion order; keys and values go through
+/// util::json_escape, the escaper the ResultSink JSON-lines writer uses
+/// (every control character covered).
 class JsonWriter {
  public:
   JsonWriter& str(const std::string& key, const std::string& value);
@@ -160,9 +161,6 @@ class JsonWriter {
   void key(const std::string& k);
   std::string body_;
 };
-
-/// JSON string escaping used by JsonWriter (exposed for tests).
-[[nodiscard]] std::string json_escape(const std::string& s);
 
 // --- Protocol vocabulary -------------------------------------------------
 // The authoritative op and error-code lists. Server::handle_frame and

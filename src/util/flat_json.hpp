@@ -1,4 +1,6 @@
-// Minimal parser for *flat* JSON objects — a single `{...}` whose values
+// json_escape, the one JSON string escaper of the repo (ResultSink JSON
+// lines and the lpmd wire protocol both write through it), and a minimal
+// parser for *flat* JSON objects — a single `{...}` whose values
 // are strings, numbers, booleans or null (no nesting). That is exactly the
 // shape of the repo's machine-readable outputs (ResultSink JSON lines,
 // bench/perf's BENCH_simulator.json), and keeping the parser this small
@@ -10,6 +12,7 @@
 #pragma once
 
 #include <cctype>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
@@ -18,6 +21,34 @@
 #include "util/error.hpp"
 
 namespace lpm::util {
+
+/// Escapes `s` for use inside a JSON string literal: quote, backslash,
+/// \n, \r and \t by name, every other control byte as \u00XX. Bytes
+/// >= 0x20 (UTF-8 sequences included) pass through unchanged, so
+/// FlatJson::parse reads back exactly `s`.
+[[nodiscard]] inline std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 class FlatJson {
  public:

@@ -1,12 +1,11 @@
-// The lock-free engine core behind the Options builder: builder
-// validation, affinity-policy parsing and graceful degradation, bit-exact
-// determinism across queue capacities (including the capacity-1 rendezvous
-// ring), queue metrics accounting, and the submission-order contract of
-// the SweepJournal under out-of-order completion.
+// The engine's pooled core behind the Options builder: builder
+// validation, bit-exact determinism across batch sizes and pool sizes,
+// concurrent submitters sharing one queue, task-count accounting, and the
+// submission-order contract of the SweepJournal under out-of-order
+// completion.
 //
-// Everything here must pass on a restricted-cpuset or single-core runner:
-// tests that want a real worker pool size themselves off
-// hardware_concurrency() instead of assuming it.
+// Everything here must pass on a single-core runner: a pool larger than
+// the CPU count only oversubscribes, it never changes a result.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -57,41 +56,11 @@ void register_null_backend() {
       });
 }
 
-TEST(OptionsBuilder, ValidatesQueueCapacity) {
-  using Options = exp::ExperimentEngine::Options;
-  EXPECT_THROW((void)Options::builder().queue_capacity(0).build(),
-               util::ConfigError);
-  EXPECT_THROW((void)Options::builder().queue_capacity(3).build(),
-               util::ConfigError);
-  EXPECT_THROW((void)Options::builder().queue_capacity(1000).build(),
-               util::ConfigError);
-  EXPECT_NO_THROW((void)Options::builder().queue_capacity(1).build());
-  EXPECT_NO_THROW((void)Options::builder().queue_capacity(4096).build());
-}
-
 TEST(OptionsBuilder, ValidatesThreadCount) {
   using Options = exp::ExperimentEngine::Options;
   EXPECT_THROW((void)Options::builder().threads(257).build(),
                util::ConfigError);
   EXPECT_NO_THROW((void)Options::builder().threads(256).build());
-}
-
-TEST(OptionsBuilder, RejectsPinningMoreWorkersThanHardwareThreads) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0 || hw >= 256) GTEST_SKIP() << "hardware_concurrency unusable";
-  using Options = exp::ExperimentEngine::Options;
-  EXPECT_THROW((void)Options::builder()
-                   .threads(hw + 1)
-                   .affinity(exp::AffinityPolicy::kCompact)
-                   .build(),
-               util::ConfigError);
-  // The same thread count without pinning is fine (oversubscription is the
-  // scheduler's problem), and pinning within the hardware budget is fine.
-  EXPECT_NO_THROW((void)Options::builder().threads(hw + 1).build());
-  EXPECT_NO_THROW((void)Options::builder()
-                      .threads(hw)
-                      .affinity(exp::AffinityPolicy::kSpread)
-                      .build());
 }
 
 TEST(OptionsBuilder, CarriesEveryFieldThrough) {
@@ -102,7 +71,7 @@ TEST(OptionsBuilder, CarriesEveryFieldThrough) {
                         .retry_backoff_base_ms(7)
                         .backoff_seed(99)
                         .job_timeout_ms(1234)
-                        .queue_capacity(64)
+                        .policy(exp::FailurePolicy::kCollect)
                         .build();
   EXPECT_EQ(opts.threads, 2u);
   EXPECT_FALSE(opts.cache_enabled);
@@ -110,93 +79,53 @@ TEST(OptionsBuilder, CarriesEveryFieldThrough) {
   EXPECT_EQ(opts.retry_backoff_base_ms, 7u);
   EXPECT_EQ(opts.backoff_seed, 99u);
   EXPECT_EQ(opts.job_timeout_ms, 1234u);
-  EXPECT_EQ(opts.queue_capacity, 64u);
-  EXPECT_EQ(opts.affinity, exp::AffinityPolicy::kNone);
-}
-
-TEST(AffinityPolicy, ParsesAndNames) {
-  using exp::AffinityPolicy;
-  EXPECT_EQ(exp::parse_affinity_policy("none"), AffinityPolicy::kNone);
-  EXPECT_EQ(exp::parse_affinity_policy("compact"), AffinityPolicy::kCompact);
-  EXPECT_EQ(exp::parse_affinity_policy("spread"), AffinityPolicy::kSpread);
-  EXPECT_FALSE(exp::parse_affinity_policy("COMPACT").has_value());
-  EXPECT_FALSE(exp::parse_affinity_policy("").has_value());
-  EXPECT_FALSE(exp::parse_affinity_policy("numa").has_value());
-  for (const auto p : {AffinityPolicy::kNone, AffinityPolicy::kCompact,
-                       AffinityPolicy::kSpread}) {
-    EXPECT_EQ(exp::parse_affinity_policy(exp::affinity_policy_name(p)), p);
-  }
-}
-
-TEST(EngineConcurrency, AffinityDegradesGracefully) {
-  // On a single-core or cpuset-restricted runner pinning is skipped or
-  // refused; either way the engine must stay fully functional and account
-  // for every worker exactly once.
-  register_null_backend();
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned threads = hw >= 2 ? 2 : 1;
-  exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
-                                   .threads(threads)
-                                   .affinity(exp::AffinityPolicy::kCompact)
-                                   .cache(false)
-                                   .build());
-  EXPECT_EQ(engine.affinity(), exp::AffinityPolicy::kCompact);
-  const unsigned pool = threads > 1 ? threads : 0;
-  EXPECT_LE(engine.workers_pinned() + engine.workers_pin_failed(), pool)
-      << "each worker reports at most one pin outcome";
-
-  const auto jobs = null_jobs(32, "conc-null");
-  const auto results = engine.run_batch(jobs);
-  ASSERT_EQ(results.size(), jobs.size());
-  for (unsigned i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(results[i]->run.cycles, 1000 + i) << "job " << i;
-  }
+  EXPECT_EQ(opts.policy, exp::FailurePolicy::kCollect);
 }
 
 TEST(EngineConcurrency, DeterministicAcrossQueueCapacities) {
-  // The ordered-reassembly contract must hold for any ring shape, down to
-  // the capacity-1 rendezvous where every push blocks until a worker pops.
+  // The ordered-reassembly contract must hold for any handoff granularity:
+  // a one-group batch (notify_one), batches smaller than, comparable to and
+  // far larger than the pool, over pools of 2 and 8 workers.
   register_null_backend();
-  const auto jobs = null_jobs(64, "conc-null");
-
   exp::ExperimentEngine serial(exp::ExperimentEngine::Options::builder()
                                    .threads(1)
                                    .cache(false)
                                    .build());
-  const auto expected = serial.run_batch(jobs);
-
-  for (const std::size_t capacity : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{16}, std::size_t{4096}}) {
+  for (const unsigned pool : {2u, 8u}) {
     exp::ExperimentEngine pooled(exp::ExperimentEngine::Options::builder()
-                                     .threads(4)
-                                     .queue_capacity(capacity)
+                                     .threads(pool)
                                      .cache(false)
                                      .build());
-    EXPECT_EQ(pooled.queue_capacity(), capacity);
-    const auto results = pooled.run_batch(jobs);
-    ASSERT_EQ(results.size(), expected.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i]->run.cycles, expected[i]->run.cycles)
-          << "capacity " << capacity << ", job " << i;
-      EXPECT_EQ(results[i]->fingerprint, expected[i]->fingerprint);
+    std::uint64_t submitted = 0;
+    for (const unsigned batch : {1u, 7u, 64u, 4096u}) {
+      const auto jobs = null_jobs(batch, "conc-null");
+      const auto expected = serial.run_batch(jobs);
+      const auto results = pooled.run_batch(jobs);
+      ASSERT_EQ(results.size(), expected.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i]->run.cycles, expected[i]->run.cycles)
+            << "pool " << pool << ", batch " << batch << ", job " << i;
+        EXPECT_EQ(results[i]->fingerprint, expected[i]->fingerprint);
+      }
+      submitted += batch;
+      // Every executed group landed on exactly one worker shard.
+      const auto counts = pooled.worker_task_counts();
+      ASSERT_EQ(counts.size(), pool);
+      EXPECT_EQ(
+          std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
+          submitted)
+          << "pool " << pool << ", batch " << batch;
     }
-    // Every executed group landed on exactly one worker shard.
-    const auto counts = pooled.worker_task_counts();
-    ASSERT_EQ(counts.size(), 4u);
-    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
-              jobs.size())
-        << "capacity " << capacity;
   }
 }
 
 TEST(EngineConcurrency, ConcurrentSubmittersShareOnePool) {
-  // Several threads each submit their own batch into one engine — the
-  // contention pattern the ring exists for. Each submitter must get its
-  // own slice back in its own order.
+  // Several threads each submit their own batch into one engine, so their
+  // groups interleave in the one queue. Each submitter must get its own
+  // slice back in its own order.
   register_null_backend();
   exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
                                    .threads(4)
-                                   .queue_capacity(8)
                                    .cache(false)
                                    .build());
   constexpr unsigned kSubmitters = 4;
@@ -281,21 +210,21 @@ TEST(EngineConcurrency, QueueMetricsAndTaskCountsStayCoherent) {
   register_null_backend();
   exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
                                    .threads(2)
-                                   .queue_capacity(4)
                                    .cache(false)
                                    .build());
   const auto jobs = null_jobs(128, "conc-null");
   (void)engine.run_batch(jobs);
+  // Task counts sum to the batch size: every group ran on exactly one
+  // worker, and the queue neither dropped nor duplicated one.
   const auto counts = engine.worker_task_counts();
   ASSERT_EQ(counts.size(), 2u);
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
             jobs.size());
+  EXPECT_EQ(engine.simulations_executed(), jobs.size());
   // A serial engine has no pool and therefore no shards.
   exp::ExperimentEngine serial(
       exp::ExperimentEngine::Options::builder().threads(1).build());
   EXPECT_TRUE(serial.worker_task_counts().empty());
-  EXPECT_EQ(serial.workers_pinned(), 0u);
-  EXPECT_EQ(serial.workers_pin_failed(), 0u);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 
 namespace lpm {
 namespace {
@@ -121,30 +120,18 @@ TEST(Facade, EngineOptionsBuildARealEngine) {
   // must round-trip through the exp builder, validation included.
   EngineOptions opts;
   opts.threads = 2;
-  opts.queue_capacity = 16;
-  opts.affinity = AffinityPolicy::kNone;
   opts.cache_enabled = true;
   const auto engine = make_engine(opts);
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(engine->threads(), 2u);
-  EXPECT_EQ(engine->queue_capacity(), 16u);
-  EXPECT_EQ(engine->affinity(), AffinityPolicy::kNone);
   // Defaults build too.
   EXPECT_NE(make_engine(), nullptr);
 }
 
 TEST(Facade, MakeEngineValidatesOptions) {
-  EngineOptions bad_ring;
-  bad_ring.queue_capacity = 6;  // not a power of two
-  EXPECT_THROW((void)make_engine(bad_ring), util::ConfigError);
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0 && hw < 256) {
-    EngineOptions overpinned;
-    overpinned.threads = hw + 1;
-    overpinned.affinity = AffinityPolicy::kCompact;
-    EXPECT_THROW((void)make_engine(overpinned), util::ConfigError);
-  }
+  EngineOptions too_many;
+  too_many.threads = 257;  // the pool ceiling is 256
+  EXPECT_THROW((void)make_engine(too_many), util::ConfigError);
 }
 
 TEST(Facade, MadeEngineIsDeterministicAndCaches) {

@@ -115,8 +115,6 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
       "exp.jobs.submitted", "exp.jobs.executed", "exp.jobs.cache_hits",
       "exp.jobs.failed", "exp.jobs.retries", "exp.jobs.timeouts",
       "exp.jobs.faults_injected", "exp.jobs.journal_skips",
-      "exp.queue.enqueue_spins", "exp.queue.pop_spins", "exp.queue.parks",
-      "exp.workers.pinned", "exp.workers.pin_failed",
       "sim.runs", "sim.cycles", "sim.instructions", "sim.calibrations",
       "sim.calibration_cache_hits",
       "sim.cache.accesses.l1", "sim.cache.hits.l1", "sim.cache.misses.l1",

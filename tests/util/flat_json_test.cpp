@@ -48,5 +48,24 @@ TEST(FlatJson, RejectsMalformedAndNested) {
   EXPECT_THROW(FlatJson::parse(R"({"a":bogus})"), LpmError);
 }
 
+TEST(JsonEscape, EscapesSpecialsAndPassesUtf8Through) {
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string("x\x01y")), "x\\u0001y");
+  const std::string utf8 = "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x99\x82";
+  EXPECT_EQ(json_escape(utf8), utf8);
+  EXPECT_EQ(json_escape(""), "");
+}
+
+TEST(JsonEscape, RoundTripsThroughFlatJson) {
+  const std::string value = std::string("q\"b\\n\nr\rt\tc\x01\x1f ") +
+                            "caf\xc3\xa9 \xe2\x86\x92";
+  const std::string key = "k\"\\\x02";
+  const auto json = FlatJson::parse("{\"" + json_escape(key) + "\":\"" +
+                                    json_escape(value) + "\"}");
+  EXPECT_EQ(json.get_string(key), value);
+}
+
 }  // namespace
 }  // namespace lpm::util

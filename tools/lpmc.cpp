@@ -14,8 +14,7 @@
 // `endpoint` accepts any wire::Endpoint spelling ("unix:<path>",
 // "tcp:<host>:<port>", bare unix path) and may be a comma-separated list:
 // connect() fails over through the list, which is how you point lpmc at a
-// set of shards or at a router plus a fallback. `socket=` is the legacy
-// single-path alias.
+// set of shards or at a router plus a fallback.
 //
 // Submits one job, then prints every frame the server streams back (one
 // JSON object per line) until the job's terminal frame (done/error)
@@ -40,8 +39,7 @@ int main(int argc, char** argv) {
   try {
     const auto args = util::KvConfig::from_args(argc, argv);
     const std::string cmd = args.get_or("cmd", "simulate");
-    std::string endpoint_csv = args.get_or("socket", "/tmp/lpmd.sock");
-    endpoint_csv = args.get_or("endpoint", endpoint_csv);
+    const std::string endpoint_csv = args.get_or("endpoint", "/tmp/lpmd.sock");
     const std::string name = args.get_or("name", "lpmc");
     const std::string id = args.get_or("id", "job1");
 

@@ -7,7 +7,7 @@
 //            shards=tcp:127.0.0.1:7801,tcp:127.0.0.1:7802
 //
 // `endpoint` takes any wire::Endpoint spelling ("unix:<path>",
-// "tcp:<host>:<port>", bare unix path); `socket=` is the legacy alias.
+// "tcp:<host>:<port>", bare unix path).
 // With `shards=` the process runs as a srv::Router in front of the listed
 // backend lpmd endpoints instead of serving jobs itself (see
 // docs/OPERATIONS.md for the full topology recipe).
@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
   try {
     const auto args = util::KvConfig::from_args(argc, argv);
     srv::Server::Options opts = srv::Server::Options::from_env();
-    opts.endpoint = args.get_or("socket", opts.endpoint);  // legacy alias
     opts.endpoint = args.get_or("endpoint", opts.endpoint);
 
     const std::string shards = args.get_or("shards", "");
