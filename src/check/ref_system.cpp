@@ -59,8 +59,8 @@ RefSystem::RefSystem(sim::MachineConfig cfg,
     cpu::CoreConfig core_cfg = cfg_.core;
     core_cfg.id = c;
     core_cfg.name = "core" + std::to_string(c);
-    auto core = std::make_unique<cpu::OooCore>(core_cfg, traces_[c].get(),
-                                               l1.get(), /*id_space=*/1 + c);
+    auto core = std::make_unique<RefCore>(core_cfg, traces_[c].get(), l1.get(),
+                                          /*id_space=*/1 + c);
     l1s_.push_back(std::move(l1));
     l1_analyzers_.push_back(std::move(analyzer));
     cores_.push_back(std::move(core));

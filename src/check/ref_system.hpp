@@ -1,18 +1,17 @@
 // Reference system: the oracle counterpart of sim::System.
 //
-// Wires RefCache + RefAnalyzer into the same topology sim::System builds
-// (per-core L1s, optional private L2s, shared L2/LLC, DRAM) with identical
-// id spaces, seeds and tick order, and collects the same sim::SystemResult.
-// Differential testing runs both systems on one trace and requires
-// result-wise equality (SystemResult::operator==).
+// Wires RefCore + RefCache + RefAnalyzer into the same topology sim::System
+// builds (per-core L1s, optional private L2s, shared L2/LLC, DRAM) with
+// identical id spaces, seeds and tick order, and collects the same
+// sim::SystemResult. Differential testing runs both systems on one trace
+// and requires result-wise equality (SystemResult::operator==).
 //
-// Two components are shared with the optimized system rather than
-// re-implemented: cpu::OooCore (both systems must consume the identical
-// core model — and the core reaches a RefCache only through the virtual
-// MemoryLevel path, so the diff also validates the devirtualized L1 fast
-// path against the vtable path) and mem::Dram (the DRAM timing model was
-// not restructured by the throughput work; re-deriving it would test
-// nothing the cache/analyzer diff does not already cover).
+// One component is shared with the optimized system rather than
+// re-implemented: mem::Dram (the DRAM timing model was not restructured by
+// the throughput work; re-deriving it would test nothing the cache/analyzer
+// diff does not already cover). RefCore reaches a RefCache only through the
+// virtual MemoryLevel path, so the diff also validates the optimized core's
+// devirtualized L1 fast path against the vtable path.
 #pragma once
 
 #include <memory>
@@ -20,7 +19,7 @@
 
 #include "check/ref_analyzer.hpp"
 #include "check/ref_cache.hpp"
-#include "cpu/ooo_core.hpp"
+#include "check/ref_core.hpp"
 #include "mem/dram.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/system.hpp"
@@ -53,7 +52,7 @@ class RefSystem {
   std::vector<std::unique_ptr<RefAnalyzer>> private_l2_analyzers_;
   std::vector<std::unique_ptr<RefCache>> l1s_;
   std::vector<std::unique_ptr<RefAnalyzer>> l1_analyzers_;
-  std::vector<std::unique_ptr<cpu::OooCore>> cores_;
+  std::vector<std::unique_ptr<RefCore>> cores_;
   Cycle now_ = 0;
   bool finalized_ = false;
 };

@@ -1,5 +1,7 @@
 #include "cpu/ooo_core.hpp"
 
+#include <bit>
+
 #include "mem/cache.hpp"
 #include "util/error.hpp"
 
@@ -35,6 +37,7 @@ OooCore::OooCore(CoreConfig cfg, trace::TraceSource* source, mem::MemoryLevel* l
       source_(source),
       l1_(l1),
       rob_(cfg_.rob_size),
+      ready_((rob_.slot_count() + 63) / 64, 0),
       id_base_(id_space << kSeqBits) {
   cfg_.validate();
   util::require(source_ != nullptr, cfg_.name, ": trace source must exist");
@@ -57,16 +60,41 @@ bool OooCore::refill_trace() {
   return chunk_len_ > 0;
 }
 
-bool OooCore::dep_done(std::uint64_t index, std::uint32_t dist) const {
-  if (dist == 0 || static_cast<std::uint64_t>(dist) > index) return true;
-  const std::uint64_t dep = index - dist;
-  if (dep < rob_.head_seq()) return true;  // already retired
-  if (!rob_.contains_seq(dep)) return true;  // beyond tail cannot happen; be safe
-  return rob_.at_seq(dep).state == State::kDone;
+void OooCore::add_dependence(RobEntry& e, std::size_t slot, unsigned k,
+                             std::uint32_t dist) {
+  if (dist == 0 || static_cast<std::uint64_t>(dist) > e.index) return;
+  const std::uint64_t dep = e.index - dist;
+  if (dep < rob_.head_seq()) return;  // already retired
+  RobEntry& producer = rob_.at_slot(rob_.slot_of(dep));  // older, so in the ROB
+  if (producer.state == State::kDone) return;
+  e.next_waiter[k] = producer.waiters;
+  producer.waiters = static_cast<std::uint32_t>(slot << 1 | k);
+  ++e.pending;
 }
 
-bool OooCore::deps_ready(const RobEntry& e) const {
-  return dep_done(e.index, e.op.dep_dist) && dep_done(e.index, e.op.dep_dist2);
+void OooCore::mark_done(RobEntry& e) {
+  e.state = State::kDone;
+  // Consumers are younger than their producer and commit after it, so
+  // every linked slot still holds the consumer that linked itself.
+  for (std::uint32_t code = e.waiters; code != kNoWaiter;) {
+    const std::size_t slot = code >> 1;
+    RobEntry& w = rob_.at_slot(slot);
+    code = w.next_waiter[code & 1];
+    if (--w.pending == 0) set_ready(slot);
+  }
+  e.waiters = kNoWaiter;
+}
+
+std::size_t OooCore::next_ready(std::size_t from, std::size_t end) const {
+  if (from >= end) return end;
+  std::size_t w = from >> 6;
+  std::uint64_t bits = ready_[w] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++w << 6 >= end) return end;
+    bits = ready_[w];
+  }
+  const std::size_t pos = (w << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+  return pos < end ? pos : end;
 }
 
 void OooCore::on_response(const mem::MemResponse& rsp) { responses_.push(rsp); }
@@ -89,7 +117,7 @@ void OooCore::tick(Cycle now) {
     --lsq_occupancy_;
     if (rob_.contains_seq(seq)) {
       RobEntry& e = rob_.at_seq(seq);
-      if (e.state == State::kMemWaiting) e.state = State::kDone;
+      if (e.state == State::kMemWaiting) mark_done(e);
     }
     // Stores may already have retired (they commit at L1 acceptance).
   }
@@ -133,7 +161,7 @@ void OooCore::do_complete(Cycle now) {
   for (std::size_t i = 0; i < executing_.size();) {
     RobEntry& e = rob_.at_seq(executing_[i]);
     if (e.done_at <= now) {
-      e.state = State::kDone;
+      mark_done(e);
       executing_[i] = executing_.back();
       executing_.pop_back();
     } else {
@@ -167,26 +195,36 @@ void OooCore::do_commit(Cycle /*now*/) {
 void OooCore::do_issue(Cycle now) {
   std::uint32_t issued = 0;
   bool mem_port_blocked = false;
-  // iw_occupancy_ counts the kDispatched entries; once the scan has seen
-  // them all, the rest of the ROB holds nothing issuable.
-  std::uint64_t unseen = iw_occupancy_;
-  for (std::size_t i = 0;
-       i < rob_.size() && issued < cfg_.issue_width && unseen > 0; ++i) {
-    RobEntry& e = rob_.at_offset(i);
-    if (e.state != State::kDispatched) continue;
-    --unseen;
-    if (!deps_ready(e)) continue;
+  // Oldest first over the ready set: ring slots [head, end), then [0, head).
+  // Each step re-reads the live bitmap, and a wakeup only ever readies a
+  // younger slot, so a store accepted here wakes its dependents in this
+  // same pass.
+  const std::size_t head = rob_.slot_of(rob_.head_seq());
+  std::size_t end = rob_.slot_count();
+  std::size_t pos = head;
+  while (issued < cfg_.issue_width) {
+    pos = next_ready(pos, end);
+    if (pos == end) {
+      if (end != rob_.slot_count() || head == 0) break;
+      pos = 0;
+      end = head;
+      continue;
+    }
+    const std::size_t slot = pos++;
+    RobEntry& e = rob_.at_slot(slot);
 
     if (e.op.type == trace::OpType::kAlu) {
       e.state = State::kExecuting;
       e.done_at = now + e.op.exec_latency;
       executing_.push_back(e.index);
+      clear_ready(slot);
       --iw_occupancy_;
       ++issued;
       continue;
     }
 
-    // Memory op: needs an LSQ slot and an L1 port.
+    // Memory op: needs an LSQ slot and an L1 port. A bounced op stays in
+    // the ready set.
     if (mem_port_blocked || lsq_occupancy_ >= cfg_.lsq_size) continue;
     mem::MemRequest req;
     req.id = id_base_ | e.index;
@@ -201,14 +239,17 @@ void OooCore::do_issue(Cycle now) {
       mem_port_blocked = true;  // further memory issues would also bounce
       continue;
     }
+    clear_ready(slot);
     ++lsq_occupancy_;
     --iw_occupancy_;
     ++issued;
-    e.mem_id = req.id;
     // Stores retire at acceptance (store-buffer semantics); loads wait for
     // their data.
-    e.state = e.op.type == trace::OpType::kStore ? State::kDone
-                                                 : State::kMemWaiting;
+    if (e.op.type == trace::OpType::kStore) {
+      mark_done(e);
+    } else {
+      e.state = State::kMemWaiting;
+    }
   }
 }
 
@@ -220,12 +261,16 @@ void OooCore::do_dispatch(Cycle /*now*/) {
       trace_done_ = true;
       break;
     }
-    RobEntry e;
-    e.op = trace_chunk_[chunk_pos_++];
-    e.state = State::kDispatched;
-    const std::size_t seq = rob_.push(e);
-    rob_.at_seq(seq).index = seq;
+    RobEntry entry;
+    entry.op = trace_chunk_[chunk_pos_++];
+    entry.index = next_index_;
+    const std::size_t seq = rob_.push(entry);
     util::require(seq == next_index_, "OooCore: ROB sequence drift");
+    const std::size_t slot = rob_.slot_of(seq);
+    RobEntry& e = rob_.at_slot(slot);
+    add_dependence(e, slot, 0, e.op.dep_dist);
+    add_dependence(e, slot, 1, e.op.dep_dist2);
+    if (e.pending == 0) set_ready(slot);
     ++next_index_;
     ++iw_occupancy_;
     ++dispatched;

@@ -6,6 +6,9 @@
 // memory operations, multi-issue, and commit-side stall/overlap accounting
 // (Eq. 7/8). Simplifications (no branch mispredictions, no store-to-load
 // forwarding, stores retire at L1 acceptance) are documented in DESIGN.md.
+// Issue selects oldest first from a ready set maintained by dependence
+// counts (DESIGN.md §4); check::RefCore is the slow oracle for the same
+// rule.
 #pragma once
 
 #include <array>
@@ -52,12 +55,18 @@ class OooCore final : public mem::ResponseSink {
     kMemWaiting,  ///< memory op accepted, waiting for response
     kDone,        ///< ready to commit
   };
+  /// End of an intrusive waiter list. A list link is a consumer's ROB ring
+  /// slot and dependence index packed as (slot << 1 | k).
+  static constexpr std::uint32_t kNoWaiter = 0xffffffffu;
   struct RobEntry {
     trace::MicroOp op;
-    std::uint64_t index = 0;  ///< dynamic instruction number
+    std::uint64_t index = 0;            ///< dynamic instruction number
+    Cycle done_at = kNoCycle;           ///< ALU completion time
     State state = State::kDispatched;
-    Cycle done_at = kNoCycle;     ///< ALU completion time
-    RequestId mem_id = kNoRequest;
+    std::uint8_t pending = 0;           ///< producers not yet kDone (0..2)
+    std::uint32_t waiters = kNoWaiter;  ///< head of this entry's waiter list
+    /// Next link after this entry's dependence k in its producer's list.
+    std::array<std::uint32_t, 2> next_waiter{kNoWaiter, kNoWaiter};
   };
 
   /// Micro-ops pulled per TraceSource::fill call: one virtual call amortized
@@ -70,8 +79,22 @@ class OooCore final : public mem::ResponseSink {
   static constexpr std::uint64_t kSeqBits = 48;
   static constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << kSeqBits) - 1;
 
-  [[nodiscard]] bool deps_ready(const RobEntry& e) const;
-  [[nodiscard]] bool dep_done(std::uint64_t index, std::uint32_t dist) const;
+  /// Links the entry in ring slot `slot` onto the waiter list of its
+  /// producer `dist` instructions back (dependence k), unless that producer
+  /// is absent, retired or already done.
+  void add_dependence(RobEntry& e, std::size_t slot, unsigned k,
+                      std::uint32_t dist);
+  /// The one transition to kDone: wakes the entry's waiters, marking each
+  /// ready once its last pending producer is done.
+  void mark_done(RobEntry& e);
+  /// First ready ring slot in [from, end), or `end`.
+  [[nodiscard]] std::size_t next_ready(std::size_t from, std::size_t end) const;
+  void set_ready(std::size_t slot) {
+    ready_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  }
+  void clear_ready(std::size_t slot) {
+    ready_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  }
   void do_commit(Cycle now);
   void do_complete(Cycle now);
   void do_issue(Cycle now);
@@ -93,6 +116,9 @@ class OooCore final : public mem::ResponseSink {
   std::size_t chunk_pos_ = 0;
   std::size_t chunk_len_ = 0;
   util::RingBuffer<RobEntry> rob_;
+  /// One bit per ROB ring slot: unissued entries whose producers are all
+  /// done. Issue walks it oldest first from the head slot.
+  std::vector<std::uint64_t> ready_;
   std::uint64_t next_index_ = 0;           ///< next dynamic instruction number
   std::uint64_t iw_occupancy_ = 0;         ///< dispatched-not-issued entries
   std::uint64_t lsq_occupancy_ = 0;        ///< memory ops issued-not-completed

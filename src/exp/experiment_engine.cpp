@@ -297,7 +297,9 @@ void ExperimentEngine::worker_loop(int worker_id) {
   WorkerShard& shard = worker_shards_[worker_id];
   TaskItem item;
   while (next_task(item)) {
-    shard.tasks.fetch_add(1, std::memory_order_relaxed);
+    if ((item.group & TaskItem::kWarmTask) == 0) {
+      shard.tasks.fetch_add(1, std::memory_order_relaxed);
+    }
     run_task(item);
   }
   // Observed here, on the worker's own thread, not by the destructor: the
@@ -576,6 +578,20 @@ void ExperimentEngine::run_group(BatchCtx& ctx, std::uint32_t gi) {
   }
 }
 
+void ExperimentEngine::warm_calibrations(const BatchCtx& ctx,
+                                         std::uint32_t gi) {
+  const SimJob& job = *ctx.groups[gi].job;
+  for (const auto& wl : job.workloads) {
+    if (ctx.abort.load(std::memory_order_acquire)) return;
+    try {
+      (void)sim::cached_cpi_exe(job.machine, wl, nullptr);
+    } catch (const std::exception&) {
+      // Nothing is cached on failure: the job's own cached_cpi_exe call
+      // runs the calibration again and reports its typed error.
+    }
+  }
+}
+
 void ExperimentEngine::run_task(const TaskItem& item) {
   // Only sampled tasks carry an enqueue timestamp (see run_batch_impl); the
   // default-constructed time_point marks the unsampled ones.
@@ -587,7 +603,11 @@ void ExperimentEngine::run_task(const TaskItem& item) {
                        .count()));
   }
   BatchCtx& ctx = *item.ctx;
-  run_group(ctx, item.group);
+  if ((item.group & TaskItem::kWarmTask) != 0) {
+    warm_calibrations(ctx, item.group & ~TaskItem::kWarmTask);
+  } else {
+    run_group(ctx, item.group);
+  }
   // Only the batch's last finisher takes the mutex; everyone else just
   // decrements. Notify while holding the lock: the submitting thread owns
   // BatchCtx on its stack and destroys it as soon as its wait returns, so
@@ -690,7 +710,11 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
       // Serial reference path: groups run inline, in submission order.
       for (std::uint32_t gi = 0; gi < n_groups; ++gi) run_group(ctx, gi);
     } else {
-      ctx.remaining.store(ctx.groups.size(), std::memory_order_relaxed);
+      // Warm tasks go first, so a job's calibration starts no later than
+      // its simulation and overlaps it on another worker. They cannot
+      // deadlock the pool: a warm task waits only on a calibration another
+      // thread is already running, never on a queued task.
+      std::size_t tasks = n_groups;
       // Queue telemetry is sampled (every 16th group) so a large batch does
       // not pay a histogram observation per push under the lock; one clock
       // read stamps every sampled task.
@@ -701,6 +725,15 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
         // sweep from 441-494k to 248-341k jobs/s on a 4-core host.
         const std::lock_guard<std::mutex> lock(queue_mutex_);
         for (std::uint32_t gi = 0; gi < n_groups; ++gi) {
+          const SimJob& job = *ctx.groups[gi].job;
+          if (job.calibrate && job.backend == kCycleBackend) {
+            queue_.push_back(TaskItem{&ctx, gi | TaskItem::kWarmTask});
+            ++tasks;
+          }
+        }
+        // Set under the queue lock, before any worker can pop a task.
+        ctx.remaining.store(tasks, std::memory_order_relaxed);
+        for (std::uint32_t gi = 0; gi < n_groups; ++gi) {
           queue_.push_back(TaskItem{&ctx, gi});
           if ((gi & 15u) == 0) {
             queue_.back().enqueued_at = now;
@@ -708,7 +741,7 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
           }
         }
       }
-      if (n_groups == 1) {
+      if (tasks == 1) {
         queue_cv_.notify_one();
       } else {
         queue_cv_.notify_all();

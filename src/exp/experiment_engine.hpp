@@ -43,7 +43,10 @@
 // per-group cache-line-aligned slots (single writer each) and are merged
 // back into submission order on the submitting thread — merge-on-read, the
 // same shape src/obs uses for metric shards — which is what keeps N
-// workers bit-identical to serial.
+// workers bit-identical to serial. Each calibrating cycle job also gets a
+// warm task, queued ahead of the batch's groups, that runs the job's
+// CPIexe calibrations on an otherwise idle worker while the job simulates
+// (sim::cached_cpi_exe's single flight makes the two meet, never repeat).
 //
 // Observability: the engine publishes its telemetry (job counts, memo-cache
 // hits/misses, retry/timeout/fault tallies, queue-wait and run-time
@@ -211,9 +214,11 @@ using BackendExecutor =
 /// (batch, group-index) pairs instead of heap-allocated closures.
 struct BatchCtx;
 
-/// One unit of pool work: group `group` of the batch behind `ctx`. POD on
+/// One unit of pool work: group `group` of the batch behind `ctx`, or that
+/// group's calibration warm-up when `group` carries kWarmTask. POD on
 /// purpose — the queue carries 24-byte items, not closures.
 struct TaskItem {
+  static constexpr std::uint32_t kWarmTask = 1u << 31;
   BatchCtx* ctx = nullptr;
   std::uint32_t group = 0;
   /// Set only on sampled pushes (queue-wait telemetry); the default
@@ -303,8 +308,10 @@ class ExperimentEngine {
                                                       std::uint64_t base_ms);
 
   [[nodiscard]] unsigned threads() const { return threads_; }
-  /// Tasks executed per worker so far (merge-on-read over the per-worker
-  /// shards; index = worker id). Empty for serial engines.
+  /// Group tasks executed per worker so far (merge-on-read over the
+  /// per-worker shards; index = worker id). Calibration warm tasks are not
+  /// counted: the counts sum to the job groups the pool executed. Empty for
+  /// serial engines.
   [[nodiscard]] std::vector<std::uint64_t> worker_task_counts() const;
   /// Simulations actually executed (== distinct points seen).
   [[nodiscard]] std::uint64_t simulations_executed() const {
@@ -370,6 +377,10 @@ class ExperimentEngine {
   void run_task(const TaskItem& item);
   /// Executes group `gi` of `ctx` into its outcome slot (single writer).
   void run_group(BatchCtx& ctx, std::uint32_t gi);
+  /// Runs group `gi`'s CPIexe calibrations into the process-wide cache
+  /// ahead of the job's own lookups. Errors are swallowed (the job's own
+  /// call reports them); does nothing once the batch has aborted.
+  static void warm_calibrations(const BatchCtx& ctx, std::uint32_t gi);
   /// Cached per-backend "model.backend.evals.<name>" counter handle (one
   /// name lookup per backend per engine, not per job).
   obs::MetricsRegistry::Counter backend_evals(const std::string& backend);

@@ -87,6 +87,15 @@ class RingBuffer {
     return slots_[(head_seq_ + i) & mask_];
   }
 
+  /// Backing slots: capacity() rounded up to a power of two. Sequence
+  /// number `seq` lives in slot slot_of(seq), so a client can keep side
+  /// tables (e.g. bitmaps) indexed by slot.
+  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+  [[nodiscard]] std::size_t slot_of(std::size_t seq) const { return seq & mask_; }
+  /// The element in backing slot `slot`, unchecked: the caller knows the
+  /// slot holds a live element.
+  [[nodiscard]] T& at_slot(std::size_t slot) { return slots_[slot]; }
+
   [[nodiscard]] bool contains_seq(std::size_t seq) const {
     return seq >= head_seq_ && seq < head_seq_ + size_;
   }
@@ -99,8 +108,9 @@ class RingBuffer {
 
  private:
   // Backing storage is rounded up to a power of two so every slot index is
-  // a mask instead of an integer division (the ROB scan does this per entry
-  // per cycle). capacity_ still enforces the caller's logical bound.
+  // a mask instead of an integer division (every ROB and response-queue
+  // access computes one). capacity_ still enforces the caller's logical
+  // bound.
   [[nodiscard]] static std::size_t round_up_pow2(std::size_t v) {
     std::size_t p = 1;
     while (p < v) p <<= 1;

@@ -4,6 +4,7 @@
 // a tiny repro, and survive a replay-file round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -14,6 +15,7 @@
 #include "trace/lpm2.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_source.hpp"
+#include "util/rng.hpp"
 
 namespace lpm::check {
 namespace {
@@ -37,6 +39,36 @@ TEST(DiffOracle, TwoHundredSeededCasesAgree) {
       << "first failure: seed=" << summary.failures.front().case_seed << " ["
       << summary.failures.front().kind << "] "
       << summary.failures.front().detail;
+}
+
+TEST(DiffOracle, WideCoresAgree) {
+  // The fuzzer's cores stay at ROB <= 64; the LPM walk reaches far wider.
+  // Re-core seeded cases at issue <= 8, IW/ROB <= 256 and LSQ <= 128, and
+  // stretch some dependences past the ROB so producers retire before their
+  // consumers dispatch. The optimized core must match RefCore exactly.
+  Fuzzer fuzzer;
+  for (std::uint64_t seed = 9000; seed < 9040; ++seed) {
+    ReplayCase c = fuzzer.generate(seed);
+    util::Rng rng(seed);
+    cpu::CoreConfig& core = c.machine.core;
+    core.issue_width = static_cast<std::uint32_t>(rng.next_in(1, 8));
+    core.dispatch_width = static_cast<std::uint32_t>(rng.next_in(1, 8));
+    core.commit_width = static_cast<std::uint32_t>(rng.next_in(1, 8));
+    core.iw_size = static_cast<std::uint32_t>(rng.next_in(16, 256));
+    core.rob_size = std::max(core.iw_size,
+                             static_cast<std::uint32_t>(rng.next_in(64, 256)));
+    core.lsq_size = static_cast<std::uint32_t>(rng.next_in(16, 128));
+    c.machine.validate();
+    for (auto& ops : c.ops) {
+      for (trace::MicroOp& op : ops) {
+        if (rng.next_bool(0.1)) {
+          op.dep_dist = static_cast<std::uint32_t>(rng.next_in(1, 300));
+        }
+      }
+    }
+    const std::string d = describe_divergence(run_optimized(c), run_reference(c));
+    EXPECT_TRUE(d.empty()) << "seed " << seed << ": " << d;
+  }
 }
 
 TEST(DiffOracle, GenerateIsDeterministic) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "check/ref_core.hpp"
 #include "mem/perfect_memory.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
@@ -239,6 +240,152 @@ TEST(OooCore, HeadMemStallTracked) {
   Harness h(CoreConfig::in_order(), ops, 30);
   h.run();
   EXPECT_GT(h.core.stats().head_mem_stall_cycles, 10u);
+}
+
+// --- issue wakeup edge cases, each checked against check::RefCore ----------
+//
+// RefCore rescans the ROB every cycle and tests each waiting entry's
+// producers directly; OooCore wakes entries by dependence count and walks
+// an age-ordered ready set. Both must produce identical CoreStats and
+// present memory requests in the identical order.
+
+/// PerfectMemory timing that also logs each accepted request's sequence
+/// number, in acceptance order.
+class RecordingMemory final : public mem::MemoryLevel {
+ public:
+  RecordingMemory(std::uint32_t latency, std::uint32_t ports)
+      : inner_(latency, ports) {}
+  bool try_access(const mem::MemRequest& req) override {
+    if (!inner_.try_access(req)) return false;
+    accepted.push_back(req.id & ((std::uint64_t{1} << 48) - 1));
+    return true;
+  }
+  void tick(Cycle now) override { inner_.tick(now); }
+  void finalize(Cycle end) override { inner_.finalize(end); }
+  [[nodiscard]] bool busy() const override { return inner_.busy(); }
+
+  std::vector<std::uint64_t> accepted;
+
+ private:
+  mem::PerfectMemory inner_;
+};
+
+struct CoreRun {
+  CoreStats stats;
+  std::vector<std::uint64_t> accepted;
+};
+
+template <typename Core>
+CoreRun run_core(const CoreConfig& cfg, const std::vector<MicroOp>& ops,
+                 std::uint32_t latency, std::uint32_t ports) {
+  trace::VectorTrace trace("t", ops);
+  RecordingMemory mem(latency, ports);
+  Core core(cfg, &trace, &mem, 1);
+  for (Cycle now = 0; !core.finished() && now < 100000; ++now) {
+    mem.tick(now);
+    core.tick(now);
+  }
+  EXPECT_TRUE(core.finished());
+  return CoreRun{core.stats(), std::move(mem.accepted)};
+}
+
+/// Runs both cores and requires identical stats and request order; returns
+/// the optimized core's run for case-specific checks.
+CoreRun run_against_reference(const CoreConfig& cfg,
+                              const std::vector<MicroOp>& ops,
+                              std::uint32_t latency = 10,
+                              std::uint32_t ports = 0) {
+  CoreRun opt = run_core<OooCore>(cfg, ops, latency, ports);
+  const CoreRun ref = run_core<check::RefCore>(cfg, ops, latency, ports);
+  EXPECT_TRUE(opt.stats == ref.stats);
+  EXPECT_EQ(opt.stats.cycles, ref.stats.cycles);
+  EXPECT_EQ(opt.stats.l1_rejections, ref.stats.l1_rejections);
+  EXPECT_EQ(opt.accepted, ref.accepted);
+  return opt;
+}
+
+MicroOp with_deps(MicroOp op, std::uint32_t dep, std::uint32_t dep2) {
+  op.dep_dist = dep;
+  op.dep_dist2 = dep2;
+  return op;
+}
+
+TEST(OooCoreWakeup, StoreWakesYoungerDependentInTheSameIssuePass) {
+  // Both dispatch in cycle 0. In cycle 1 the store is accepted and done,
+  // and the ALU that depends on it issues in that same pass (done at 2);
+  // both commit in cycle 2, so the run takes 3 cycles. A wakeup deferred
+  // to the next cycle would take 4.
+  const std::vector<MicroOp> ops = {store(0), alu(1, 1)};
+  const CoreRun run = run_against_reference(wide_core(), ops, /*latency=*/1);
+  EXPECT_EQ(run.stats.cycles, 3u);
+
+  // The same within a longer pass: alternating stores and their consumers.
+  std::vector<MicroOp> chain;
+  for (int i = 0; i < 200; ++i) {
+    chain.push_back(store(static_cast<Addr>(i) * 64));
+    chain.push_back(alu(2, 1));
+  }
+  (void)run_against_reference(wide_core(), chain, 3);
+}
+
+TEST(OooCoreWakeup, BouncedMemoryOpsStayReadyAndIssueOldestFirst) {
+  // One L1 port: every cycle one load is accepted and the next ready one
+  // bounces. Younger independent ALUs still issue past the bounced loads.
+  std::vector<MicroOp> ops;
+  for (int i = 0; i < 120; ++i) {
+    ops.push_back(load(static_cast<Addr>(i) * 64));
+    if (i % 3 == 0) ops.push_back(alu());
+  }
+  const CoreRun ported = run_against_reference(wide_core(), ops, 4, /*ports=*/1);
+  EXPECT_GT(ported.stats.l1_rejections, 0u);
+  EXPECT_TRUE(std::is_sorted(ported.accepted.begin(), ported.accepted.end()));
+
+  // A two-entry LSQ: ready loads wait for a slot and take it oldest first.
+  CoreConfig narrow_lsq = wide_core();
+  narrow_lsq.lsq_size = 2;
+  const CoreRun lsq = run_against_reference(narrow_lsq, ops, 7);
+  EXPECT_TRUE(std::is_sorted(lsq.accepted.begin(), lsq.accepted.end()));
+  EXPECT_EQ(lsq.accepted.size(), 120u);
+}
+
+TEST(OooCoreWakeup, BothDependencesOnTheSameProducer) {
+  std::vector<MicroOp> ops;
+  for (int i = 0; i < 300; ++i) {
+    if (i % 4 == 0) {
+      ops.push_back(with_deps(load(static_cast<Addr>(i) * 64), 2, 2));
+    } else {
+      ops.push_back(with_deps(alu(static_cast<std::uint8_t>(1 + i % 3)), 1, 1));
+    }
+  }
+  const CoreRun run = run_against_reference(wide_core(), ops, 6);
+  EXPECT_EQ(run.stats.instructions, 300u);
+}
+
+TEST(OooCoreWakeup, DependenceReachingBeforeTheFirstInstructionIsIgnored) {
+  // dep_dist > index names no instruction: the first ops are independent.
+  std::vector<MicroOp> ops;
+  for (std::uint32_t i = 0; i < 8; ++i) ops.push_back(with_deps(alu(3), 9, 12));
+  for (std::uint32_t i = 0; i < 40; ++i) ops.push_back(with_deps(alu(1), 1, 50));
+  const CoreRun run = run_against_reference(wide_core(), ops);
+  EXPECT_EQ(run.stats.instructions, 48u);
+}
+
+TEST(OooCoreWakeup, ProducerRetiredBeforeItsConsumerDispatches) {
+  // A 4-entry ROB retires each producer long before a consumer 6 or 9
+  // instructions later dispatches; such consumers are ready at dispatch.
+  CoreConfig small = wide_core();
+  small.iw_size = 4;
+  small.rob_size = 4;
+  std::vector<MicroOp> ops;
+  for (int i = 0; i < 200; ++i) {
+    if (i % 5 == 0) {
+      ops.push_back(with_deps(load(static_cast<Addr>(i) * 64), 6, 0));
+    } else {
+      ops.push_back(with_deps(alu(2), 9, i % 2 == 0 ? 1 : 0));
+    }
+  }
+  const CoreRun run = run_against_reference(small, ops, 5);
+  EXPECT_EQ(run.stats.instructions, 200u);
 }
 
 }  // namespace

@@ -95,6 +95,19 @@ TEST(RingBuffer, LongChurnKeepsConsistency) {
   }
 }
 
+TEST(RingBuffer, SlotsAreAPowerOfTwoAndFollowTheSequenceNumber) {
+  RingBuffer<int> rb(5);
+  EXPECT_EQ(rb.capacity(), 5u);
+  ASSERT_EQ(rb.slot_count(), 8u);
+  for (int i = 0; i < 20; ++i) {
+    if (rb.full()) rb.pop();
+    const std::size_t seq = rb.push(i);
+    EXPECT_EQ(rb.slot_of(seq), seq % 8);
+    EXPECT_EQ(rb.at_slot(rb.slot_of(seq)), i);
+    EXPECT_EQ(&rb.at_slot(rb.slot_of(seq)), &rb.at_seq(seq));
+  }
+}
+
 TEST(RingBuffer, ZeroCapacityThrows) {
   EXPECT_THROW(RingBuffer<int>(0), LpmError);
 }
