@@ -129,7 +129,6 @@ std::vector<ResultRecord> load_csv_records(std::ifstream& in) {
   const auto c_camat2 = column("camat2");
   const auto c_cpi = column("cpi_exe");
   const auto c_dur_ms = column("duration_ms");
-  const auto c_dur_s = column("duration_seconds");  // legacy files
 
   std::string record;
   while (std::getline(in, record)) {
@@ -166,7 +165,7 @@ std::vector<ResultRecord> load_csv_records(std::ifstream& in) {
     r.camat1 = num(c_camat1);
     r.camat2 = num(c_camat2);
     r.cpi_exe = num(c_cpi);
-    r.duration_ms = c_dur_ms >= 0 ? num(c_dur_ms) : 1e3 * num(c_dur_s);
+    r.duration_ms = num(c_dur_ms);
     out.push_back(std::move(r));
   }
   return out;
@@ -194,12 +193,7 @@ std::vector<ResultRecord> load_jsonl_records(std::ifstream& in) {
     r.camat1 = json.get_number("camat1").value_or(0.0);
     r.camat2 = json.get_number("camat2").value_or(0.0);
     r.cpi_exe = json.get_number("cpi_exe").value_or(0.0);
-    if (const auto ms = json.get_number("duration_ms")) {
-      r.duration_ms = *ms;
-    } else {
-      // Files written before the duration-unit unification.
-      r.duration_ms = 1e3 * json.get_number("duration_seconds").value_or(0.0);
-    }
+    r.duration_ms = json.get_number("duration_ms").value_or(0.0);
     out.push_back(std::move(r));
   }
   return out;

@@ -68,9 +68,7 @@ struct ResultRecord {
 /// Reads records back from a sink file (CSV vs JSON lines by extension,
 /// same rule as ResultSink::open). Columns/keys are matched by name, so
 /// files survive reordering and unknown fields. Backward compatible with
-/// files written before the duration-unit unification (a legacy
-/// `duration_seconds` column/key is converted to milliseconds on load) and
-/// with files written before multi-fidelity backends (a missing `backend`
+/// files written before multi-fidelity backends (a missing `backend`
 /// column/key loads as "cycle" — the only fidelity that existed then).
 /// Throws util::IoError if the file cannot be read.
 [[nodiscard]] std::vector<ResultRecord> load_result_records(

@@ -82,17 +82,33 @@ struct TlsCache {
   std::vector<MetricsRegistry::HistogramShard*> histogram_slots;
 };
 
-TlsCache& tls_for(std::uint64_t serial) {
-  // One-entry fast path: instrumentation overwhelmingly hits a single
-  // registry (the global one) per thread.
-  thread_local std::uint64_t last_serial = 0;
-  thread_local TlsCache* last = nullptr;
-  if (serial == last_serial && last != nullptr) return *last;
-  thread_local std::unordered_map<std::uint64_t, TlsCache> caches;
-  TlsCache& c = caches[serial];
-  last_serial = serial;
-  last = &c;
-  return c;
+/// One-entry fast path: instrumentation overwhelmingly hits a single
+/// registry (the global one) per thread. `t_last` points into the thread's
+/// TlsCacheMap, whose destructor clears it. These three have no destructor
+/// themselves, so they stay readable while later destructors run.
+thread_local std::uint64_t t_last_serial = 0;
+thread_local TlsCache* t_last = nullptr;
+thread_local bool t_caches_gone = false;
+
+struct TlsCacheMap {
+  std::unordered_map<std::uint64_t, TlsCache> caches;
+  ~TlsCacheMap() {
+    t_last = nullptr;
+    t_caches_gone = true;
+  }
+};
+
+/// The calling thread's cache for registry `serial`, or nullptr once the
+/// thread's thread_locals are destroyed: a static or thread-exit destructor
+/// that writes a metric then takes the uncached slot path.
+TlsCache* tls_for(std::uint64_t serial) {
+  if (serial == t_last_serial && t_last != nullptr) return t_last;
+  if (t_caches_gone) return nullptr;
+  thread_local TlsCacheMap map;
+  TlsCache& c = map.caches[serial];
+  t_last_serial = serial;
+  t_last = &c;
+  return &c;
 }
 
 }  // namespace
@@ -144,58 +160,69 @@ std::vector<double> MetricsRegistry::concurrency_bounds() {
   return {0.25, 0.5, 1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64};
 }
 
-std::atomic<std::uint64_t>* MetricsRegistry::counter_slot(std::size_t id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  TlsCache& tls = tls_for(serial_);
-  if (tls.shard_index == kNoShard) {
-    tls.shard_index = shards_.size();
+MetricsRegistry::Shard& MetricsRegistry::shard_locked(std::size_t& index) {
+  if (index == kNoShard) {
+    index = shards_.size();
     shards_.push_back(std::make_unique<Shard>());
   }
-  Shard& shard = *shards_[tls.shard_index];
+  return *shards_[index];
+}
+
+std::atomic<std::uint64_t>* MetricsRegistry::counter_slot(std::size_t id) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  TlsCache* tls = tls_for(serial_);
+  Shard& shard =
+      shard_locked(tls != nullptr ? tls->shard_index : teardown_shard_);
   if (shard.counters.size() <= id) shard.counters.resize(id + 1);
   if (shard.counters[id] == nullptr) {
     shard.counters[id] = std::make_unique<std::atomic<std::uint64_t>>(0);
   }
-  if (tls.counter_slots.size() <= id) tls.counter_slots.resize(id + 1, nullptr);
-  tls.counter_slots[id] = shard.counters[id].get();
-  return tls.counter_slots[id];
+  if (tls != nullptr) {
+    if (tls->counter_slots.size() <= id) {
+      tls->counter_slots.resize(id + 1, nullptr);
+    }
+    tls->counter_slots[id] = shard.counters[id].get();
+  }
+  return shard.counters[id].get();
 }
 
 MetricsRegistry::HistogramShard* MetricsRegistry::histogram_shard(
     std::size_t id) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  TlsCache& tls = tls_for(serial_);
-  if (tls.shard_index == kNoShard) {
-    tls.shard_index = shards_.size();
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  Shard& shard = *shards_[tls.shard_index];
+  TlsCache* tls = tls_for(serial_);
+  Shard& shard =
+      shard_locked(tls != nullptr ? tls->shard_index : teardown_shard_);
   if (shard.histograms.size() <= id) shard.histograms.resize(id + 1);
   if (shard.histograms[id] == nullptr) {
     shard.histograms[id] =
         std::make_unique<HistogramShard>(histogram_meta_[id].bounds);
   }
-  if (tls.histogram_slots.size() <= id) {
-    tls.histogram_slots.resize(id + 1, nullptr);
+  if (tls != nullptr) {
+    if (tls->histogram_slots.size() <= id) {
+      tls->histogram_slots.resize(id + 1, nullptr);
+    }
+    tls->histogram_slots[id] = shard.histograms[id].get();
   }
-  tls.histogram_slots[id] = shard.histograms[id].get();
-  return tls.histogram_slots[id];
+  return shard.histograms[id].get();
 }
 
 void MetricsRegistry::Counter::add(std::uint64_t delta) {
   if (reg_ == nullptr) return;
-  TlsCache& tls = tls_for(reg_->serial_);
+  const TlsCache* tls = tls_for(reg_->serial_);
   std::atomic<std::uint64_t>* slot =
-      id_ < tls.counter_slots.size() ? tls.counter_slots[id_] : nullptr;
+      tls != nullptr && id_ < tls->counter_slots.size()
+          ? tls->counter_slots[id_]
+          : nullptr;
   if (slot == nullptr) slot = reg_->counter_slot(id_);
   slot->fetch_add(delta, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::Histogram::observe(double value) {
   if (reg_ == nullptr) return;
-  TlsCache& tls = tls_for(reg_->serial_);
-  HistogramShard* hs =
-      id_ < tls.histogram_slots.size() ? tls.histogram_slots[id_] : nullptr;
+  const TlsCache* tls = tls_for(reg_->serial_);
+  HistogramShard* hs = tls != nullptr && id_ < tls->histogram_slots.size()
+                           ? tls->histogram_slots[id_]
+                           : nullptr;
   if (hs == nullptr) hs = reg_->histogram_shard(id_);
   // Upper-inclusive buckets: v lands in the first bucket with v <= bound;
   // values above the last edge go to the overflow bucket.

@@ -21,6 +21,9 @@
 // registry must outlive all threads still holding handles into it; the
 // process-wide global() registry is never destroyed, so the rule only
 // matters for privately constructed registries (join your threads first).
+// Writes from static or thread-exit destructors that run after the
+// writing thread's thread_locals are gone are still counted: they skip the
+// destroyed cache and take the registry mutex each time.
 //
 // The exit snapshot: the first touch of MetricsRegistry::global() installs
 // an atexit hook that, when $LPM_METRICS=<path> is set, writes a final
@@ -162,6 +165,9 @@ class MetricsRegistry {
   /// `id`, creating the thread's shard on first touch.
   std::atomic<std::uint64_t>* counter_slot(std::size_t id);
   HistogramShard* histogram_shard(std::size_t id);
+  /// The shard at `index`, appended first if `index` is unset. Caller
+  /// holds mutex_.
+  Shard& shard_locked(std::size_t& index);
 
   /// Serial number distinguishing registry instances so a thread-local
   /// cache can never alias a dead registry reincarnated at the same
@@ -170,6 +176,10 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Shared by every thread whose slot cache is already destroyed (writes
+  /// from static and thread-exit destructors); its slots are atomics, so
+  /// sharing costs only contention.
+  std::size_t teardown_shard_ = static_cast<std::size_t>(-1);
   std::map<std::string, std::size_t> counter_ids_;
   std::map<std::string, std::size_t> gauge_ids_;
   std::map<std::string, std::size_t> histogram_ids_;

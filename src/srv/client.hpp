@@ -8,22 +8,17 @@
 // job-state maps (see tools/lpm_loadgen.cpp for the full
 // resubmit/attach/dedup discipline).
 //
-// A client holds a *list* of endpoints (unix or tcp; see wire::Endpoint).
-// connect() tries them round-robin starting at a sticky cursor and retries
-// until one accepts or the budget lapses, which is what makes
-// kill-and-restart recovery exercisable from the outside: the harness
-// SIGKILLs a server, restarts it, and every client simply reconnects,
-// re-hellos, and attaches the ids it has not yet seen a terminal frame
-// for. Job-bearing traffic (submit/attach) should stay on one endpoint —
-// behind a Router the router owns placement; against raw shards the
-// caller must pin keys itself. Shard-agnostic ops (ping/stats) may call
-// rotate() between connects to spread load across the list.
+// A client holds one endpoint (unix or tcp; see wire::Endpoint).
+// connect() retries it until it accepts or the budget lapses, which is
+// what makes kill-and-restart recovery exercisable from the outside: the
+// harness SIGKILLs the server, restarts it, and every client simply
+// reconnects, re-hellos, and attaches the ids it has not yet seen a
+// terminal frame for.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "srv/job_spec.hpp"
 #include "srv/wire.hpp"
@@ -37,32 +32,15 @@ class Client {
   /// "<name>/<id>"); must satisfy valid_name(). `endpoint` is one
   /// wire::Endpoint spelling ("unix:...", "tcp:host:port", bare path).
   Client(std::string endpoint, std::string name);
-  /// Failover form: connect() walks `endpoints` round-robin from the
-  /// current cursor until one accepts. The list must be non-empty.
-  Client(std::vector<std::string> endpoints, std::string name);
 
-  /// Connects and completes the hello exchange, retrying refused or
-  /// absent endpoints until `budget_ms` lapses (a server may be
-  /// mid-restart). Each failed attempt advances to the next endpoint in
-  /// the list. Throws util::IoError when the budget runs out, and
+  /// Connects and completes the hello exchange, retrying a refused or
+  /// absent endpoint until `budget_ms` lapses (the server may be
+  /// mid-restart). Throws util::IoError when the budget runs out, and
   /// util::ConfigError when the server refuses our protocol version.
   void connect(std::uint64_t budget_ms = 5'000);
   /// True between a successful connect() and a peer-closed poll()/send.
   [[nodiscard]] bool connected() const { return fd_.valid(); }
   void disconnect();
-
-  /// Advances the endpoint cursor so the next connect() starts at a
-  /// different endpoint — client-side load balancing for shard-agnostic
-  /// ops (ping/stats) against a list of raw shards.
-  void rotate() { cursor_ = (cursor_ + 1) % endpoints_.size(); }
-
-  /// The endpoint the current (or last) connection used.
-  [[nodiscard]] const std::string& endpoint() const {
-    return endpoints_[cursor_];
-  }
-  [[nodiscard]] const std::vector<std::string>& endpoints() const {
-    return endpoints_;
-  }
 
   /// `recovered` count reported by the server's hello_ok on last connect.
   [[nodiscard]] std::uint64_t server_recovered() const { return recovered_; }
@@ -86,8 +64,7 @@ class Client {
  private:
   bool send(const std::string& payload);
 
-  std::vector<std::string> endpoints_;
-  std::size_t cursor_ = 0;  ///< endpoint the next connect() tries first
+  std::string endpoint_;
   std::string name_;
   Fd fd_;
   std::uint64_t recovered_ = 0;

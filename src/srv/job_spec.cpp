@@ -6,7 +6,6 @@
 #include "model/backend.hpp"
 #include "model/trace_spec.hpp"
 #include "util/error.hpp"
-#include "util/fingerprint.hpp"
 
 namespace lpm::srv {
 
@@ -161,17 +160,6 @@ JobSpec JobSpec::decode(const util::FlatJson& json) {
   spec.sweep_knob = json.get_string("job_sweep_knob").value_or("");
   spec.sweep_values = json.get_string("job_sweep_values").value_or("");
   return spec;
-}
-
-std::uint64_t JobSpec::shard_fingerprint() const {
-  // Hash the canonical wire encoding rather than the fields directly: any
-  // field that matters to the wire matters to placement, and the two can
-  // never drift apart.
-  JsonWriter out;
-  encode(out);
-  util::Fingerprint fp;
-  fp.mix(out.body());
-  return fp.value();
 }
 
 sim::MachineConfig JobSpec::machine_config() const {

@@ -80,12 +80,6 @@ struct JobSpec {
   /// Inverse of encode(); unknown keys are ignored, missing keys default.
   [[nodiscard]] static JobSpec decode(const util::FlatJson& json);
 
-  /// Stable 64-bit fingerprint of the canonical encode() form — the shard
-  /// key srv::Router hashes to pick a backend. Two specs that encode
-  /// identically always land on the same shard, so the per-shard journal
-  /// and memo caches (both fingerprint-keyed) never overlap across shards.
-  [[nodiscard]] std::uint64_t shard_fingerprint() const;
-
   /// The machine this spec describes (base + overrides), validated.
   [[nodiscard]] sim::MachineConfig machine_config() const;
 

@@ -337,8 +337,8 @@ bool Server::handle_frame(const ConnPtr& conn, const std::string& payload) {
 
   if (op == "hello") {
     if (!conn->client.empty()) {
-      // One hello per connection — same rule the shard router enforces,
-      // so clients cannot tell the two apart.
+      // One hello per connection: a second one would rebind the session
+      // to another client name mid-stream.
       send_frame(conn, error_frame("", "config",
                                    "hello: connection already established"));
       return false;

@@ -1,7 +1,5 @@
 // lpmd server: a crash-safe LPM job daemon over a Unix-domain or TCP
-// socket (one listen endpoint per process; see wire::Endpoint). Several
-// lpmd processes on distinct endpoints + journals form the shards behind
-// srv::Router (router.hpp), which splits jobs by spec fingerprint.
+// socket (one listen endpoint per process; see wire::Endpoint).
 //
 // Threads:
 //   * one listener thread accepts connections and reaps idle/dead ones;

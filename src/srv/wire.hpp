@@ -11,7 +11,7 @@
 //
 // The byte stream is transport-agnostic: the same framing, deadlines, and
 // payload cap apply on both transports. TCP listeners set SO_REUSEADDR (a
-// crashed shard must rebind its port immediately) and connections set
+// restarted lpmd must rebind its port immediately) and connections set
 // TCP_NODELAY (frames are small and latency-sensitive; Nagle would batch
 // acks behind results). docs/PROTOCOL.md is the authoritative wire spec,
 // locked to this header by tests/srv/protocol_doc_test.
@@ -163,15 +163,14 @@ class JsonWriter {
 };
 
 // --- Protocol vocabulary -------------------------------------------------
-// The authoritative op and error-code lists. Server::handle_frame and
-// Router::handle_frame dispatch over exactly these names, and
-// tests/srv/protocol_doc_test locks them to docs/PROTOCOL.md in both
-// directions: an op added to the code without a doc section — or a doc
+// The authoritative op and error-code lists. Server::handle_frame
+// dispatches over exactly these names, and tests/srv/protocol_doc_test
+// locks them to docs/PROTOCOL.md in both directions: an op added to the code without a doc section — or a doc
 // section for an op the code dropped — fails the test.
 
 /// Ops a client may send (request frames).
 [[nodiscard]] const std::vector<std::string>& request_ops();
-/// Ops a server/router may send back (response and stream frames).
+/// Ops a server may send back (response and stream frames).
 [[nodiscard]] const std::vector<std::string>& response_ops();
 /// Every value the `code` field of an `error` frame can carry: the typed
 /// job-failure codes (util::ErrorCode names) plus the protocol-level ones.

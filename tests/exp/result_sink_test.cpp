@@ -249,35 +249,6 @@ TEST(ResultRecords, RoundTripThroughCsvAndJsonl) {
   }
 }
 
-TEST(ResultRecords, LegacyDurationSecondsConvertsToMs) {
-  // Files written before the duration-unit unification carried seconds.
-  const std::string csv_path = temp_path("lpm_legacy.csv");
-  {
-    std::ofstream out(csv_path);
-    out << "tag,fingerprint,from_cache,completed,cycles,cores,instructions,"
-           "ipc,mr1,mr2,camat1,camat2,cpi_exe,duration_seconds\n";
-    out << "old,abcd,0,1,10,1,20,2.0,0.1,0.2,1.5,4.5,0.5,0.125\n";
-  }
-  auto loaded = exp::load_result_records(csv_path);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_DOUBLE_EQ(loaded[0].duration_ms, 125.0);
-  EXPECT_EQ(loaded[0].cycles, 10u);
-  std::filesystem::remove(csv_path);
-
-  const std::string jsonl_path = temp_path("lpm_legacy.jsonl");
-  {
-    std::ofstream out(jsonl_path);
-    out << "{\"tag\":\"old\",\"fingerprint\":\"abcd\",\"from_cache\":false,"
-           "\"completed\":true,\"cycles\":10,\"cores\":1,\"instructions\":20,"
-           "\"ipc\":2.0,\"mr1\":0.1,\"mr2\":0.2,\"camat1\":1.5,"
-           "\"camat2\":4.5,\"cpi_exe\":0.5,\"duration_seconds\":0.125}\n";
-  }
-  loaded = exp::load_result_records(jsonl_path);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_DOUBLE_EQ(loaded[0].duration_ms, 125.0);
-  std::filesystem::remove(jsonl_path);
-}
-
 TEST(ResultRecords, LegacyFilesWithoutBackendColumnLoadAsCycle) {
   // Sinks written before multi-fidelity backends have no `backend`
   // column/key; cycle simulation was the only fidelity that existed then.

@@ -1,13 +1,15 @@
 // Tier-1 guarantees of the metrics registry: sharded concurrent writes sum
 // to exactly the serial total, histogram bucket edges are upper-inclusive,
-// and snapshots taken while writers are running are safe (TSan-clean) and
-// never overshoot the final total.
+// snapshots taken while writers are running are safe (TSan-clean) and
+// never overshoot the final total, and writes from static destructors
+// after thread-local teardown still count.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -214,6 +216,39 @@ TEST(DumpMetrics, WritesJsonFileForJsonPath) {
 
 TEST(DumpMetrics, ReturnsFalseOnUnwritablePath) {
   EXPECT_FALSE(dump_metrics("/nonexistent-dir/metrics.json"));
+}
+
+/// A static whose destructor writes to the global registry. Statics die
+/// after the exiting thread's thread_locals, so these writes arrive once
+/// the thread's slot cache is gone. They must still be counted, and must
+/// not touch the freed cache (ASan reports a heap-use-after-free if they
+/// do). A lost write aborts the process.
+struct LateWriter {
+  MetricsRegistry::Counter counter =
+      MetricsRegistry::global().counter("test.late_writes");
+  MetricsRegistry::Histogram histogram = MetricsRegistry::global().histogram(
+      "test.late_ms", MetricsRegistry::latency_ms_bounds());
+
+  ~LateWriter() {
+    counter.inc();
+    histogram.observe(1.0);
+    const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+    if (snap.counter_or_zero("test.late_writes") != 2 ||
+        snap.histograms.at("test.late_ms").count != 2) {
+      std::abort();
+    }
+  }
+};
+
+TEST(MetricsTeardownDeathTest, StaticDestructorWritesAreCounted) {
+  EXPECT_EXIT(
+      {
+        static LateWriter writer;
+        writer.counter.inc();  // fills this thread's slot cache
+        writer.histogram.observe(1.0);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -75,8 +75,8 @@ TEST_F(ServerTest, SecondHelloRejected) {
   server.start();
 
   // Hand-rolled wire session: Client never re-hellos, but the protocol
-  // says exactly one hello per connection (the shard router depends on
-  // it), so the server must refuse a second one and close.
+  // says exactly one hello per connection, so the server must refuse a
+  // second one and close.
   Fd fd = connect_endpoint(Endpoint::parse(server.options().endpoint));
   JsonWriter hello;
   hello.str("op", "hello").str("client", "t1").num_u64("proto", 1);

@@ -12,9 +12,7 @@
 //   $ ./lpmc cmd=ping | cmd=stats | cmd=shutdown
 //
 // `endpoint` accepts any wire::Endpoint spelling ("unix:<path>",
-// "tcp:<host>:<port>", bare unix path) and may be a comma-separated list:
-// connect() fails over through the list, which is how you point lpmc at a
-// set of shards or at a router plus a fallback.
+// "tcp:<host>:<port>", bare unix path).
 //
 // Submits one job, then prints every frame the server streams back (one
 // JSON object per line) until the job's terminal frame (done/error)
@@ -28,7 +26,6 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "srv/client.hpp"
 #include "util/config.hpp"
@@ -39,19 +36,10 @@ int main(int argc, char** argv) {
   try {
     const auto args = util::KvConfig::from_args(argc, argv);
     const std::string cmd = args.get_or("cmd", "simulate");
-    const std::string endpoint_csv = args.get_or("endpoint", "/tmp/lpmd.sock");
     const std::string name = args.get_or("name", "lpmc");
     const std::string id = args.get_or("id", "job1");
 
-    std::vector<std::string> endpoints;
-    for (std::size_t pos = 0; pos <= endpoint_csv.size();) {
-      std::size_t comma = endpoint_csv.find(',', pos);
-      if (comma == std::string::npos) comma = endpoint_csv.size();
-      if (comma > pos) endpoints.push_back(endpoint_csv.substr(pos, comma - pos));
-      pos = comma + 1;
-    }
-
-    srv::Client client(endpoints, name);
+    srv::Client client(args.get_or("endpoint", "/tmp/lpmd.sock"), name);
     client.connect(args.get_uint_or("connect_budget_ms", 5'000));
 
     if (cmd == "ping" || cmd == "stats" || cmd == "shutdown") {
