@@ -121,11 +121,15 @@ class MissProbTable {
 
 ReuseProfile build_reuse_profile(const trace::WorkloadProfile& wl) {
   ReuseProfile p;
-  p.hist.assign(ReuseProfile::kMaxTrackedDistance, 0);
-  p.covered.assign(ReuseProfile::kMaxTrackedDistance, 0);
+  // A stack distance counts blocks touched between two accesses, so it is
+  // always below the op count: a short trace never needs the full range.
+  const std::size_t tracked = static_cast<std::size_t>(
+      std::min<std::uint64_t>(ReuseProfile::kMaxTrackedDistance, wl.length));
+  p.hist.assign(tracked, 0);
+  p.covered.assign(tracked, 0);
   for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
-    p.followers[c].assign(ReuseProfile::kMaxTrackedDistance + 1, 0);
-    p.followers_covered[c].assign(ReuseProfile::kMaxTrackedDistance + 1, 0);
+    p.followers[c].assign(tracked, 0);
+    p.followers_covered[c].assign(tracked, 0);
   }
 
   const trace::TraceSourcePtr trace_ptr = trace::make_trace(wl);
@@ -150,16 +154,22 @@ ReuseProfile build_reuse_profile(const trace::WorkloadProfile& wl) {
   std::uint64_t mem_idx = 0;
   std::uint64_t overflow = 0;
   std::uint64_t overflow_covered = 0;
+  std::array<std::uint64_t, ReuseProfile::kNumBurstClasses> overflow_followers{};
+  std::array<std::uint64_t, ReuseProfile::kNumBurstClasses>
+      overflow_followers_covered{};
 
   auto add_follower = [&](std::uint64_t gap, std::uint32_t bucket,
                           bool leader_covered) {
     std::size_t cls = 0;
     while (gap > ReuseProfile::kBurstClassHi[cls]) ++cls;
-    // Cold-leader bursts are tallied separately; overflow leaders share the
-    // kMaxTrackedDistance slot of the per-distance arrays.
+    // Cold- and overflow-leader bursts are tallied apart from the
+    // per-distance arrays.
     if (bucket == kColdBucket) {
       ++p.cold_followers[cls];
       if (leader_covered) ++p.cold_followers_covered[cls];
+    } else if (bucket == kOverflowBucket) {
+      ++overflow_followers[cls];
+      if (leader_covered) ++overflow_followers_covered[cls];
     } else {
       ++p.followers[cls][bucket];
       if (leader_covered) ++p.followers_covered[cls][bucket];
@@ -199,10 +209,11 @@ ReuseProfile build_reuse_profile(const trace::WorkloadProfile& wl) {
           // New burst leader: distinct blocks touched strictly between the
           // two accesses decide its hit/miss.
           const std::uint64_t d = marked.prefix(mem_idx) - marked.prefix(prev);
-          if (d < ReuseProfile::kMaxTrackedDistance) {
+          if (d < tracked) {
             ++p.hist[d];
             if (is_covered) ++p.covered[d];
             st.bucket = static_cast<std::uint32_t>(d);
+            p.distance_end = std::max<std::size_t>(p.distance_end, d + 1);
           } else {
             ++overflow;
             if (is_covered) ++overflow_covered;
@@ -225,27 +236,31 @@ ReuseProfile build_reuse_profile(const trace::WorkloadProfile& wl) {
     }
   }
 
-  p.suffix.assign(ReuseProfile::kMaxTrackedDistance + 1, 0);
-  p.suffix_covered.assign(ReuseProfile::kMaxTrackedDistance + 1, 0);
-  p.suffix[ReuseProfile::kMaxTrackedDistance] = overflow;
-  p.suffix_covered[ReuseProfile::kMaxTrackedDistance] = overflow_covered;
+  // Cut the per-distance arrays to the support; a fresh vector releases
+  // the empty tail's memory.
+  const std::size_t end = p.distance_end;
+  auto cut = [end](std::vector<std::uint64_t>& v) {
+    v = std::vector<std::uint64_t>(v.begin(),
+                                   v.begin() + static_cast<std::ptrdiff_t>(end));
+  };
+  // Suffix sums over the support; slot `end` holds the overflow tally.
+  auto suffix_of = [end](const std::vector<std::uint64_t>& v,
+                         std::uint64_t tail) {
+    std::vector<std::uint64_t> s(end + 1);
+    s[end] = tail;
+    for (std::size_t d = end; d-- > 0;) s[d] = s[d + 1] + v[d];
+    return s;
+  };
+  cut(p.hist);
+  cut(p.covered);
+  p.suffix = suffix_of(p.hist, overflow);
+  p.suffix_covered = suffix_of(p.covered, overflow_covered);
   for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
-    p.suffix_followers[c].assign(ReuseProfile::kMaxTrackedDistance + 1, 0);
-    p.suffix_followers_covered[c].assign(ReuseProfile::kMaxTrackedDistance + 1,
-                                         0);
-    p.suffix_followers[c][ReuseProfile::kMaxTrackedDistance] =
-        p.followers[c][ReuseProfile::kMaxTrackedDistance];
-    p.suffix_followers_covered[c][ReuseProfile::kMaxTrackedDistance] =
-        p.followers_covered[c][ReuseProfile::kMaxTrackedDistance];
-  }
-  for (std::size_t d = ReuseProfile::kMaxTrackedDistance; d-- > 0;) {
-    p.suffix[d] = p.suffix[d + 1] + p.hist[d];
-    p.suffix_covered[d] = p.suffix_covered[d + 1] + p.covered[d];
-    for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
-      p.suffix_followers[c][d] = p.suffix_followers[c][d + 1] + p.followers[c][d];
-      p.suffix_followers_covered[c][d] =
-          p.suffix_followers_covered[c][d + 1] + p.followers_covered[c][d];
-    }
+    cut(p.followers[c]);
+    cut(p.followers_covered[c]);
+    p.suffix_followers[c] = suffix_of(p.followers[c], overflow_followers[c]);
+    p.suffix_followers_covered[c] =
+        suffix_of(p.followers_covered[c], overflow_followers_covered[c]);
   }
   return p;
 }
@@ -268,9 +283,7 @@ std::array<double, ReuseProfile::kNumBurstClasses> burst_fractions(double w) {
 
 MissEstimate fa_misses(const ReuseProfile& p, std::uint64_t capacity_blocks,
                        double prefetch_alpha, double burst_window) {
-  const std::uint64_t c =
-      std::min<std::uint64_t>(std::max<std::uint64_t>(capacity_blocks, 1),
-                              ReuseProfile::kMaxTrackedDistance);
+  const std::size_t c = p.tail(std::max<std::uint64_t>(capacity_blocks, 1));
   const auto frac = burst_fractions(burst_window);
   MissEstimate e;
   const double fills = static_cast<double>(p.cold + p.suffix[c]);
@@ -343,7 +356,8 @@ MissEstimate rdh_misses(const ReuseProfile& p, std::uint64_t sets,
         prefetch_alpha * (static_cast<double>(p.suffix_covered[d]) + f_cov);
   };
   // Once P[miss] saturates at 1, the remaining tail is just the suffix sum.
-  for (std::size_t d = 0; d < ReuseProfile::kMaxTrackedDistance; ++d) {
+  // Buckets past the support are empty, so the loop stops there.
+  for (std::size_t d = 0; d < p.distance_end; ++d) {
     const double pm = miss_prob[d];
     if (pm >= 1.0 - 1e-12) {
       add_tail(d);
@@ -365,7 +379,7 @@ MissEstimate rdh_misses(const ReuseProfile& p, std::uint64_t sets,
         pm_eff * (static_cast<double>(p.hist[d]) + f -
                   prefetch_alpha * (static_cast<double>(p.covered[d]) + f_cov));
   }
-  add_tail(ReuseProfile::kMaxTrackedDistance);
+  add_tail(p.distance_end);
   e.fills = std::max(0.0, e.fills);
   e.demand = std::max(0.0, e.demand);
   return e;

@@ -4,7 +4,11 @@
 // Both backends start from one ReuseProfile — an exact LRU stack-distance
 // histogram of the workload's trace, built in a single O(N log N) profiling
 // pass and cached process-wide, so a design-space sweep pays the trace
-// replay once and every config evaluation afterwards is closed-form:
+// replay once and every config evaluation afterwards is closed-form. The
+// profile stores only the histogram's support (distances below
+// `distance_end`, plus one tail slot), so its memory and the cost of one
+// evaluation scale with the distinct reuse distances the trace produced,
+// not with kMaxTrackedDistance:
 //
 //  * "fa"  — fully-associative stack-distance model (after Gysi et al.,
 //    arXiv 2001.01653): misses(C) = cold + #{accesses with stack distance
@@ -32,6 +36,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -93,14 +98,21 @@ struct ReuseProfile {
   std::uint64_t distinct_blocks = 0;
   std::uint64_t cold = 0;          ///< first-touch burst leaders (compulsory)
   std::uint64_t cold_covered = 0;
+  /// One past the largest tracked distance with a burst leader: every
+  /// bucket in [distance_end, kMaxTrackedDistance) is empty. The
+  /// per-distance arrays hold distance_end entries.
+  std::size_t distance_end = 0;
   std::vector<std::uint64_t> hist;     ///< burst leaders at distance d
   std::vector<std::uint64_t> covered;  ///< covered subset of hist[d]
-  /// Suffix sums over (hist + overflow): suffix[d] = leaders with distance
-  /// >= d; suffix[kMaxTrackedDistance] = overflow bucket.
+  /// Suffix sums over (hist + overflow), distance_end + 1 entries:
+  /// suffix[d] = leaders with distance >= d. The last slot is the tail —
+  /// the overflow bucket, since no bucket past the support is non-empty;
+  /// index with tail(d) to read any distance.
   std::vector<std::uint64_t> suffix;
   std::vector<std::uint64_t> suffix_covered;
   /// Follower counts per gap class, indexed like hist/suffix by the burst
-  /// leader's distance bucket; cold-leader bursts are tallied separately.
+  /// leader's distance bucket; cold-leader bursts are tallied separately
+  /// and overflow-leader bursts only in the suffix tail slot.
   std::array<std::vector<std::uint64_t>, kNumBurstClasses> followers;
   std::array<std::vector<std::uint64_t>, kNumBurstClasses> followers_covered;
   std::array<std::vector<std::uint64_t>, kNumBurstClasses> suffix_followers;
@@ -108,6 +120,12 @@ struct ReuseProfile {
       suffix_followers_covered;
   std::array<std::uint64_t, kNumBurstClasses> cold_followers{};
   std::array<std::uint64_t, kNumBurstClasses> cold_followers_covered{};
+
+  /// Index of the suffix-array slot that holds distance `d`: every
+  /// distance at or past the support shares the tail slot.
+  [[nodiscard]] std::size_t tail(std::uint64_t d) const {
+    return d < distance_end ? static_cast<std::size_t>(d) : distance_end;
+  }
 
   [[nodiscard]] double fmem() const {
     return micro_ops == 0 ? 0.0
@@ -117,7 +135,9 @@ struct ReuseProfile {
 };
 
 /// One trace replay: last-access map + Fenwick tree over access positions
-/// gives exact LRU stack distances in O(N log N).
+/// gives exact LRU stack distances in O(N log N). The per-distance arrays
+/// are sized to the trace (a stack distance is below the op count) during
+/// the pass and cut to the support at its end.
 [[nodiscard]] ReuseProfile build_reuse_profile(const trace::WorkloadProfile& wl);
 
 /// What a closed-form cache model predicts for one level.
@@ -143,6 +163,8 @@ struct MissEstimate {
 
 /// Expected misses of a (sets, associativity) LRU cache under uniform
 /// set mapping (binomial correction); same prefetch/burst handling.
+/// O(p.distance_end): the distances past the support add nothing but the
+/// tail.
 [[nodiscard]] MissEstimate rdh_misses(
     const ReuseProfile& p, std::uint64_t sets, std::uint32_t associativity,
     double prefetch_alpha,

@@ -437,15 +437,19 @@ void Server::handle_submit(const ConnPtr& conn, const util::FlatJson& frame) {
     std::unique_lock<std::mutex> lock(jobs_mutex_);
     const auto it = jobs_.find(key);
     if (it != jobs_.end()) {
-      if (it->second.phase == JobPhase::kDone) {
-        lock.unlock();
+      const bool done = it->second.phase == JobPhase::kDone;
+      const bool degraded = it->second.degraded;
+      // Frames go out without jobs_mutex_: admission below takes it under
+      // the connection's write lock, and the opposite order could deadlock.
+      lock.unlock();
+      if (done) {
         replay_done_job(conn, key);
       } else {
         JsonWriter out;
         out.str("op", "ack")
             .str("id", id)
             .str("status", "pending")
-            .boolean("degraded", it->second.degraded);
+            .boolean("degraded", degraded);
         send_frame(conn, out.finish());
       }
       return;
@@ -471,7 +475,11 @@ void Server::handle_submit(const ConnPtr& conn, const util::FlatJson& frame) {
 
   // The on-admit hook runs under the queue lock: the accept record and the
   // job-state entry are durable before the job is poppable, so an executor
-  // (or a crash) can never outrun the journal.
+  // (or a crash) can never outrun the journal. The connection's write lock
+  // is held from before admission until the ack is written: an executor
+  // can pop and finish the job at once, and its result frames must not
+  // reach the client ahead of the ack (journal accept → ack → execute).
+  const std::lock_guard<std::mutex> ack_first(conn->write_mutex);
   const AdmissionVerdict verdict = queue_.offer(
       std::move(job), [this](const QueuedJob& admitted, AdmissionVerdict v) {
         {
@@ -495,7 +503,7 @@ void Server::handle_submit(const ConnPtr& conn, const util::FlatJson& frame) {
           .str("id", id)
           .str("status", "queued")
           .boolean("degraded", verdict == AdmissionVerdict::kDegrade);
-      send_frame(conn, out.finish());
+      send_frame_locked(conn, out.finish());
       return;
     }
     case AdmissionVerdict::kRetryAfter: {
@@ -503,7 +511,7 @@ void Server::handle_submit(const ConnPtr& conn, const util::FlatJson& frame) {
       out.str("op", "retry_after")
           .str("id", id)
           .num_u64("retry_after_ms", queue_.retry_after_hint_ms());
-      send_frame(conn, out.finish());
+      send_frame_locked(conn, out.finish());
       return;
     }
     case AdmissionVerdict::kShed: {
@@ -513,7 +521,7 @@ void Server::handle_submit(const ConnPtr& conn, const util::FlatJson& frame) {
           .str("code", "overload")
           .str("message", "queue full; resubmit after the hint")
           .num_u64("retry_after_ms", queue_.retry_after_hint_ms());
-      send_frame(conn, out.finish());
+      send_frame_locked(conn, out.finish());
       return;
     }
   }
@@ -522,25 +530,25 @@ void Server::handle_submit(const ConnPtr& conn, const util::FlatJson& frame) {
 void Server::handle_attach(const ConnPtr& conn, const util::FlatJson& frame) {
   const std::string id = frame.get_string("id").value_or("");
   const std::string key = conn->client + "/" + id;
-  bool degraded = false;
+  // The reply is sent after jobs_mutex_ is released (see handle_submit).
+  std::string reply;
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     const auto it = jobs_.find(key);
     if (it == jobs_.end()) {
-      send_frame(conn, error_frame(id, "unknown_job",
-                                   "no such job for this client"));
-      return;
-    }
-    if (it->second.phase != JobPhase::kDone) {
-      degraded = it->second.degraded;
+      reply = error_frame(id, "unknown_job", "no such job for this client");
+    } else if (it->second.phase != JobPhase::kDone) {
       JsonWriter out;
       out.str("op", "ack")
           .str("id", id)
           .str("status", "pending")
-          .boolean("degraded", degraded);
-      send_frame(conn, out.finish());
-      return;
+          .boolean("degraded", it->second.degraded);
+      reply = out.finish();
     }
+  }
+  if (!reply.empty()) {
+    send_frame(conn, reply);
+    return;
   }
   replay_done_job(conn, key);
 }
@@ -773,12 +781,14 @@ void Server::finish_job(const std::string& key, const std::string& client,
 }
 
 void Server::send_frame(const ConnPtr& conn, const std::string& payload) {
+  const std::lock_guard<std::mutex> lock(conn->write_mutex);
+  send_frame_locked(conn, payload);
+}
+
+void Server::send_frame_locked(const ConnPtr& conn,
+                               const std::string& payload) {
   if (conn->dead.load(std::memory_order_relaxed)) return;
-  IoStatus status = IoStatus::kClosed;
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    status = write_frame(conn->fd, payload, opts_.io_timeout_ms);
-  }
+  const IoStatus status = write_frame(conn->fd, payload, opts_.io_timeout_ms);
   if (status == IoStatus::kOk) {
     frames_sent_.inc();
     return;

@@ -191,6 +191,8 @@ class Server {
   /// Sends a frame on a connection (write-mutex held inside); marks the
   /// connection dead on timeout/close so the reaper collects it.
   void send_frame(const ConnPtr& conn, const std::string& payload);
+  /// send_frame for a caller that already holds conn->write_mutex.
+  void send_frame_locked(const ConnPtr& conn, const std::string& payload);
   /// Replays a done job's frames to `conn` unless that very connection is
   /// already receiving them from the completion push. Caller must NOT hold
   /// jobs_mutex_.
@@ -219,6 +221,8 @@ class Server {
   /// Latest live connection per hello'd client name.
   std::unordered_map<std::string, ConnPtr> clients_;
 
+  /// Lock order: a connection's write_mutex, then the admission queue's
+  /// lock, then jobs_mutex_. No frame is written while jobs_mutex_ is held.
   std::mutex jobs_mutex_;
   std::unordered_map<std::string, JobState> jobs_;
 

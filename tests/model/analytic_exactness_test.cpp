@@ -1,0 +1,275 @@
+// The analytic miss models evaluate only the reuse histogram's support.
+//
+// A ReuseProfile keeps its per-distance arrays cut to `distance_end` (one
+// past the largest non-empty bucket) plus one suffix tail slot, and
+// rdh_misses / fa_misses loop over that support only. These tests pin that
+// the cut changes no answer: a full-range reference — the evaluation loop
+// over every distance in [0, kMaxTrackedDistance), reading zero past the
+// support and the tail slot at or beyond it — must agree with the library
+// to the last bit, across cache geometries, prefetch factors and coalescing
+// windows, on profiles whose support is short, capped, or empty.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "model/analytic.hpp"
+#include "trace/spec_like.hpp"
+#include "trace/workload_profile.hpp"
+
+namespace lpm::model {
+namespace {
+
+constexpr std::size_t kMaxD = ReuseProfile::kMaxTrackedDistance;
+
+// --- full-range reference ---------------------------------------------------
+
+/// P[Binom(d, 1/sets) >= assoc] for every d in [0, kMaxD]: the same
+/// truncated pmf recursion the library uses.
+std::vector<double> reference_miss_prob(std::uint64_t sets,
+                                        std::uint32_t assoc) {
+  std::vector<double> miss(kMaxD + 1, 1.0);
+  const double q = 1.0 / static_cast<double>(sets);
+  std::vector<double> pmf(assoc, 0.0);
+  pmf[0] = 1.0;
+  double survive = 1.0;
+  for (std::size_t d = 0; d <= kMaxD; ++d) {
+    miss[d] = 1.0 - survive;
+    if (survive < 1e-12) {
+      std::fill(miss.begin() + static_cast<std::ptrdiff_t>(d), miss.end(), 1.0);
+      break;
+    }
+    for (std::size_t k = assoc; k-- > 0;) {
+      const double from_below = k > 0 ? pmf[k - 1] * q : 0.0;
+      pmf[k] = pmf[k] * (1.0 - q) + from_below;
+    }
+    survive = 0.0;
+    for (const double v : pmf) survive += v;
+  }
+  return miss;
+}
+
+const std::vector<double>& miss_prob(std::uint64_t sets, std::uint32_t assoc) {
+  static std::map<std::pair<std::uint64_t, std::uint32_t>, std::vector<double>>
+      tables;
+  auto it = tables.find({sets, assoc});
+  if (it == tables.end()) {
+    it = tables.emplace(std::make_pair(sets, assoc),
+                        reference_miss_prob(sets, assoc))
+             .first;
+  }
+  return it->second;
+}
+
+/// Full-range views of a cut profile: zero past the support for the
+/// per-distance arrays, the tail slot for every suffix index at or past it.
+std::uint64_t at(const ReuseProfile& p, const std::vector<std::uint64_t>& v,
+                 std::size_t d) {
+  return d < p.distance_end ? v[d] : 0;
+}
+std::uint64_t suffix_at(const ReuseProfile& p,
+                        const std::vector<std::uint64_t>& s, std::size_t d) {
+  return s[d < p.distance_end ? d : p.distance_end];
+}
+
+std::array<double, ReuseProfile::kNumBurstClasses> fractions(double w) {
+  std::array<double, ReuseProfile::kNumBurstClasses> f{};
+  for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
+    const double lo = static_cast<double>(ReuseProfile::kBurstClassLo[c]);
+    const double hi = static_cast<double>(ReuseProfile::kBurstClassHi[c]);
+    f[c] = std::min(1.0, std::max(0.0, (w - lo) / (hi - lo)));
+  }
+  return f;
+}
+
+MissEstimate reference_fa(const ReuseProfile& p, std::uint64_t capacity,
+                          double alpha, double window) {
+  const std::size_t c = static_cast<std::size_t>(
+      std::min<std::uint64_t>(std::max<std::uint64_t>(capacity, 1), kMaxD));
+  const auto frac = fractions(window);
+  const double fills =
+      static_cast<double>(p.cold + suffix_at(p, p.suffix, c));
+  const double fills_cov =
+      static_cast<double>(p.cold_covered + suffix_at(p, p.suffix_covered, c));
+  double foll = 0.0;
+  double foll_cov = 0.0;
+  for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
+    foll += frac[cl] *
+            static_cast<double>(p.cold_followers[cl] +
+                                suffix_at(p, p.suffix_followers[cl], c));
+    foll_cov += frac[cl] * static_cast<double>(
+                               p.cold_followers_covered[cl] +
+                               suffix_at(p, p.suffix_followers_covered[cl], c));
+  }
+  MissEstimate e;
+  e.fills = std::max(0.0, fills - alpha * fills_cov);
+  e.demand = std::max(0.0, fills + foll - alpha * (fills_cov + foll_cov));
+  return e;
+}
+
+MissEstimate reference_rdh(const ReuseProfile& p, std::uint64_t sets,
+                           std::uint32_t assoc, double alpha, double window) {
+  if (sets == 1) return reference_fa(p, assoc, alpha, window);
+  const std::vector<double>& pmiss = miss_prob(sets, assoc);
+  const auto frac = fractions(window);
+  const std::uint64_t capacity = sets * static_cast<std::uint64_t>(assoc);
+  constexpr double kConflictDamp = 0.5;
+
+  MissEstimate e;
+  double foll_cold = 0.0;
+  double foll_cold_cov = 0.0;
+  for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
+    foll_cold += frac[cl] * static_cast<double>(p.cold_followers[cl]);
+    foll_cold_cov += frac[cl] * static_cast<double>(p.cold_followers_covered[cl]);
+  }
+  e.fills = static_cast<double>(p.cold) -
+            alpha * static_cast<double>(p.cold_covered);
+  e.demand = static_cast<double>(p.cold) + foll_cold -
+             alpha * (static_cast<double>(p.cold_covered) + foll_cold_cov);
+  auto add_tail = [&](std::size_t d) {
+    double f = 0.0, f_cov = 0.0;
+    for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
+      f += frac[cl] *
+           static_cast<double>(suffix_at(p, p.suffix_followers[cl], d));
+      f_cov += frac[cl] * static_cast<double>(
+                              suffix_at(p, p.suffix_followers_covered[cl], d));
+    }
+    const double s = static_cast<double>(suffix_at(p, p.suffix, d));
+    const double s_cov = static_cast<double>(suffix_at(p, p.suffix_covered, d));
+    e.fills += s - alpha * s_cov;
+    e.demand += s + f - alpha * (s_cov + f_cov);
+  };
+  for (std::size_t d = 0; d < kMaxD; ++d) {
+    const double pm = pmiss[d];
+    if (pm >= 1.0 - 1e-12) {
+      add_tail(d);
+      e.fills = std::max(0.0, e.fills);
+      e.demand = std::max(0.0, e.demand);
+      return e;
+    }
+    double f = 0.0, f_cov = 0.0;
+    for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
+      f += frac[cl] * static_cast<double>(at(p, p.followers[cl], d));
+      f_cov +=
+          frac[cl] * static_cast<double>(at(p, p.followers_covered[cl], d));
+    }
+    const std::uint64_t h = at(p, p.hist, d);
+    if (h == 0 && f == 0.0) continue;
+    const double h_cov = static_cast<double>(at(p, p.covered, d));
+    const double pm_eff = d < capacity ? kConflictDamp * pm : pm;
+    e.fills += pm_eff * (static_cast<double>(h) - alpha * h_cov);
+    e.demand += pm_eff * (static_cast<double>(h) + f - alpha * (h_cov + f_cov));
+  }
+  add_tail(kMaxD);
+  e.fills = std::max(0.0, e.fills);
+  e.demand = std::max(0.0, e.demand);
+  return e;
+}
+
+// --- profiles ---------------------------------------------------------------
+
+/// One stream of 64-byte steps plus uniform random accesses over 8 MiB
+/// (twice kMaxTrackedDistance blocks): random reuse spreads over every
+/// tracked distance, and the stream's wrap-around reuse overflows.
+trace::WorkloadProfile capped_stream() {
+  trace::WorkloadProfile wl;
+  wl.name = "capped-stream";
+  wl.fmem = 1.0;
+  wl.working_set_bytes = 2 * kMaxD * ReuseProfile::kBlockBytes;
+  wl.zipf_skew = 0.0;
+  wl.seq_fraction = 0.5;
+  wl.num_streams = 1;
+  wl.stride_bytes = ReuseProfile::kBlockBytes;
+  wl.length = 320000;
+  wl.seed = 11;
+  return wl;
+}
+
+/// A single stream that never wraps: every access is a first touch.
+trace::WorkloadProfile no_reuse() {
+  trace::WorkloadProfile wl;
+  wl.name = "no-reuse";
+  wl.fmem = 1.0;
+  wl.seq_fraction = 1.0;
+  wl.num_streams = 1;
+  wl.stride_bytes = ReuseProfile::kBlockBytes;
+  wl.length = 5000;
+  wl.working_set_bytes = 2 * wl.length * ReuseProfile::kBlockBytes;
+  wl.seed = 3;
+  return wl;
+}
+
+void expect_matches_full_range(const ReuseProfile& p, const char* name) {
+  for (const std::uint64_t sets : {1u, 2u, 64u, 128u, 1024u, 4096u}) {
+    for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
+      for (const double alpha : {0.0, 0.3, 0.93}) {
+        for (const double window : {1.0, 4.0, 16.0, 256.0}) {
+          const auto rdh = rdh_misses(p, sets, ways, alpha, window);
+          const auto rdh_ref = reference_rdh(p, sets, ways, alpha, window);
+          EXPECT_EQ(rdh.demand, rdh_ref.demand)
+              << name << " rdh sets=" << sets << " ways=" << ways
+              << " alpha=" << alpha << " window=" << window;
+          EXPECT_EQ(rdh.fills, rdh_ref.fills)
+              << name << " rdh sets=" << sets << " ways=" << ways
+              << " alpha=" << alpha << " window=" << window;
+          const std::uint64_t blocks = sets * ways;
+          const auto fa = fa_misses(p, blocks, alpha, window);
+          const auto fa_ref = reference_fa(p, blocks, alpha, window);
+          EXPECT_EQ(fa.demand, fa_ref.demand)
+              << name << " fa blocks=" << blocks << " alpha=" << alpha
+              << " window=" << window;
+          EXPECT_EQ(fa.fills, fa_ref.fills)
+              << name << " fa blocks=" << blocks << " alpha=" << alpha
+              << " window=" << window;
+        }
+      }
+    }
+  }
+}
+
+TEST(AnalyticSupport, SpecProfilesMatchTheFullRangeLoop) {
+  for (const auto b : {trace::SpecBenchmark::kGcc, trace::SpecBenchmark::kMcf,
+                       trace::SpecBenchmark::kBwaves,
+                       trace::SpecBenchmark::kHmmer,
+                       trace::SpecBenchmark::kLibquantum}) {
+    const ReuseProfile p =
+        build_reuse_profile(trace::spec_profile(b, 20000, 2026));
+    ASSERT_GT(p.distance_end, 0u) << trace::spec_name(b);
+    ASSERT_LT(p.distance_end, kMaxD) << trace::spec_name(b);
+    expect_matches_full_range(p, trace::spec_name(b).c_str());
+  }
+}
+
+TEST(AnalyticSupport, CappedSupportWithOverflowMatchesTheFullRangeLoop) {
+  const ReuseProfile p = build_reuse_profile(capped_stream());
+  ASSERT_EQ(p.distance_end, kMaxD);
+  ASSERT_GT(p.suffix[p.tail(kMaxD)], 0u) << "overflow bucket is empty";
+  // The tail slot keeps the overflow leaders' followers too: every access
+  // is still a cold leader, a reuse leader, or a follower of one.
+  std::uint64_t total = p.cold + p.suffix[0];
+  std::uint64_t tail_followers = 0;
+  for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
+    total += p.cold_followers[c] + p.suffix_followers[c][0];
+    tail_followers += p.suffix_followers[c][kMaxD];
+    EXPECT_LE(p.suffix_followers_covered[c][kMaxD],
+              p.suffix_followers[c][kMaxD]);
+  }
+  ASSERT_EQ(total, p.mem_ops);
+  ASSERT_GT(tail_followers, 0u) << "no follower of an overflow leader";
+  expect_matches_full_range(p, "capped-stream");
+}
+
+TEST(AnalyticSupport, NoReuseMatchesTheFullRangeLoop) {
+  const ReuseProfile p = build_reuse_profile(no_reuse());
+  ASSERT_EQ(p.distance_end, 0u);
+  ASSERT_EQ(p.cold, p.mem_ops);
+  expect_matches_full_range(p, "no-reuse");
+}
+
+}  // namespace
+}  // namespace lpm::model

@@ -3,16 +3,19 @@
 // The closed-form tests pin the documented miss-curve semantics of
 // src/model/analytic.hpp on an exactly-known reuse profile: the profiling
 // pass conserves accesses (leaders + followers == mem_ops, one cold leader
-// per distinct block), an infinite cache keeps only compulsory bursts, a
-// one-set rdh cache is bit-identical to the fully-associative model, and
-// both curves are monotone in capacity. The seam tests pin the factory
+// per distinct block) and keeps only the histogram's support (arrays cut to
+// distance_end, under 1 MB for a 20k-op trace), an infinite cache keeps
+// only compulsory bursts, a one-set rdh cache is bit-identical to the
+// fully-associative model, and both curves are monotone in capacity. The seam tests pin the factory
 // contract and the fidelity tagging of LayerEstimates end to end through
 // the facade.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "exp/experiment_engine.hpp"
 #include "lpm.hpp"
@@ -53,20 +56,64 @@ TEST(ReuseProfileTest, ConservesAccessesAndColdLeaders) {
   EXPECT_LE(p.suffix_covered[0], p.suffix[0]);
 }
 
+TEST(ReuseProfileTest, ArraysAreCutToTheSupport) {
+  const ReuseProfile p = build_reuse_profile(small_workload());
+  ASSERT_GT(p.distance_end, 0u);
+  // A leader's stack distance counts distinct blocks other than its own.
+  EXPECT_LE(p.distance_end, p.distinct_blocks);
+  EXPECT_GT(p.hist[p.distance_end - 1], 0u) << "support ends on a leader";
+  EXPECT_EQ(p.hist.size(), p.distance_end);
+  EXPECT_EQ(p.covered.size(), p.distance_end);
+  EXPECT_EQ(p.suffix.size(), p.distance_end + 1);
+  EXPECT_EQ(p.suffix_covered.size(), p.distance_end + 1);
+  for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
+    EXPECT_EQ(p.followers[c].size(), p.distance_end);
+    EXPECT_EQ(p.followers_covered[c].size(), p.distance_end);
+    EXPECT_EQ(p.suffix_followers[c].size(), p.distance_end + 1);
+    EXPECT_EQ(p.suffix_followers_covered[c].size(), p.distance_end + 1);
+  }
+  // Every distance at or past the support reads the tail slot.
+  EXPECT_EQ(p.tail(0), 0u);
+  EXPECT_EQ(p.tail(p.distance_end - 1), p.distance_end - 1);
+  EXPECT_EQ(p.tail(p.distance_end), p.distance_end);
+  EXPECT_EQ(p.tail(ReuseProfile::kMaxTrackedDistance), p.distance_end);
+}
+
+TEST(ReuseProfileTest, TwentyThousandOpProfilesRetainUnderOneMegabyte) {
+  // The 20 per-distance arrays scale with the reuse support, which a 20k-op
+  // trace keeps to a few thousand buckets; sized to kMaxTrackedDistance
+  // they would hold ~10.5 MB.
+  auto bytes = [](const std::vector<std::uint64_t>& v) {
+    return v.capacity() * sizeof(std::uint64_t);
+  };
+  for (const auto b : trace::all_spec_benchmarks()) {
+    const ReuseProfile p =
+        build_reuse_profile(trace::spec_profile(b, 20000, 2026));
+    std::size_t retained = bytes(p.hist) + bytes(p.covered) + bytes(p.suffix) +
+                           bytes(p.suffix_covered);
+    for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
+      retained += bytes(p.followers[c]) + bytes(p.followers_covered[c]) +
+                  bytes(p.suffix_followers[c]) +
+                  bytes(p.suffix_followers_covered[c]);
+    }
+    EXPECT_LT(retained, std::size_t{1} << 20) << trace::spec_name(b);
+  }
+}
+
 TEST(AnalyticMissCurves, InfiniteCacheKeepsOnlyCompulsoryBursts) {
   const ReuseProfile p = build_reuse_profile(small_workload());
   // Large enough that even the overflow bucket hits (the profile's working
-  // set is far below kMaxTrackedDistance blocks, so suffix[max] == 0).
+  // set is far below kMaxTrackedDistance blocks, so the overflow is 0).
   const auto e = fa_misses(p, ReuseProfile::kMaxTrackedDistance, 0.0);
-  const std::uint64_t overflow = p.suffix[ReuseProfile::kMaxTrackedDistance];
+  const std::size_t tail = p.tail(ReuseProfile::kMaxTrackedDistance);
+  const std::uint64_t overflow = p.suffix[tail];
   EXPECT_DOUBLE_EQ(e.fills, static_cast<double>(p.cold + overflow));
   // With the widest coalescing window every follower class counts fully,
   // so demand is the compulsory bursts in full.
   double cold_followers = 0.0;
   for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
     cold_followers += static_cast<double>(
-        p.cold_followers[c] +
-        p.suffix_followers[c][ReuseProfile::kMaxTrackedDistance]);
+        p.cold_followers[c] + p.suffix_followers[c][tail]);
   }
   EXPECT_NEAR(e.demand, static_cast<double>(p.cold + overflow) + cold_followers,
               1e-9);

@@ -287,6 +287,30 @@ TEST_F(ServerTest, SaturationDegradesEligibleJobs) {
   server.stop();
 }
 
+TEST_F(ServerTest, AckPrecedesResultFrames) {
+  // A memo hit finishes the moment a worker pops the job, so its done
+  // frame races the submit handler's ack; the protocol orders ack first.
+  auto opts = base_options("ack_order");
+  opts.workers = 1;
+  opts.degrade_watermark = 0;
+  opts.degrade_backend = "rdh";
+  Server server(std::move(opts));
+  server.start();
+  Client client(server.options().endpoint, "t1");
+  client.connect();
+  ASSERT_TRUE(client.submit("warm", quick_spec()));
+  (void)drain_until_terminal(client, "warm");
+  for (int i = 0; i < 20; ++i) {
+    const std::string id = "hit" + std::to_string(i);
+    ASSERT_TRUE(client.submit(id, quick_spec()));
+    const auto frames = drain_until_terminal(client, id);
+    ASSERT_GE(frames.size(), 2u) << id;
+    EXPECT_EQ(frames.front().get_string("op").value_or(""), "ack") << id;
+    EXPECT_EQ(frames.back().get_string("op").value_or(""), "done") << id;
+  }
+  server.stop();
+}
+
 TEST_F(ServerTest, DegradationRespectsDegradeOkFalse) {
   auto opts = base_options("no_degrade");
   opts.degrade_watermark = 0;
