@@ -13,6 +13,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/design_space.hpp"
 #include "exp/experiment_engine.hpp"
 #include "model/analytic.hpp"
 #include "model/backend.hpp"
@@ -50,6 +51,21 @@ std::vector<sim::MachineConfig> sim_phase_machines(unsigned count) {
     machines.push_back(std::move(m));
   }
   return machines;
+}
+
+/// The memory-bound phase's machine: a typical lpmbench `screen` winner
+/// (config A with 3 L1 ports, 32 MSHRs and L2 interleave 1) on the
+/// smallest `screen` geometry (16 KB 2-way L1, 512 KB L2).
+sim::MachineConfig membound_machine() {
+  sim::MachineConfig base = sim::MachineConfig::single_core_default();
+  base.l1.size_bytes = 16 * 1024;
+  base.l1.associativity = 2;
+  base.l2.size_bytes = 512 * 1024;
+  core::ArchKnobs knobs = core::ArchKnobs::config_a();
+  knobs.l1_ports = 3;
+  knobs.mshr_entries = 32;
+  knobs.l2_interleave = 1;
+  return knobs.apply(base);
 }
 
 /// Best-effort page-cache eviction so the cold pass actually pays the
@@ -103,6 +119,28 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
       for (const auto& core : run.cores) report.instructions += core.instructions;
     }
     report.wall_seconds_simulate = seconds_since(start);
+  }
+
+  // Phase 1b: the same serial loop in the memory-bound regime, where the
+  // memory hierarchy rather than the core dominates host time.
+  if (opts.membound_length >= 1) {
+    const sim::MachineConfig machine = membound_machine();
+    const auto start = Clock::now();
+    // Irregular, reuse-heavy and streaming misses.
+    for (const trace::SpecBenchmark b :
+         {trace::SpecBenchmark::kGcc, trace::SpecBenchmark::kGamess,
+          trace::SpecBenchmark::kMilc, trace::SpecBenchmark::kLibquantum}) {
+      std::vector<trace::TraceSourcePtr> traces;
+      traces.push_back(std::make_unique<trace::SyntheticTrace>(
+          trace::spec_profile(b, opts.membound_length, 23)));
+      sim::System system(machine, std::move(traces));
+      const sim::SystemResult run = system.run();
+      report.membound_cycles += run.cycles;
+      for (const auto& core : run.cores) {
+        report.membound_instructions += core.instructions;
+      }
+    }
+    report.wall_seconds_membound = seconds_since(start);
   }
 
   // Phase 2: engine saturating sweep. Many distinct near-zero-cost jobs
@@ -229,6 +267,8 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
       rate(static_cast<double>(report.cycles), report.wall_seconds_simulate);
   report.instructions_per_sec = rate(static_cast<double>(report.instructions),
                                      report.wall_seconds_simulate);
+  report.sim_membound_cycles_per_sec = rate(
+      static_cast<double>(report.membound_cycles), report.wall_seconds_membound);
   report.engine_jobs_per_sec =
       rate(static_cast<double>(report.jobs), report.wall_seconds_engine);
   report.analytic_configs_per_sec =
@@ -252,6 +292,11 @@ std::string to_json(const PerfReport& r) {
      << ",\"wall_seconds_analytic\":" << util::fmt(r.wall_seconds_analytic, 6)
      << ",\"sim_cycles_per_sec\":" << util::fmt(r.sim_cycles_per_sec, 1)
      << ",\"instructions_per_sec\":" << util::fmt(r.instructions_per_sec, 1)
+     << ",\"membound_cycles\":" << r.membound_cycles
+     << ",\"membound_instructions\":" << r.membound_instructions
+     << ",\"wall_seconds_membound\":" << util::fmt(r.wall_seconds_membound, 6)
+     << ",\"sim_membound_cycles_per_sec\":"
+     << util::fmt(r.sim_membound_cycles_per_sec, 1)
      << ",\"engine_jobs_per_sec\":" << util::fmt(r.engine_jobs_per_sec, 3)
      << ",\"analytic_configs_per_sec\":"
      << util::fmt(r.analytic_configs_per_sec, 1)
@@ -293,6 +338,15 @@ PerfReport parse_report(const std::string& json_text) {
       json.get_number("wall_seconds_analytic").value_or(0.0);
   r.analytic_configs_per_sec =
       json.get_number("analytic_configs_per_sec").value_or(0.0);
+  // Optional — absent before the memory-bound phase; 0 = not measured.
+  r.membound_cycles = static_cast<std::uint64_t>(
+      json.get_number("membound_cycles").value_or(0.0));
+  r.membound_instructions = static_cast<std::uint64_t>(
+      json.get_number("membound_instructions").value_or(0.0));
+  r.wall_seconds_membound =
+      json.get_number("wall_seconds_membound").value_or(0.0);
+  r.sim_membound_cycles_per_sec =
+      json.get_number("sim_membound_cycles_per_sec").value_or(0.0);
   // Optional — absent before the trace-ingestion phase; 0 = not measured.
   r.trace_ops =
       static_cast<std::uint64_t>(json.get_number("trace_ops").value_or(0.0));
@@ -340,6 +394,10 @@ BaselineCheck check_against_baseline(const PerfReport& current,
        baseline.instructions_per_sec);
   gate("engine_jobs_per_sec", current.engine_jobs_per_sec,
        baseline.engine_jobs_per_sec);
+  if (baseline.sim_membound_cycles_per_sec > 0.0) {
+    gate("sim_membound_cycles_per_sec", current.sim_membound_cycles_per_sec,
+         baseline.sim_membound_cycles_per_sec);
+  }
   if (baseline.analytic_configs_per_sec > 0.0) {
     gate("analytic_configs_per_sec", current.analytic_configs_per_sec,
          baseline.analytic_configs_per_sec);

@@ -10,6 +10,11 @@
 //     evaluation re-runs this loop.
 //   * instructions_per_sec  — committed instructions per second of the
 //     same runs.
+//   * sim_membound_cycles_per_sec — simulated cycles per second of serial
+//     System::runs in the memory-bound regime (IPC < 1, most cycles
+//     stalled on data): cycle-accurate confirms shaped like lpmbench's
+//     `screen` sweep, where the caches, MSHRs and DRAM scheduler rather
+//     than the core take most of the host time.
 //   * engine_jobs_per_sec   — distinct jobs per second through an
 //     ExperimentEngine worker pool under a *saturating sweep*: many
 //     near-zero-cost jobs (a registered null backend) submitted from
@@ -55,6 +60,9 @@ struct PerfOptions {
   std::uint64_t length = 400'000;
   /// Simulated machine variants in the System::run phase (>= 1).
   unsigned sim_configs = 3;
+  /// Micro-ops per run in the memory-bound System::run phase (0 disables
+  /// the phase). Each of its four runs replays one memory-bound profile.
+  std::uint64_t membound_length = 200'000;
   /// Distinct jobs in the engine saturating-sweep phase (>= 1). Each is
   /// near-free to execute, so the phase times queue + dispatch + outcome
   /// bookkeeping per job.
@@ -81,16 +89,20 @@ struct PerfReport {
   std::string bench = "lpm_convergence";
   std::uint64_t cycles = 0;        ///< simulated cycles, System::run phase
   std::uint64_t instructions = 0;  ///< committed instructions, same phase
+  std::uint64_t membound_cycles = 0;  ///< simulated cycles, memory-bound phase
+  std::uint64_t membound_instructions = 0;  ///< committed, same phase
   std::uint64_t jobs = 0;          ///< jobs executed, engine phase
   std::uint64_t analytic_configs = 0;  ///< configs evaluated, analytic phase
   std::uint64_t trace_ops = 0;  ///< ops ingested per pass, trace phase
   double wall_seconds_simulate = 0.0;
+  double wall_seconds_membound = 0.0;
   double wall_seconds_engine = 0.0;
   double wall_seconds_analytic = 0.0;
   double wall_seconds_trace_cold = 0.0;
   double wall_seconds_trace_warm = 0.0;
   double sim_cycles_per_sec = 0.0;
   double instructions_per_sec = 0.0;
+  double sim_membound_cycles_per_sec = 0.0;
   double engine_jobs_per_sec = 0.0;
   double analytic_configs_per_sec = 0.0;
   /// Cold pass: pages evicted (posix_fadvise DONTNEED) before the drain.
@@ -122,9 +134,10 @@ struct BaselineCheck {
 
 /// Compares the throughput metrics against a baseline: metric m fails when
 /// m < baseline.m * (1 - tolerance). tolerance 0.30 absorbs CI-runner
-/// noise; exceeding the baseline never fails. analytic_configs_per_sec is
-/// gated only when the baseline carries it (> 0), so baselines written
-/// before the analytic phase keep working.
+/// noise; exceeding the baseline never fails. Metrics added after the
+/// first baseline (sim_membound_cycles_per_sec, analytic_configs_per_sec,
+/// the trace ingestion rates) are gated only when the baseline carries
+/// them (> 0), so older baselines keep working.
 [[nodiscard]] BaselineCheck check_against_baseline(const PerfReport& current,
                                                    const PerfReport& baseline,
                                                    double tolerance);

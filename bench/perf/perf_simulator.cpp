@@ -47,6 +47,12 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n%s", out_path.c_str(), json.c_str());
     std::printf("sim cycles/sec      : %.3e\n", report.sim_cycles_per_sec);
     std::printf("instructions/sec    : %.3e\n", report.instructions_per_sec);
+    std::printf("membound cycles/sec : %.3e (IPC %.2f)\n",
+                report.sim_membound_cycles_per_sec,
+                report.membound_cycles == 0
+                    ? 0.0
+                    : static_cast<double>(report.membound_instructions) /
+                          static_cast<double>(report.membound_cycles));
     std::printf("engine jobs/sec     : %.3f\n", report.engine_jobs_per_sec);
     std::printf("analytic configs/sec: %.1f\n", report.analytic_configs_per_sec);
     std::printf("trace cold ops/sec  : %.3e\n", report.trace_cold_ops_per_sec);

@@ -33,7 +33,7 @@ void Analyzer::on_cycle_activity(Cycle cycle, std::uint32_t hit_active) {
   if (pure) {
     ++m_.pure_miss_cycles;
     m_.pure_access_cycles += outstanding;
-    for (auto& rec : outstanding_) ++rec.pure_cycles;
+    ++pure_clock_;  // every outstanding miss saw one more pure cycle
     if (outstanding != prev_pure_concurrency_) ++pure_miss_phases_;
   }
   prev_hit_concurrency_ = hit_act ? hit_active : 0;
@@ -62,7 +62,7 @@ void Analyzer::on_miss(RequestId id, Cycle start) {
   m_.hit_phase_access_cycles += start - it->start;
   const Cycle access_start = it->start;
   in_lookup_.erase(it);
-  outstanding_.push_back(MissRec{id, start, 0, access_start});
+  outstanding_.push_back(MissRec{id, start, pure_clock_, access_start});
 }
 
 void Analyzer::on_miss_done(RequestId id, Cycle done) {
@@ -70,7 +70,7 @@ void Analyzer::on_miss_done(RequestId id, Cycle done) {
                                [&](const MissRec& r) { return r.id == id; });
   util::require(it != outstanding_.end(), "Analyzer: on_miss_done for unknown miss");
   m_.total_miss_latency += done - it->start;
-  if (it->pure_cycles > 0) ++m_.pure_misses;
+  if (pure_clock_ > it->pure_clock_at_start) ++m_.pure_misses;
   outstanding_.erase(it);
 }
 
@@ -83,7 +83,8 @@ CamatMetrics Analyzer::interval_delta() {
 void Analyzer::reset_counters() {
   m_ = CamatMetrics{};
   last_snapshot_ = CamatMetrics{};
-  for (auto& rec : outstanding_) rec.pure_cycles = 0;
+  // Pure cycles before the reset no longer count toward pure_misses.
+  for (auto& rec : outstanding_) rec.pure_clock_at_start = pure_clock_;
   hit_phases_ = 0;
   pure_miss_phases_ = 0;
   prev_hit_concurrency_ = 0;

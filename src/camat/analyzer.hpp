@@ -52,7 +52,9 @@ class Analyzer final : public mem::AccessProbe {
   struct MissRec {
     RequestId id = kNoRequest;
     Cycle start = 0;
-    std::uint64_t pure_cycles = 0;
+    /// pure_clock_ when the miss began; the miss is pure iff the clock
+    /// has advanced by the time it completes.
+    std::uint64_t pure_clock_at_start = 0;
     Cycle access_start = 0;  ///< when the lookup began (for hit-phase length)
   };
   struct AccessRec {
@@ -71,6 +73,10 @@ class Analyzer final : public mem::AccessProbe {
   std::uint32_t prev_pure_concurrency_ = 0;
   std::uint64_t hit_phases_ = 0;
   std::uint64_t pure_miss_phases_ = 0;
+  // Pure-miss cycles seen since construction (never reset): each miss's
+  // pure-cycle count is the clock's advance over its lifetime, so a pure
+  // cycle costs O(1) however many misses are outstanding.
+  std::uint64_t pure_clock_ = 0;
   Cycle last_sampled_cycle_ = kNoCycle;
 };
 

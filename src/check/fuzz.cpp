@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -475,6 +476,73 @@ ReplayCase Fuzzer::generate(std::uint64_t case_seed) const {
   c.machine = std::move(m);
   for (std::uint32_t core = 0; core < c.machine.num_cores; ++core) {
     c.ops.push_back(random_ops(rng, cfg_.trace_len, block));
+  }
+  return c;
+}
+
+ReplayCase Fuzzer::generate_memory_contention(std::uint64_t case_seed) const {
+  util::Rng rng(case_seed * 0xd6e8feb86659fd93ULL + 7);
+  const std::uint32_t block = rng.next_bool(0.5) ? 32 : 64;
+  const auto pow2_in = [&rng](std::uint64_t lo_log2, std::uint64_t hi_log2) {
+    return 1ull << rng.next_in(lo_log2, hi_log2);
+  };
+  // Interleave units above the block size, with enough banks that the
+  // shift-based bank index spans several address bits.
+  const auto widen = [&](mem::CacheConfig& c) {
+    c.interleave_bytes = block * pow2_in(1, 4);
+    c.banks = static_cast<std::uint32_t>(pow2_in(0, 3));
+    c.ports = static_cast<std::uint32_t>(rng.next_in(1, 4));
+  };
+
+  sim::MachineConfig m;
+  m.num_cores = static_cast<std::uint32_t>(rng.next_in(1, 4));
+  m.core = random_core(rng);
+  m.l1 = random_l1(rng, block);
+  widen(m.l1);
+  m.l1.mshr_entries = static_cast<std::uint32_t>(rng.next_in(1, 64));
+  m.l1.prefetch_degree = static_cast<std::uint32_t>(rng.next_in(0, 8));
+  m.l2 = random_l2(rng, block, "L2");
+  widen(m.l2);
+  m.l2.mshr_entries = static_cast<std::uint32_t>(rng.next_in(4, 64));
+  if (rng.next_bool(0.25)) {
+    m.use_private_l2 = true;
+    m.private_l2 = random_l2(rng, block, "L2p");
+    widen(m.private_l2);
+  }
+
+  mem::DramConfig& d = m.dram;
+  d = random_dram(rng);
+  d.banks = static_cast<std::uint32_t>(pow2_in(1, 6));  // 2..64
+  d.row_bytes = pow2_in(9, 12);                       // 512..4096
+  const std::uint64_t row_log2 =
+      static_cast<std::uint64_t>(std::countr_zero(d.row_bytes));
+  d.interleave_bytes = pow2_in(6, row_log2);  // 64 B .. one row
+  d.queue_capacity = static_cast<std::uint32_t>(rng.next_in(4, 256));
+  d.max_issue_per_cycle = static_cast<std::uint32_t>(rng.next_in(1, 8));
+  d.starvation_threshold = static_cast<std::uint32_t>(rng.next_in(8, 200));
+  m.max_cycles = 4'000'000;
+  m.validate();
+
+  // Memory-heavy ops over a working set of up to 16K blocks, so misses
+  // overflow the (at most 128-set) L2 and queue up at the DRAM banks.
+  ReplayCase c;
+  c.machine = std::move(m);
+  for (std::uint32_t core = 0; core < c.machine.num_cores; ++core) {
+    const std::uint64_t ws_blocks = pow2_in(8, 14);
+    const double seq = rng.next_double() * 0.8;
+    std::vector<trace::MicroOp> ops = random_ops(rng, cfg_.trace_len, block);
+    Addr prev_block = 0;
+    for (trace::MicroOp& op : ops) {
+      if (op.type == trace::OpType::kAlu && rng.next_bool(0.5)) {
+        op.type = trace::OpType::kLoad;
+      }
+      if (op.type == trace::OpType::kAlu) continue;
+      const Addr blk =
+          rng.next_bool(seq) ? prev_block + 1 : rng.next_below(ws_blocks);
+      prev_block = blk;
+      op.addr = blk * block + rng.next_below(block);
+    }
+    c.ops.push_back(std::move(ops));
   }
   return c;
 }

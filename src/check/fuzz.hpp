@@ -100,6 +100,16 @@ class Fuzzer {
   /// same seed always yields the same ReplayCase, independent of cfg.
   [[nodiscard]] ReplayCase generate(std::uint64_t case_seed) const;
 
+  /// Deterministically generates a memory-contention case: wide cache and
+  /// DRAM interleaving (cache interleave above the block size, DRAM
+  /// interleave from 64 B up to the row), 2-64 DRAM banks with a 4-256
+  /// entry queue, 1-8 issues per cycle and an 8-200 cycle starvation cap,
+  /// 1-64 L1 MSHRs with prefetch degree 0-8, 1-4 cores, and memory-heavy
+  /// traces whose working sets overflow the L2. generate() draws none of
+  /// these, so the DRAM scheduler's and MSHR file's corner cases get their
+  /// own generator rather than changing the meaning of the seeded sweep.
+  [[nodiscard]] ReplayCase generate_memory_contention(std::uint64_t case_seed) const;
+
   /// Runs cfg.cases cases (seeds cfg.seed .. cfg.seed + cases - 1).
   [[nodiscard]] FuzzSummary run();
 

@@ -19,7 +19,7 @@ RefSystem::RefSystem(sim::MachineConfig cfg,
   // Topology, id spaces and per-instance seeds must mirror sim::System
   // exactly: fill-request ids and random-replacement streams are part of
   // the observable behaviour being compared.
-  dram_ = std::make_unique<mem::Dram>(cfg_.dram);
+  dram_ = std::make_unique<RefDram>(cfg_.dram);
   dram_analyzer_ = std::make_unique<RefAnalyzer>("DRAM");
   dram_->set_probe(dram_analyzer_.get());
 

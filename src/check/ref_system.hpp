@@ -1,15 +1,18 @@
 // Reference system: the oracle counterpart of sim::System.
 //
-// Wires RefCore + RefCache + RefAnalyzer into the same topology sim::System
-// builds (per-core L1s, optional private L2s, shared L2/LLC, DRAM) with
-// identical id spaces, seeds and tick order, and collects the same
-// sim::SystemResult. Differential testing runs both systems on one trace
-// and requires result-wise equality (SystemResult::operator==).
+// Wires RefCore + RefCache + RefDram + RefAnalyzer into the same topology
+// sim::System builds (per-core L1s, optional private L2s, shared L2/LLC,
+// DRAM) with identical id spaces, seeds and tick order, and collects the
+// same sim::SystemResult. Differential testing runs both systems on one
+// trace and requires result-wise equality (SystemResult::operator==).
 //
-// One component is shared with the optimized system rather than
-// re-implemented: mem::Dram (the DRAM timing model was not restructured by
-// the throughput work; re-deriving it would test nothing the cache/analyzer
-// diff does not already cover). RefCore reaches a RefCache only through the
+// Every simulated component is re-implemented here; the two systems share
+// only config/stats value types and the request/response plumbing. Each
+// reference component is the straight-line form of an optimized one: a
+// full ROB rescan instead of dependence-counted wakeup, linear MSHR finds
+// instead of the block index, a per-cycle three-pass DRAM queue scan
+// instead of the event-gated scheduler, and per-cycle probe samples
+// instead of idle skips. RefCore reaches a RefCache only through the
 // virtual MemoryLevel path, so the diff also validates the optimized core's
 // devirtualized L1 fast path against the vtable path.
 #pragma once
@@ -20,7 +23,7 @@
 #include "check/ref_analyzer.hpp"
 #include "check/ref_cache.hpp"
 #include "check/ref_core.hpp"
-#include "mem/dram.hpp"
+#include "check/ref_dram.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/system.hpp"
 #include "trace/trace_source.hpp"
@@ -44,7 +47,7 @@ class RefSystem {
  private:
   sim::MachineConfig cfg_;
   std::vector<trace::TraceSourcePtr> traces_;
-  std::unique_ptr<mem::Dram> dram_;
+  std::unique_ptr<RefDram> dram_;
   std::unique_ptr<RefAnalyzer> dram_analyzer_;
   std::unique_ptr<RefCache> l2_;
   std::unique_ptr<RefAnalyzer> l2_analyzer_;

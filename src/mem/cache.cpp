@@ -1,6 +1,7 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -56,6 +57,10 @@ Cache::Cache(CacheConfig cfg, MemoryLevel* below, std::uint64_t id_space)
       next_fill_id_(id_space << 40) {
   cfg_.validate();
   util::require(below_ != nullptr, cfg_.name, ": lower level must exist");
+  block_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.block_bytes));
+  interleave_shift_ =
+      static_cast<std::uint32_t>(std::countr_zero(cfg_.interleave_bytes));
+  set_mask_ = cfg_.num_sets() - 1;
   line_tags_.assign(cfg_.num_sets() * cfg_.associativity, kInvalidTag);
   line_flags_.assign(cfg_.num_sets() * cfg_.associativity, 0);
   repl_.reserve(cfg_.num_sets());
@@ -96,11 +101,11 @@ void Cache::reserve_pools() {
 }
 
 std::uint64_t Cache::set_index(Addr addr) const {
-  return (addr / cfg_.block_bytes) & (cfg_.num_sets() - 1);
+  return (addr >> block_shift_) & set_mask_;
 }
 
 std::uint32_t Cache::bank_of(Addr addr) const {
-  return static_cast<std::uint32_t>((addr / cfg_.interleave_bytes) & (cfg_.banks - 1));
+  return static_cast<std::uint32_t>(addr >> interleave_shift_) & (cfg_.banks - 1);
 }
 
 std::uint32_t Cache::find_way(Addr addr) const {
@@ -375,10 +380,12 @@ bool Cache::try_handle_miss(const MemRequest& req, Cycle miss_start, Cycle now) 
 
 void Cache::issue_pending_fills(Cycle now) {
   if (mshr_unissued_ == 0) return;
+  // Index order is issue order (see MshrFile); free entries are skipped.
   const std::uint32_t cap = mshr_.capacity();
-  for (std::uint32_t idx = 0; idx < cap; ++idx) {
+  for (std::uint32_t idx = mshr_.next_valid(0); idx < cap;
+       idx = mshr_.next_valid(idx + 1)) {
     MshrEntry& e = mshr_.entry(idx);
-    if (!e.valid || e.issued) continue;
+    if (e.issued) continue;
     MemRequest fill;
     fill.id = next_fill_id_++;
     fill.core = e.targets.empty() ? e.core : e.targets.front().core;

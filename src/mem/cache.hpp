@@ -196,6 +196,11 @@ class Cache final : public MemoryLevel, public ResponseSink {
   MemoryLevel* below_;          // non-owning
   AccessProbe* probe_ = nullptr;  // non-owning
 
+  // Power-of-two geometry, decoded with shifts and masks.
+  std::uint32_t block_shift_ = 0;       // log2(block_bytes)
+  std::uint32_t interleave_shift_ = 0;  // log2(interleave_bytes)
+  std::uint64_t set_mask_ = 0;          // num_sets - 1
+
   std::vector<Addr> line_tags_;           // num_sets * assoc, row-major by set
   std::vector<std::uint8_t> line_flags_;  // kLineDirty | kLinePrefetched
   std::vector<ReplacementState> repl_;

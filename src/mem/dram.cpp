@@ -1,6 +1,7 @@
 #include "mem/dram.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.hpp"
 
@@ -25,16 +26,11 @@ Dram::Dram(DramConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
   banks_.assign(cfg_.banks, Bank{});
   queue_.reserve(cfg_.queue_capacity);
-}
-
-std::uint32_t Dram::bank_of(Addr addr) const {
-  return static_cast<std::uint32_t>((addr / cfg_.interleave_bytes) & (cfg_.banks - 1));
-}
-
-std::uint64_t Dram::row_of(Addr addr) const {
-  // Rows are striped across banks: drop the interleave bits belonging to the
-  // bank index, then divide by the row size.
-  return addr / (cfg_.row_bytes * cfg_.banks);
+  // Rows are striped across banks: an address's row is its offset divided
+  // by row_bytes * banks, and all three sizes are powers of two.
+  bank_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.interleave_bytes));
+  row_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.row_bytes) +
+                                          std::countr_zero(cfg_.banks));
 }
 
 bool Dram::try_access(const MemRequest& req) {
@@ -45,7 +41,10 @@ bool Dram::try_access(const MemRequest& req) {
   Pending p;
   p.req = req;
   p.accepted = accept_cycle_;
+  p.bank = static_cast<std::uint32_t>(req.addr >> bank_shift_) & (cfg_.banks - 1);
+  p.row = req.addr >> row_shift_;
   queue_.push_back(p);
+  next_issue_ = std::min(next_issue_, banks_[p.bank].busy_until);
   if (req.reply_to != nullptr) {
     ++demand_in_queue_;
     if (probe_ != nullptr) {
@@ -71,57 +70,50 @@ void Dram::sample_activity(Cycle cycle) {
 void Dram::tick(Cycle now) {
   if (now > 0) sample_activity(now - 1);
   accept_cycle_ = now;
-  if (queue_.empty()) return;  // idle fast path: nothing to complete or issue
+  // Between events neither pass can change anything: a completion needs a
+  // due done_at, and an issue needs a waiting request on a free bank
+  // (only an issue makes a bank busier, only an arrival adds a request).
+  if (now >= next_done_) complete_finished(now);
+  if (now >= next_issue_) issue_commands(now);
+}
 
-  complete_finished(now);
-  issue_commands(now);
+std::size_t Dram::pick_request(Cycle now) {
+  // FR-FCFS with an age cap in one age-ordered scan: a request that has
+  // waited past the starvation threshold is served FCFS ahead of younger
+  // row hits, then the oldest row hit, then the oldest request. Because
+  // `accepted` never decreases along the queue, the starved requests form
+  // a prefix, so the first ready request inside it is the oldest starved
+  // one, and the first ready row hit after it is the oldest row hit.
+  const std::size_t n = queue_.size();
+  std::size_t first_ready = n;
+  Cycle next_free = kNoCycle;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Pending& p = queue_[i];
+    if (p.in_service) continue;
+    const Bank& b = banks_[p.bank];
+    if (b.busy_until > now) {
+      next_free = std::min(next_free, b.busy_until);
+      continue;
+    }
+    if (now - p.accepted >= cfg_.starvation_threshold) return i;
+    if (b.row_open && b.open_row == p.row) return i;
+    if (first_ready == n) first_ready = i;
+  }
+  // Nothing ready: every waiting request's bank is busy, and only an
+  // arrival (try_access lowers the gate) can move this event earlier.
+  if (first_ready == n) next_issue_ = next_free;
+  return first_ready;
 }
 
 void Dram::issue_commands(Cycle now) {
-  std::uint32_t issued = 0;
-  // FR-FCFS with an age cap: row hits first (oldest row hit), then oldest
-  // request - but a request that has waited past the starvation threshold
-  // is served FCFS ahead of younger row hits.
-  while (issued < cfg_.max_issue_per_cycle) {
-    std::size_t pick = queue_.size();
-    // Pass 0: starved ready request (oldest first).
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Pending& p = queue_[i];
-      if (p.in_service) continue;
-      if (now - p.accepted < cfg_.starvation_threshold) continue;
-      if (banks_[bank_of(p.req.addr)].busy_until <= now) {
-        pick = i;
-        break;
-      }
-    }
-    // Pass 1: oldest ready row hit.
-    for (std::size_t i = 0; pick == queue_.size() && i < queue_.size(); ++i) {
-      const Pending& p = queue_[i];
-      if (p.in_service) continue;
-      const Bank& b = banks_[bank_of(p.req.addr)];
-      if (b.busy_until > now) continue;
-      if (b.row_open && b.open_row == row_of(p.req.addr)) {
-        pick = i;
-      }
-    }
-    // Pass 2: oldest ready request of any kind.
-    if (pick == queue_.size()) {
-      for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const Pending& p = queue_[i];
-        if (p.in_service) continue;
-        if (banks_[bank_of(p.req.addr)].busy_until <= now) {
-          pick = i;
-          break;
-        }
-      }
-    }
-    if (pick == queue_.size()) break;  // nothing schedulable this cycle
+  for (std::uint32_t issued = 0; issued < cfg_.max_issue_per_cycle; ++issued) {
+    const std::size_t pick = pick_request(now);
+    if (pick == queue_.size()) return;  // pick_request set next_issue_
 
     Pending& p = queue_[pick];
-    Bank& b = banks_[bank_of(p.req.addr)];
-    const std::uint64_t row = row_of(p.req.addr);
+    Bank& b = banks_[p.bank];
     std::uint32_t latency = 0;
-    if (b.row_open && b.open_row == row) {
+    if (b.row_open && b.open_row == p.row) {
       latency = cfg_.t_cl + cfg_.t_burst;
       ++stats_.row_hits;
     } else if (!b.row_open) {
@@ -132,36 +124,39 @@ void Dram::issue_commands(Cycle now) {
       ++stats_.row_conflicts;
     }
     b.row_open = true;
-    b.open_row = row;
+    b.open_row = p.row;
     b.busy_until = now + latency;
     p.in_service = true;
     p.done_at = now + latency + cfg_.frontend_latency;
-    ++issued;
+    next_done_ = std::min(next_done_, p.done_at);
   }
+  next_issue_ = now + 1;  // out of command slots; more may be ready
 }
 
 void Dram::complete_finished(Cycle now) {
+  next_done_ = kNoCycle;
   for (std::size_t i = 0; i < queue_.size();) {
     Pending& p = queue_[i];
-    if (p.in_service && p.done_at <= now) {
-      if (p.req.kind == AccessKind::kRead) {
-        ++stats_.reads;
-        stats_.total_read_latency += now - p.accepted;
-      } else {
-        ++stats_.writes;
-      }
-      if (probe_ != nullptr && p.req.reply_to != nullptr) {
-        probe_->on_hit(p.req.id, now);
-      }
-      if (p.req.reply_to != nullptr) {
-        p.req.reply_to->on_response(
-            MemResponse{p.req.id, p.req.core, p.req.addr, now});
-        --demand_in_queue_;
-      }
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
+    if (!p.in_service || p.done_at > now) {
+      if (p.in_service) next_done_ = std::min(next_done_, p.done_at);
       ++i;
+      continue;
     }
+    if (p.req.kind == AccessKind::kRead) {
+      ++stats_.reads;
+      stats_.total_read_latency += now - p.accepted;
+    } else {
+      ++stats_.writes;
+    }
+    if (probe_ != nullptr && p.req.reply_to != nullptr) {
+      probe_->on_hit(p.req.id, now);
+    }
+    if (p.req.reply_to != nullptr) {
+      p.req.reply_to->on_response(
+          MemResponse{p.req.id, p.req.core, p.req.addr, now});
+      --demand_in_queue_;
+    }
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
   }
 }
 

@@ -78,22 +78,33 @@ class Dram final : public MemoryLevel {
   struct Pending {
     MemRequest req;
     Cycle accepted = 0;
-    bool in_service = false;
     Cycle done_at = kNoCycle;
+    std::uint64_t row = 0;  // decoded once, at acceptance
+    std::uint32_t bank = 0;
+    bool in_service = false;
   };
 
-  [[nodiscard]] std::uint32_t bank_of(Addr addr) const;
-  [[nodiscard]] std::uint64_t row_of(Addr addr) const;
   void sample_activity(Cycle cycle);
   void issue_commands(Cycle now);
+  /// Index of the request FR-FCFS serves next, or queue_.size() when no
+  /// waiting request's bank is free (then next_issue_ is set exactly).
+  [[nodiscard]] std::size_t pick_request(Cycle now);
   void complete_finished(Cycle now);
 
   DramConfig cfg_;
   AccessProbe* probe_ = nullptr;  // non-owning
   std::vector<Bank> banks_;
-  // Bounded by queue_capacity and scanned in age order by FR-FCFS; a
+  // Bounded by queue_capacity and kept in acceptance order (entries are
+  // erased, never reordered), so `accepted` is non-decreasing along it; a
   // reserved vector keeps it allocation-free and cache-contiguous.
   std::vector<Pending> queue_;
+  std::uint32_t bank_shift_ = 0;  // log2(interleave_bytes)
+  std::uint32_t row_shift_ = 0;   // log2(row_bytes * banks)
+  // Event gates: complete_finished runs only once the earliest in-service
+  // request is due, and issue_commands only once a waiting request's bank
+  // is free. Both are kNoCycle while there is nothing to wait for.
+  Cycle next_done_ = kNoCycle;
+  Cycle next_issue_ = kNoCycle;
   Cycle accept_cycle_ = 0;
   std::uint32_t demand_in_queue_ = 0;  // queued requests with a reply sink
   bool probe_quiesced_ = false;  // probe already saw a zero-demand cycle

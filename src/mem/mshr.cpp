@@ -1,5 +1,7 @@
 #include "mem/mshr.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace lpm::mem {
@@ -11,15 +13,14 @@ MshrFile::MshrFile(std::uint32_t entries, std::uint32_t max_targets)
   for (auto& e : entries_) {
     e.targets.reserve(max_targets);
   }
-}
-
-std::optional<std::uint32_t> MshrFile::find(Addr block_addr) const {
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].valid && entries_[i].block_addr == block_addr) {
-      return i;
-    }
+  free_mask_.assign((entries + 63) / 64, 0);
+  for (std::uint32_t i = 0; i < entries; ++i) {
+    free_mask_[i / 64] |= std::uint64_t{1} << (i % 64);
   }
-  return std::nullopt;
+  // At most half full, so every probe sequence reaches an empty slot.
+  const std::size_t slots = std::bit_ceil(std::size_t{2} * entries);
+  index_.assign(slots, IndexSlot{});
+  index_shift_ = 64 - static_cast<std::uint32_t>(std::countr_zero(slots));
 }
 
 bool MshrFile::can_add_target(std::uint32_t idx) const {
@@ -36,23 +37,30 @@ std::uint32_t MshrFile::allocate(Addr block_addr, const MshrTarget& target, Cycl
 
 std::uint32_t MshrFile::allocate_prefetch(Addr block_addr, Cycle now, CoreId core) {
   util::require(can_allocate(), "MshrFile::allocate without free entry");
-  util::require(!find(block_addr).has_value(),
-                "MshrFile::allocate: duplicate entry for block");
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    if (!entries_[i].valid) {
-      entries_[i].valid = true;
-      entries_[i].issued = false;
-      entries_[i].is_prefetch = true;
-      entries_[i].core = core;
-      entries_[i].fill_id = kNoRequest;
-      entries_[i].block_addr = block_addr;
-      entries_[i].allocated = now;
-      entries_[i].targets.clear();
-      --free_;
-      return i;
-    }
+  const std::size_t mask = index_.size() - 1;
+  std::size_t s = home_slot(block_addr);
+  for (; index_[s].entry != kEmptySlot; s = (s + 1) & mask) {
+    util::require(index_[s].block != block_addr,
+                  "MshrFile::allocate: duplicate entry for block");
   }
-  throw util::LpmError("MshrFile::allocate: internal inconsistency");
+  std::size_t w = 0;
+  while (free_mask_[w] == 0) ++w;  // can_allocate(): some word has a free bit
+  const auto i = static_cast<std::uint32_t>(
+      w * 64 + static_cast<std::size_t>(std::countr_zero(free_mask_[w])));
+  free_mask_[w] &= free_mask_[w] - 1;  // clear the lowest set bit
+  index_[s] = IndexSlot{block_addr, i};
+
+  MshrEntry& e = entries_[i];
+  e.valid = true;
+  e.issued = false;
+  e.is_prefetch = true;
+  e.core = core;
+  e.fill_id = kNoRequest;
+  e.block_addr = block_addr;
+  e.allocated = now;
+  e.targets.clear();
+  --free_;
+  return i;
 }
 
 void MshrFile::add_target(std::uint32_t idx, const MshrTarget& target) {
@@ -69,6 +77,24 @@ std::vector<MshrTarget> MshrFile::release(std::uint32_t idx) {
 void MshrFile::release_into(std::uint32_t idx, std::vector<MshrTarget>& out) {
   auto& e = entries_.at(idx);
   util::require(e.valid, "MshrFile::release on invalid entry");
+
+  // Backward-shift deletion: walk the probe cluster after the hole and pull
+  // back every slot whose home lies at or before the hole, so lookups never
+  // meet a gap inside their own probe sequence (no tombstones).
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = home_slot(e.block_addr);
+  while (index_[hole].entry != idx) hole = (hole + 1) & mask;
+  for (std::size_t s = (hole + 1) & mask; index_[s].entry != kEmptySlot;
+       s = (s + 1) & mask) {
+    const std::size_t home = home_slot(index_[s].block);
+    if (((s - home) & mask) >= ((s - hole) & mask)) {
+      index_[hole] = index_[s];
+      hole = s;
+    }
+  }
+  index_[hole] = IndexSlot{};
+  free_mask_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+
   out.clear();
   out.swap(e.targets);  // entry inherits out's old storage
   e.block_addr = 0;
@@ -103,8 +129,8 @@ std::uint32_t MshrFile::outstanding_targets() const {
 
 std::vector<std::uint32_t> MshrFile::valid_entries() const {
   std::vector<std::uint32_t> out;
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].valid) out.push_back(i);
+  for (std::uint32_t i = next_valid(0); i < capacity(); i = next_valid(i + 1)) {
+    out.push_back(i);
   }
   return out;
 }

@@ -4,6 +4,7 @@
 // "MSHR numbers" knob of Table I.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -33,6 +34,13 @@ struct MshrEntry {
 };
 
 /// Fixed-size MSHR file with block coalescing.
+///
+/// A block is found through an open-addressed block -> entry index (linear
+/// probing, at most half full, backward-shift deletion), and entries are
+/// allocated from a free bitmask. Allocation always hands out the lowest
+/// free index: a cache sends its pending fills downstream in index order,
+/// so the index an entry gets decides its issue order and every result
+/// downstream of it.
 class MshrFile {
  public:
   MshrFile(std::uint32_t entries, std::uint32_t max_targets);
@@ -66,6 +74,8 @@ class MshrFile {
   /// subsequent coalescing allocates.
   void release_into(std::uint32_t idx, std::vector<MshrTarget>& out);
 
+  /// Entry access. Callers may update `issued` and `fill_id`; the block,
+  /// validity and targets belong to the file (the index keys on them).
   [[nodiscard]] MshrEntry& entry(std::uint32_t idx);
   [[nodiscard]] const MshrEntry& entry(std::uint32_t idx) const;
 
@@ -82,15 +92,60 @@ class MshrFile {
   /// Backs the memory-parallelism-partition feature (per-core MSHR quotas).
   [[nodiscard]] std::uint32_t in_use_by(CoreId core) const;
 
-  /// Indices of valid entries (for iteration by the cache). Allocates the
-  /// returned vector — test/diagnostic use only; hot paths iterate
-  /// [0, capacity) and check entry(i).valid instead.
+  /// The lowest valid entry index >= `from`, or capacity() when there is
+  /// none: `for (i = next_valid(0); i < capacity(); i = next_valid(i + 1))`
+  /// visits the valid entries in index order.
+  [[nodiscard]] std::uint32_t next_valid(std::uint32_t from) const;
+
+  /// Indices of valid entries. Allocates the returned vector —
+  /// test/diagnostic use only; hot paths iterate with next_valid().
   [[nodiscard]] std::vector<std::uint32_t> valid_entries() const;
 
  private:
+  static constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
+  struct IndexSlot {
+    Addr block = 0;
+    std::uint32_t entry = kEmptySlot;
+  };
+
+  [[nodiscard]] std::size_t home_slot(Addr block_addr) const {
+    // Fibonacci hashing: block addresses share their low (offset) bits; the
+    // multiply spreads the rest into the top bits the shift keeps.
+    return static_cast<std::size_t>((block_addr * 0x9e3779b97f4a7c15ULL) >>
+                                    index_shift_);
+  }
+
   std::vector<MshrEntry> entries_;
+  std::vector<std::uint64_t> free_mask_;  // bit i set = entry i free
+  std::vector<IndexSlot> index_;  // power-of-two size >= 2 * entries
+  std::uint32_t index_shift_;     // 64 - log2(index_.size())
   std::uint32_t max_targets_;
   std::uint32_t free_;
 };
+
+// The two lookups on the cache's per-cycle path, inline.
+
+inline std::optional<std::uint32_t> MshrFile::find(Addr block_addr) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t s = home_slot(block_addr);; s = (s + 1) & mask) {
+    const IndexSlot& slot = index_[s];
+    if (slot.entry == kEmptySlot) return std::nullopt;
+    if (slot.block == block_addr) return slot.entry;
+  }
+}
+
+inline std::uint32_t MshrFile::next_valid(std::uint32_t from) const {
+  const std::uint32_t cap = capacity();
+  if (from >= cap) return cap;
+  std::size_t w = from / 64;
+  std::uint64_t valid = ~free_mask_[w] & (~std::uint64_t{0} << (from % 64));
+  while (valid == 0) {
+    if (++w == free_mask_.size()) return cap;
+    valid = ~free_mask_[w];
+  }
+  const auto i = static_cast<std::uint32_t>(
+      w * 64 + static_cast<std::size_t>(std::countr_zero(valid)));
+  return i < cap ? i : cap;  // bits past the last entry are never free
+}
 
 }  // namespace lpm::mem

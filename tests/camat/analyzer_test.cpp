@@ -124,6 +124,29 @@ TEST(Analyzer, ResetCountersClearsEverything) {
   EXPECT_EQ(a.hit_phases(), 0u);
 }
 
+TEST(Analyzer, ResetDuringOutstandingMissCountsOnlyLaterPureCycles) {
+  Analyzer a;
+  // Miss 1 sees pure cycles only before the reset; miss 2 also after it.
+  a.on_access(1, 0, false);
+  a.on_access(2, 0, false);
+  a.on_cycle_activity(0, 2);
+  a.on_miss(1, 1);
+  a.on_miss(2, 1);
+  a.on_cycle_activity(1, 0);  // pure
+  a.on_cycle_activity(2, 0);  // pure
+  a.reset_counters();
+  a.on_access(3, 3, false);
+  a.on_cycle_activity(3, 1);  // hit activity hides both misses
+  a.on_miss_done(1, 4);
+  EXPECT_EQ(a.metrics().pure_misses, 0u);
+  a.on_hit(3, 4);
+  a.on_cycle_activity(4, 0);  // pure, miss 2 only
+  a.on_miss_done(2, 5);
+  EXPECT_EQ(a.metrics().pure_misses, 1u);
+  EXPECT_EQ(a.metrics().pure_miss_cycles, 1u);
+  EXPECT_EQ(a.outstanding_misses(), 0u);
+}
+
 TEST(Analyzer, CamatNeverExceedsAmatWithConcurrency) {
   // With any hit/miss overlap, C-AMAT <= AMAT (equality when serial).
   Analyzer a;

@@ -71,6 +71,33 @@ TEST(DiffOracle, WideCoresAgree) {
   }
 }
 
+TEST(DiffOracle, MemoryContentionCasesAgree) {
+  // The seeded sweep draws block-sized cache interleave, 64-byte DRAM
+  // interleave, at most 8 DRAM banks and 2 issues per cycle. These cases
+  // reach the DRAM scheduler's event gating (up to 64 banks, 256 queue
+  // entries, 8 issues per cycle, starvation caps down to 8 cycles), the
+  // shift-based cache and DRAM decodes, and MSHR files of 1-64 entries
+  // under prefetch degrees up to 8, on 1-4 cores. RefSystem's RefDram and
+  // RefCache re-derive all of it with divisions and linear scans.
+  FuzzConfig cfg;
+  cfg.trace_len = 1000;
+  Fuzzer fuzzer(cfg);
+  std::uint64_t dram_reads = 0;
+  std::uint64_t row_conflicts = 0;
+  for (std::uint64_t seed = 7000; seed < 7040; ++seed) {
+    const ReplayCase c = fuzzer.generate_memory_contention(seed);
+    const sim::SystemResult opt = run_optimized(c);
+    const std::string d = describe_divergence(opt, run_reference(c));
+    EXPECT_TRUE(d.empty()) << "seed " << seed << ": " << d;
+    EXPECT_TRUE(opt.completed) << "seed " << seed;
+    dram_reads += opt.dram_stats.reads;
+    row_conflicts += opt.dram_stats.row_conflicts;
+  }
+  // The cases really contend for DRAM rather than hitting in the caches.
+  EXPECT_GT(dram_reads, 40u * 1000u) << dram_reads;
+  EXPECT_GT(row_conflicts, 0u) << row_conflicts;
+}
+
 TEST(DiffOracle, GenerateIsDeterministic) {
   Fuzzer a;
   Fuzzer b;

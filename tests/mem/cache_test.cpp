@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -294,6 +295,76 @@ TEST(Cache, MissRateComputation) {
   ASSERT_TRUE(h.cache.try_access(h.read(4, 0x1000)));
   h.run_until_idle();
   EXPECT_DOUBLE_EQ(h.cache.stats().miss_rate(), 0.5);
+}
+
+/// A lower level that records every fill attempt, rejects blocks while
+/// they are listed in `refuse`, and answers accepted fills on demand.
+class ScriptedLevel final : public MemoryLevel {
+ public:
+  bool try_access(const MemRequest& req) override {
+    attempts.push_back(req.addr);
+    if (std::find(refuse.begin(), refuse.end(), req.addr) != refuse.end()) {
+      return false;
+    }
+    accepted.push_back(req);
+    return true;
+  }
+  void tick(Cycle) override {}
+  void finalize(Cycle) override {}
+  [[nodiscard]] bool busy() const override { return !accepted.empty(); }
+  void answer(Addr block, Cycle now) {
+    const auto it = std::find_if(accepted.begin(), accepted.end(),
+                                 [&](const MemRequest& r) { return r.addr == block; });
+    ASSERT_NE(it, accepted.end());
+    const MemRequest req = *it;
+    accepted.erase(it);
+    req.reply_to->on_response(MemResponse{req.id, req.core, req.addr, now});
+  }
+  std::vector<Addr> refuse;
+  std::vector<Addr> attempts;
+  std::vector<MemRequest> accepted;
+};
+
+TEST(Cache, PendingFillsIssueInMshrIndexOrder) {
+  // Fills go downstream in MSHR-index order, and a freed entry is reused
+  // lowest index first, so a young miss in a low entry overtakes older
+  // misses the level below refused.
+  CacheConfig cfg = small_cache();
+  cfg.hit_latency = 1;
+  cfg.ports = 4;
+  cfg.mshr_entries = 4;
+  ScriptedLevel below;
+  Cache cache(cfg, &below);
+  TestSink sink;
+  auto read = [&sink](RequestId id, Addr addr) {
+    MemRequest r;
+    r.id = id;
+    r.core = 0;
+    r.addr = addr;
+    r.reply_to = &sink;
+    return r;
+  };
+  const Addr a = 0x000, b = 0x040, c = 0x080, d = 0x0c0, e = 0x100;
+  below.refuse = {b, c};
+
+  cache.tick(0);
+  for (const auto& [id, addr] : {std::pair{1, a}, {2, b}, {3, c}, {4, d}}) {
+    ASSERT_TRUE(cache.try_access(read(id, addr)));
+  }
+  cache.tick(1);  // four misses take entries 0..3; b and c are refused
+  EXPECT_EQ(below.attempts, (std::vector<Addr>{a, b, c, d}));
+
+  below.answer(a, 1);
+  below.attempts.clear();
+  cache.tick(2);  // a installs and frees entry 0; b and c retry, in order
+  EXPECT_EQ(below.attempts, (std::vector<Addr>{b, c}));
+  ASSERT_TRUE(cache.try_access(read(5, e)));
+
+  below.refuse.clear();
+  below.attempts.clear();
+  cache.tick(3);  // e misses into entry 0 and goes first
+  EXPECT_EQ(below.attempts, (std::vector<Addr>{e, b, c}));
+  EXPECT_TRUE(sink.got(1));
 }
 
 TEST(Cache, BusyReflectsInFlightWork) {

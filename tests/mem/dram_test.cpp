@@ -183,5 +183,60 @@ TEST(Dram, ReadLatencyStatAccumulates) {
   EXPECT_GE(h.dram.stats().total_read_latency, 29u);
 }
 
+DramConfig four_bank_dram(std::uint32_t max_issue) {
+  DramConfig cfg = small_dram();
+  cfg.banks = 4;
+  cfg.queue_capacity = 16;
+  cfg.max_issue_per_cycle = max_issue;
+  return cfg;
+}
+
+TEST(Dram, ArrivalForIdleBankIssuesAtOnceWhileOtherBanksAreBusy) {
+  // Banks 0-2 are busy and each has a conflicting request waiting, so the
+  // scheduler's next event is a bank freeing. An arrival for idle bank 3
+  // must still issue on the next tick, not when the busy banks free.
+  for (const std::uint32_t max_issue : {1u, 8u}) {
+    Harness h(four_bank_dram(max_issue));
+    const Addr stripe = 1024 * 4;  // row_bytes * banks: next row, same bank
+    for (RequestId b = 0; b < 3; ++b) {
+      ASSERT_TRUE(h.dram.try_access(h.read(1 + b, 64 * b)));
+      ASSERT_TRUE(h.dram.try_access(h.read(10 + b, stripe + 64 * b)));
+    }
+    while (h.now < 8) h.tick();  // first commands issued by cycle 2
+    ASSERT_TRUE(h.dram.try_access(h.read(20, 64 * 3)));
+    const Cycle arrival_tick = h.now;
+    h.run_until_idle();
+    ASSERT_TRUE(h.sink.got(20));
+    // Closed row: tRCD + tCL + tBURST + frontend = 29 after its issue.
+    EXPECT_EQ(h.sink.by_id[20].completed, arrival_tick + 29) << max_issue;
+    EXPECT_EQ(h.dram.stats().reads, 7u);
+  }
+}
+
+TEST(Dram, StarvedRequestGoesFirstOnceItsBankFrees) {
+  // A row conflict crosses the starvation threshold while its bank is
+  // busy; that crossing is not a scheduler event, yet when the bank frees
+  // the starved conflict must beat the younger row hits queued behind it.
+  for (const std::uint32_t max_issue : {1u, 8u}) {
+    DramConfig cfg = four_bank_dram(max_issue);
+    cfg.starvation_threshold = 20;
+    Harness h(cfg);
+    ASSERT_TRUE(h.dram.try_access(h.read(1, 0)));         // opens row 0
+    ASSERT_TRUE(h.dram.try_access(h.read(2, 1024 * 4)));  // row 1, same bank
+    h.tick();  // cycle 0: request 1 issues; bank 0 busy until 24
+    while (h.now < 10) h.tick();
+    for (RequestId id = 3; id < 9; ++id) {  // row-0 hits, younger than 20
+      ASSERT_TRUE(h.dram.try_access(h.read(id, 256 * (id - 2))));
+    }
+    h.run_until_idle();
+    ASSERT_TRUE(h.sink.got(2));
+    // Issued at 24 as a row conflict: tRP + tRCD + tCL + tBURST + frontend.
+    EXPECT_EQ(h.sink.by_id[2].completed, 24u + 39u) << max_issue;
+    for (RequestId id = 3; id < 9; ++id) {
+      EXPECT_GT(h.sink.by_id[id].completed, h.sink.by_id[2].completed) << id;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lpm::mem

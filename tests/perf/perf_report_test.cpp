@@ -15,6 +15,7 @@ PerfOptions tiny_options() {
   PerfOptions opts;
   opts.length = 2000;
   opts.sim_configs = 1;
+  opts.membound_length = 2000;
   opts.engine_jobs = 2;
   opts.engine_submitters = 1;
   opts.engine_threads = 1;
@@ -32,7 +33,9 @@ TEST(PerfReport, EmitsRequiredSchema) {
   for (const char* key :
        {"cycles", "instructions", "jobs", "analytic_configs",
         "wall_seconds_simulate", "wall_seconds_engine", "wall_seconds_analytic",
-        "sim_cycles_per_sec", "instructions_per_sec", "engine_jobs_per_sec",
+        "sim_cycles_per_sec", "instructions_per_sec", "membound_cycles",
+        "membound_instructions", "wall_seconds_membound",
+        "sim_membound_cycles_per_sec", "engine_jobs_per_sec",
         "analytic_configs_per_sec", "trace_ops", "wall_seconds_trace_cold",
         "wall_seconds_trace_warm", "trace_cold_ops_per_sec",
         "trace_warm_ops_per_sec"}) {
@@ -50,6 +53,11 @@ TEST(PerfReport, EmitsRequiredSchema) {
   EXPECT_GT(report.instructions_per_sec, 0.0);
   EXPECT_GT(report.engine_jobs_per_sec, 0.0);
   EXPECT_GT(report.analytic_configs_per_sec, 0.0);
+  // The memory-bound phase ran four confirms, each stalled on data: fewer
+  // committed instructions than simulated cycles.
+  EXPECT_EQ(report.membound_instructions, 4u * 2000u);
+  EXPECT_GT(report.membound_cycles, report.membound_instructions);
+  EXPECT_GT(report.sim_membound_cycles_per_sec, 0.0);
   // The ingestion phase drained the recorded trace, both passes.
   EXPECT_EQ(report.trace_ops, 5000u);
   EXPECT_GT(report.trace_cold_ops_per_sec, 0.0);
@@ -67,6 +75,10 @@ TEST(PerfReport, JsonRoundTrips) {
   r.sim_cycles_per_sec = 82.0;
   r.instructions_per_sec = 304.0;
   r.engine_jobs_per_sec = 2.8;
+  r.membound_cycles = 999;
+  r.membound_instructions = 333;
+  r.wall_seconds_membound = 0.75;
+  r.sim_membound_cycles_per_sec = 1332.0;
   r.analytic_configs = 64;
   r.wall_seconds_analytic = 0.125;
   r.analytic_configs_per_sec = 512.0;
@@ -85,6 +97,11 @@ TEST(PerfReport, JsonRoundTrips) {
   EXPECT_DOUBLE_EQ(back.sim_cycles_per_sec, r.sim_cycles_per_sec);
   EXPECT_DOUBLE_EQ(back.instructions_per_sec, r.instructions_per_sec);
   EXPECT_DOUBLE_EQ(back.engine_jobs_per_sec, r.engine_jobs_per_sec);
+  EXPECT_EQ(back.membound_cycles, r.membound_cycles);
+  EXPECT_EQ(back.membound_instructions, r.membound_instructions);
+  EXPECT_DOUBLE_EQ(back.wall_seconds_membound, r.wall_seconds_membound);
+  EXPECT_DOUBLE_EQ(back.sim_membound_cycles_per_sec,
+                   r.sim_membound_cycles_per_sec);
   EXPECT_DOUBLE_EQ(back.analytic_configs_per_sec, r.analytic_configs_per_sec);
   EXPECT_EQ(back.trace_ops, r.trace_ops);
   EXPECT_DOUBLE_EQ(back.trace_cold_ops_per_sec, r.trace_cold_ops_per_sec);
@@ -106,11 +123,14 @@ TEST(PerfReport, LegacyReportsWithoutAnalyticKeysStillParse) {
   EXPECT_EQ(baseline.trace_ops, 0u);
   EXPECT_DOUBLE_EQ(baseline.trace_cold_ops_per_sec, 0.0);
   EXPECT_DOUBLE_EQ(baseline.trace_warm_ops_per_sec, 0.0);
+  EXPECT_EQ(baseline.membound_cycles, 0u);
+  EXPECT_DOUBLE_EQ(baseline.sim_membound_cycles_per_sec, 0.0);
 
   PerfReport current = baseline;
   current.analytic_configs_per_sec = 0.0;  // even "no analytic phase" passes
   current.trace_cold_ops_per_sec = 0.0;    // ...and "no ingestion phase"
   current.trace_warm_ops_per_sec = 0.0;
+  current.sim_membound_cycles_per_sec = 0.0;  // ...and "no memory-bound phase"
   EXPECT_TRUE(check_against_baseline(current, baseline, 0.30).ok);
 }
 
@@ -124,6 +144,7 @@ TEST(PerfBaseline, GateFailsOnlyBelowTolerance) {
   baseline.sim_cycles_per_sec = 1000.0;
   baseline.instructions_per_sec = 2000.0;
   baseline.engine_jobs_per_sec = 10.0;
+  baseline.sim_membound_cycles_per_sec = 800.0;
   baseline.analytic_configs_per_sec = 500.0;
   baseline.trace_cold_ops_per_sec = 100.0;
   baseline.trace_warm_ops_per_sec = 200.0;
@@ -147,6 +168,21 @@ TEST(PerfBaseline, GateFailsOnlyBelowTolerance) {
   }
   current.trace_cold_ops_per_sec = baseline.trace_cold_ops_per_sec;
   current.trace_warm_ops_per_sec = baseline.trace_warm_ops_per_sec;
+
+  // The memory-bound rate is gated like the others once the baseline has
+  // it: 69% of baseline fails, 71% passes.
+  current.sim_membound_cycles_per_sec = 552.0;
+  {
+    const BaselineCheck failed =
+        check_against_baseline(current, baseline, 0.30);
+    EXPECT_FALSE(failed.ok);
+    ASSERT_EQ(failed.failures.size(), 1u);
+    EXPECT_NE(failed.failures[0].find("sim_membound_cycles_per_sec"),
+              std::string::npos);
+  }
+  current.sim_membound_cycles_per_sec = 568.0;
+  EXPECT_TRUE(check_against_baseline(current, baseline, 0.30).ok);
+  current.sim_membound_cycles_per_sec = baseline.sim_membound_cycles_per_sec;
 
   // The analytic metric is gated like the others once the baseline has it.
   current.analytic_configs_per_sec = 340.0;  // 68% of baseline
@@ -183,7 +219,9 @@ TEST(PerfBaseline, CommittedBaselineParses) {
   EXPECT_GT(baseline.sim_cycles_per_sec, 0.0);
   EXPECT_GT(baseline.instructions_per_sec, 0.0);
   EXPECT_GT(baseline.engine_jobs_per_sec, 0.0);
-  // The committed baseline carries the analytic and ingestion gates.
+  // The committed baseline carries the memory-bound, analytic and
+  // ingestion gates.
+  EXPECT_GT(baseline.sim_membound_cycles_per_sec, 0.0);
   EXPECT_GT(baseline.analytic_configs_per_sec, 0.0);
   EXPECT_GT(baseline.trace_cold_ops_per_sec, 0.0);
   EXPECT_GT(baseline.trace_warm_ops_per_sec, 0.0);
