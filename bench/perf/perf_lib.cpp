@@ -195,11 +195,12 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
     report.jobs = executed.load();
   }
 
-  // Phase 3: analytic screening throughput. Distinct configurations through
-  // the "rdh" backend, with the workload's one-off reuse profile and
-  // CPIexe calibration warmed first — exactly the steady state of a
-  // multi-fidelity sweep, where both are paid once and every configuration
-  // afterwards is closed-form.
+  // Phase 3: analytic screening throughput. The same distinct
+  // configurations through the "rdh" backend on every SPEC-like profile —
+  // dense reuse histograms and sparse streaming ones — with each profile's
+  // one-off reuse profile and CPIexe calibration warmed first: exactly the
+  // steady state of a multi-fidelity sweep, where both are paid once and
+  // every configuration afterwards is closed-form.
   if (opts.analytic_configs >= 1) {
     model::register_analytic_executors();
     exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
@@ -208,18 +209,22 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
                                      .build());
 
     std::vector<exp::SimJob> jobs;
-    for (unsigned i = 0; i < opts.analytic_configs; ++i) {
-      sim::MachineConfig m = sim::MachineConfig::single_core_default();
-      m.l1.size_bytes = (4u * 1024u) << (i % 8);  // 4K .. 512K
-      m.l1.mshr_entries = 4u << (i / 8 % 4);      // 4, 8, 16, 32
-      m.l2.size_bytes <<= (i / 32 % 2);
-      exp::SimJob job =
-          exp::SimJob::solo(std::move(m), workload, /*calibrate=*/true,
-                            "perf-analytic");
-      job.backend = model::kRdhBackend;
-      jobs.push_back(std::move(job));
+    std::vector<exp::SimJob> warm;
+    for (const trace::SpecBenchmark b : trace::all_spec_benchmarks()) {
+      const trace::WorkloadProfile wl = trace::spec_profile(b, opts.length, 17);
+      for (unsigned i = 0; i < opts.analytic_configs; ++i) {
+        sim::MachineConfig m = sim::MachineConfig::single_core_default();
+        m.l1.size_bytes = (4u * 1024u) << (i % 8);  // 4K .. 512K
+        m.l1.mshr_entries = 4u << (i / 8 % 4);      // 4, 8, 16, 32
+        m.l2.size_bytes <<= (i / 32 % 2);
+        exp::SimJob job = exp::SimJob::solo(
+            std::move(m), wl, /*calibrate=*/true, "perf-analytic");
+        job.backend = model::kRdhBackend;
+        jobs.push_back(std::move(job));
+      }
+      warm.push_back(jobs.back());
     }
-    (void)engine.run(jobs.front());  // warm profile + calibration
+    (void)engine.run_batch(warm);  // warm profiles + calibrations
 
     const auto start = Clock::now();
     const auto results = engine.run_batch(jobs);

@@ -24,10 +24,11 @@
 //     mutex+condvar job queue (see DESIGN.md §7 and EXPERIMENTS.md
 //     "Performance tracking").
 //   * analytic_configs_per_sec — distinct machine configurations per second
-//     through the "rdh" analytic backend after its one-off profiling pass,
-//     i.e. the screening rate of a multi-fidelity sweep. The headline claim
-//     this gate protects: analytic screening stays orders of magnitude
-//     faster than cycle simulation.
+//     through the "rdh" analytic backend, over all 16 SPEC-like profiles,
+//     after each profile's one-off profiling pass, i.e. the screening rate
+//     of a multi-fidelity sweep. The headline claim this gate protects:
+//     analytic screening stays orders of magnitude faster than cycle
+//     simulation.
 //   * trace_cold_ops_per_sec / trace_warm_ops_per_sec — recorded-trace
 //     ingestion rate through the LPM2 reader (src/trace/lpm2.hpp): cold is
 //     a full drain after evicting the file from the page cache, warm a
@@ -74,7 +75,8 @@ struct PerfOptions {
   /// sweep must exercise a real pool (and real contention) even on a
   /// single-core CI runner.
   unsigned engine_threads = 0;
-  /// Distinct configurations in the analytic-screening phase.
+  /// Distinct configurations in the analytic-screening phase; each one
+  /// runs on every SPEC-like profile.
   unsigned analytic_configs = 64;
   /// Micro-ops in the trace-ingestion phase (0 disables the phase). When
   /// `trace_file` is empty the phase records this many ops of the bench
@@ -92,7 +94,7 @@ struct PerfReport {
   std::uint64_t membound_cycles = 0;  ///< simulated cycles, memory-bound phase
   std::uint64_t membound_instructions = 0;  ///< committed, same phase
   std::uint64_t jobs = 0;          ///< jobs executed, engine phase
-  std::uint64_t analytic_configs = 0;  ///< configs evaluated, analytic phase
+  std::uint64_t analytic_configs = 0;  ///< config x profile evaluations
   std::uint64_t trace_ops = 0;  ///< ops ingested per pass, trace phase
   double wall_seconds_simulate = 0.0;
   double wall_seconds_membound = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -65,19 +66,26 @@ class Fenwick {
   std::vector<std::uint32_t> tree_;
 };
 
+/// P[miss] at or above this counts as certain: from the first such
+/// distance on, rdh_misses adds the suffix tail instead of weighing
+/// buckets.
+constexpr double kMissSaturated = 1.0 - 1e-12;
+
 /// Miss probability of an access at stack distance d in an (S, A) cache,
-/// for every d up to kMaxTrackedDistance: P[Binom(d, 1/S) >= A], computed
-/// by the truncated pmf recursion. Cached per (S, A) — a design-space walk
-/// revisits few geometries.
+/// P[Binom(d, 1/S) >= A], computed by the truncated pmf recursion for
+/// every d below the first distance where it saturates (kMissSaturated),
+/// or up to kMaxTrackedDistance: the table's size is its saturation
+/// point. Cached per exact (S, A) pair — a design-space walk revisits few
+/// geometries.
 class MissProbTable {
  public:
   static std::shared_ptr<const std::vector<double>> get(std::uint64_t sets,
                                                         std::uint32_t assoc) {
     static std::mutex mutex;
-    static std::unordered_map<std::uint64_t,
-                              std::shared_ptr<const std::vector<double>>>
+    static std::map<std::pair<std::uint64_t, std::uint32_t>,
+                    std::shared_ptr<const std::vector<double>>>
         tables;
-    const std::uint64_t key = sets * 131ull + assoc;
+    const std::pair<std::uint64_t, std::uint32_t> key{sets, assoc};
     {
       const std::lock_guard<std::mutex> lock(mutex);
       if (const auto it = tables.find(key); it != tables.end()) {
@@ -92,7 +100,7 @@ class MissProbTable {
  private:
   static std::vector<double> build(std::uint64_t sets, std::uint32_t assoc) {
     const std::size_t n = ReuseProfile::kMaxTrackedDistance + 1;
-    std::vector<double> miss(n, 1.0);
+    std::vector<double> miss;
     const double q = 1.0 / static_cast<double>(sets);
     // pmf[k] = P[Binom(d, q) = k] for k < assoc; the mass escaping past
     // assoc-1 is exactly the miss probability.
@@ -100,12 +108,9 @@ class MissProbTable {
     pmf[0] = 1.0;
     double survive = 1.0;
     for (std::size_t d = 0; d < n; ++d) {
-      miss[d] = 1.0 - survive;
-      if (survive < 1e-12) {
-        std::fill(miss.begin() + static_cast<std::ptrdiff_t>(d), miss.end(),
-                  1.0);
-        break;
-      }
+      const double m = 1.0 - survive;
+      if (m >= kMissSaturated) break;
+      miss.push_back(m);
       for (std::size_t k = assoc; k-- > 0;) {
         const double from_below = k > 0 ? pmf[k - 1] * q : 0.0;
         pmf[k] = pmf[k] * (1.0 - q) + from_below;
@@ -113,6 +118,7 @@ class MissProbTable {
       survive = 0.0;
       for (const double v : pmf) survive += v;
     }
+    miss.shrink_to_fit();
     return miss;
   }
 };
@@ -262,6 +268,21 @@ ReuseProfile build_reuse_profile(const trace::WorkloadProfile& wl) {
     p.suffix_followers_covered[c] =
         suffix_of(p.followers_covered[c], overflow_followers_covered[c]);
   }
+  p.buckets.reserve(static_cast<std::size_t>(
+      std::count_if(p.hist.begin(), p.hist.end(),
+                    [](std::uint64_t h) { return h != 0; })));
+  for (std::size_t d = 0; d < end; ++d) {
+    if (p.hist[d] == 0) continue;
+    ReuseProfile::Bucket b;
+    b.distance = d;
+    b.hist = static_cast<double>(p.hist[d]);
+    b.covered = static_cast<double>(p.covered[d]);
+    for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
+      b.followers[c] = static_cast<double>(p.followers[c][d]);
+      b.followers_covered[c] = static_cast<double>(p.followers_covered[c][d]);
+    }
+    p.buckets.push_back(b);
+  }
   return p;
 }
 
@@ -333,53 +354,36 @@ MissEstimate rdh_misses(const ReuseProfile& p, std::uint64_t sets,
              prefetch_alpha *
                  (static_cast<double>(p.cold_covered) + foll_cold_cov);
 
-  auto followers_at = [&](std::size_t d, double& f, double& f_cov) {
-    for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
-      f += frac[cl] * static_cast<double>(p.followers[cl][d]);
-      f_cov += frac[cl] * static_cast<double>(p.followers_covered[cl][d]);
-    }
-  };
-  auto suffix_followers_at = [&](std::size_t d, double& f, double& f_cov) {
-    for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
-      f += frac[cl] * static_cast<double>(p.suffix_followers[cl][d]);
-      f_cov +=
-          frac[cl] * static_cast<double>(p.suffix_followers_covered[cl][d]);
-    }
-  };
-  auto add_tail = [&](std::size_t d) {
+  // The table ends where P[miss] saturates at 1: every leader from there
+  // on misses, so the rest is the suffix tail. Below that, only non-empty
+  // buckets add anything — an empty one has no leaders and no followers.
+  const std::size_t saturated = std::min(miss_prob.size(), p.distance_end);
+  for (const ReuseProfile::Bucket& b : p.buckets) {
+    if (b.distance >= saturated) break;
     double f = 0.0, f_cov = 0.0;
-    suffix_followers_at(d, f, f_cov);
-    e.fills += static_cast<double>(p.suffix[d]) -
-               prefetch_alpha * static_cast<double>(p.suffix_covered[d]);
-    e.demand +=
-        static_cast<double>(p.suffix[d]) + f -
-        prefetch_alpha * (static_cast<double>(p.suffix_covered[d]) + f_cov);
-  };
-  // Once P[miss] saturates at 1, the remaining tail is just the suffix sum.
-  // Buckets past the support are empty, so the loop stops there.
-  for (std::size_t d = 0; d < p.distance_end; ++d) {
-    const double pm = miss_prob[d];
-    if (pm >= 1.0 - 1e-12) {
-      add_tail(d);
-      e.fills = std::max(0.0, e.fills);
-      e.demand = std::max(0.0, e.demand);
-      return e;
+    for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
+      f += frac[cl] * b.followers[cl];
+      f_cov += frac[cl] * b.followers_covered[cl];
     }
-    double f = 0.0, f_cov = 0.0;
-    followers_at(d, f, f_cov);
-    if (p.hist[d] == 0 && f == 0.0) continue;
     // Below FA capacity the binomial (random-mapping) model overpredicts:
     // real address streams index sets far more uniformly than random, so
     // only a damped fraction of the predicted conflicts materialize.
-    const double pm_eff =
-        d < capacity ? kConflictDamp * pm : pm;
-    e.fills += pm_eff * (static_cast<double>(p.hist[d]) -
-                         prefetch_alpha * static_cast<double>(p.covered[d]));
-    e.demand +=
-        pm_eff * (static_cast<double>(p.hist[d]) + f -
-                  prefetch_alpha * (static_cast<double>(p.covered[d]) + f_cov));
+    const double pm = miss_prob[b.distance];
+    const double pm_eff = b.distance < capacity ? kConflictDamp * pm : pm;
+    e.fills += pm_eff * (b.hist - prefetch_alpha * b.covered);
+    e.demand += pm_eff * (b.hist + f - prefetch_alpha * (b.covered + f_cov));
   }
-  add_tail(p.distance_end);
+  double f = 0.0, f_cov = 0.0;
+  for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
+    f += frac[cl] * static_cast<double>(p.suffix_followers[cl][saturated]);
+    f_cov += frac[cl] *
+             static_cast<double>(p.suffix_followers_covered[cl][saturated]);
+  }
+  e.fills += static_cast<double>(p.suffix[saturated]) -
+             prefetch_alpha * static_cast<double>(p.suffix_covered[saturated]);
+  e.demand += static_cast<double>(p.suffix[saturated]) + f -
+              prefetch_alpha *
+                  (static_cast<double>(p.suffix_covered[saturated]) + f_cov);
   e.fills = std::max(0.0, e.fills);
   e.demand = std::max(0.0, e.demand);
   return e;
@@ -405,8 +409,11 @@ std::shared_ptr<const ReuseProfile> ProfileCache::reuse(
     }
   }
   // Build outside the lock: profiles of different workloads build in
-  // parallel; a rare duplicate build of the same workload is benign (both
-  // results are identical and the map keeps the first).
+  // parallel. Duplicate builds of one workload are not rare: every worker
+  // that misses a cold profile builds it, so lpmbench `screen` (4 workers,
+  // 16 workloads per sweep) counts about 56 builds per answer. They are
+  // identical and the map keeps the first; a single-flight miss belongs to
+  // the one memo of ROADMAP item 7.
   auto built = std::make_shared<const ReuseProfile>(build_reuse_profile(wl));
   obs::MetricsRegistry::global().counter("model.backend.profile_builds").inc();
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -6,9 +6,10 @@
 // pass and cached process-wide, so a design-space sweep pays the trace
 // replay once and every config evaluation afterwards is closed-form. The
 // profile stores only the histogram's support (distances below
-// `distance_end`, plus one tail slot), so its memory and the cost of one
-// evaluation scale with the distinct reuse distances the trace produced,
-// not with kMaxTrackedDistance:
+// `distance_end`, plus one tail slot), so its memory scales with the
+// distinct reuse distances the trace produced, not with
+// kMaxTrackedDistance, and an "rdh" evaluation visits only the non-empty
+// buckets:
 //
 //  * "fa"  — fully-associative stack-distance model (after Gysi et al.,
 //    arXiv 2001.01653): misses(C) = cold + #{accesses with stack distance
@@ -121,6 +122,21 @@ struct ReuseProfile {
   std::array<std::uint64_t, kNumBurstClasses> cold_followers{};
   std::array<std::uint64_t, kNumBurstClasses> cold_followers_covered{};
 
+  /// One non-empty histogram bucket with its counts as doubles (exact:
+  /// every count is below 2^53), packed so an evaluation reads it in one
+  /// contiguous record.
+  struct Bucket {
+    std::size_t distance = 0;
+    double hist = 0.0;
+    double covered = 0.0;
+    std::array<double, kNumBurstClasses> followers{};
+    std::array<double, kNumBurstClasses> followers_covered{};
+  };
+  /// Every d < distance_end with hist[d] != 0, ascending in d. Followers
+  /// only land in a bucket whose leader did, so every other bucket is
+  /// empty in all of the per-distance arrays.
+  std::vector<Bucket> buckets;
+
   /// Index of the suffix-array slot that holds distance `d`: every
   /// distance at or past the support shares the tail slot.
   [[nodiscard]] std::size_t tail(std::uint64_t d) const {
@@ -163,8 +179,8 @@ struct MissEstimate {
 
 /// Expected misses of a (sets, associativity) LRU cache under uniform
 /// set mapping (binomial correction); same prefetch/burst handling.
-/// O(p.distance_end): the distances past the support add nothing but the
-/// tail.
+/// O(p.buckets): it visits the non-empty buckets below the distance where
+/// P[miss] saturates, then adds the suffix tail from there.
 [[nodiscard]] MissEstimate rdh_misses(
     const ReuseProfile& p, std::uint64_t sets, std::uint32_t associativity,
     double prefetch_alpha,

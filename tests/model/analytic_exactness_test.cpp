@@ -1,13 +1,15 @@
 // The analytic miss models evaluate only the reuse histogram's support.
 //
 // A ReuseProfile keeps its per-distance arrays cut to `distance_end` (one
-// past the largest non-empty bucket) plus one suffix tail slot, and
-// rdh_misses / fa_misses loop over that support only. These tests pin that
-// the cut changes no answer: a full-range reference — the evaluation loop
-// over every distance in [0, kMaxTrackedDistance), reading zero past the
-// support and the tail slot at or beyond it — must agree with the library
-// to the last bit, across cache geometries, prefetch factors and coalescing
-// windows, on profiles whose support is short, capped, or empty.
+// past the largest non-empty bucket) plus one suffix tail slot, and a
+// packed list of its non-empty buckets. rdh_misses visits only those
+// buckets, up to the distance where P[miss] saturates, and fa_misses reads
+// one suffix slot. These tests pin that neither shortcut changes an
+// answer: a full-range reference — the evaluation loop over every distance
+// in [0, kMaxTrackedDistance), reading zero past the support and the tail
+// slot at or beyond it — must agree with the library to the last bit,
+// across cache geometries, prefetch factors and coalescing windows, on
+// profiles whose support is short, sparse, capped, or empty.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -205,7 +208,8 @@ trace::WorkloadProfile no_reuse() {
 }
 
 void expect_matches_full_range(const ReuseProfile& p, const char* name) {
-  for (const std::uint64_t sets : {1u, 2u, 64u, 128u, 1024u, 4096u}) {
+  for (const std::uint64_t sets :
+       {1u, 2u, 32u, 64u, 128u, 512u, 1024u, 4096u}) {
     for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
       for (const double alpha : {0.0, 0.3, 0.93}) {
         for (const double window : {1.0, 4.0, 16.0, 256.0}) {
@@ -233,16 +237,63 @@ void expect_matches_full_range(const ReuseProfile& p, const char* name) {
 }
 
 TEST(AnalyticSupport, SpecProfilesMatchTheFullRangeLoop) {
-  for (const auto b : {trace::SpecBenchmark::kGcc, trace::SpecBenchmark::kMcf,
-                       trace::SpecBenchmark::kBwaves,
-                       trace::SpecBenchmark::kHmmer,
-                       trace::SpecBenchmark::kLibquantum}) {
+  // Streaming profiles (milc, libquantum, leslie3d, zeusmp, soplex) leave
+  // most buckets below distance_end empty.
+  for (const auto b : trace::all_spec_benchmarks()) {
     const ReuseProfile p =
         build_reuse_profile(trace::spec_profile(b, 20000, 2026));
     ASSERT_GT(p.distance_end, 0u) << trace::spec_name(b);
     ASSERT_LT(p.distance_end, kMaxD) << trace::spec_name(b);
     expect_matches_full_range(p, trace::spec_name(b).c_str());
   }
+}
+
+TEST(AnalyticSupport, NonEmptyRecordsMatchTheDenseArrays) {
+  for (const auto b : trace::all_spec_benchmarks()) {
+    const ReuseProfile p =
+        build_reuse_profile(trace::spec_profile(b, 20000, 2026));
+    const std::string name = trace::spec_name(b);
+    std::size_t next = 0;
+    for (std::size_t d = 0; d < p.distance_end; ++d) {
+      if (p.hist[d] == 0) {
+        // Followers ride a leader's bucket, so an empty hist means an
+        // empty bucket: skipping it drops nothing.
+        for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
+          EXPECT_EQ(p.followers[c][d], 0u) << name << " d=" << d;
+          EXPECT_EQ(p.followers_covered[c][d], 0u) << name << " d=" << d;
+        }
+        continue;
+      }
+      ASSERT_LT(next, p.buckets.size()) << name << " d=" << d;
+      const ReuseProfile::Bucket& rec = p.buckets[next++];
+      ASSERT_EQ(rec.distance, d) << name;
+      EXPECT_EQ(rec.hist, static_cast<double>(p.hist[d])) << name << " d=" << d;
+      EXPECT_EQ(rec.covered, static_cast<double>(p.covered[d]))
+          << name << " d=" << d;
+      for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
+        EXPECT_EQ(rec.followers[c], static_cast<double>(p.followers[c][d]))
+            << name << " d=" << d << " class=" << c;
+        EXPECT_EQ(rec.followers_covered[c],
+                  static_cast<double>(p.followers_covered[c][d]))
+            << name << " d=" << d << " class=" << c;
+      }
+    }
+    EXPECT_EQ(next, p.buckets.size()) << name;
+  }
+}
+
+TEST(AnalyticSupport, MissTablesAreKeyedByTheExactGeometry) {
+  // (3 sets, 1 way) and (2 sets, 132 ways) once shared a cache slot, so
+  // whichever geometry ran first answered for both.
+  const ReuseProfile p = build_reuse_profile(
+      trace::spec_profile(trace::SpecBenchmark::kGcc, 20000, 2026));
+  const auto first = rdh_misses(p, 3, 1, 0.0, 16.0);
+  const auto first_ref = reference_rdh(p, 3, 1, 0.0, 16.0);
+  EXPECT_EQ(first.demand, first_ref.demand);
+  const auto second = rdh_misses(p, 2, 132, 0.0, 16.0);
+  const auto second_ref = reference_rdh(p, 2, 132, 0.0, 16.0);
+  EXPECT_EQ(second.demand, second_ref.demand);
+  EXPECT_EQ(second.fills, second_ref.fills);
 }
 
 TEST(AnalyticSupport, CappedSupportWithOverflowMatchesTheFullRangeLoop) {

@@ -48,7 +48,7 @@ TEST(PerfReport, EmitsRequiredSchema) {
   EXPECT_GT(report.cycles, 0u);
   EXPECT_GT(report.instructions, 0u);
   EXPECT_EQ(report.jobs, 2u);
-  EXPECT_EQ(report.analytic_configs, 4u);
+  EXPECT_EQ(report.analytic_configs, 4u * 16u);  // 4 configs x 16 profiles
   EXPECT_GT(report.sim_cycles_per_sec, 0.0);
   EXPECT_GT(report.instructions_per_sec, 0.0);
   EXPECT_GT(report.engine_jobs_per_sec, 0.0);
