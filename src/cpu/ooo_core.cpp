@@ -261,13 +261,17 @@ void OooCore::do_dispatch(Cycle /*now*/) {
       trace_done_ = true;
       break;
     }
-    RobEntry entry;
-    entry.op = trace_chunk_[chunk_pos_++];
-    entry.index = next_index_;
-    const std::size_t seq = rob_.push(entry);
-    util::require(seq == next_index_, "OooCore: ROB sequence drift");
-    const std::size_t slot = rob_.slot_of(seq);
-    RobEntry& e = rob_.at_slot(slot);
+    // Built in its ring slot. The ROB is only ever pushed here and popped
+    // at commit, so its tail sequence number is next_index_ by construction.
+    const std::size_t slot = rob_.slot_of(next_index_);
+    RobEntry& e = rob_.push_slot();
+    e.op = trace_chunk_[chunk_pos_++];
+    e.index = next_index_;
+    e.done_at = kNoCycle;
+    e.state = State::kDispatched;
+    e.pending = 0;
+    e.waiters = kNoWaiter;
+    e.next_waiter = {kNoWaiter, kNoWaiter};
     add_dependence(e, slot, 0, e.op.dep_dist);
     add_dependence(e, slot, 1, e.op.dep_dist2);
     if (e.pending == 0) set_ready(slot);

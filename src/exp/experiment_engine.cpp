@@ -404,10 +404,15 @@ SimJobResult ExperimentEngine::execute(const SimJob& job,
   }
   SimJobResult out;
   if (job.backend == kCycleBackend) {
+    // A one-workload job overlaps its trace synthesis with the run on a
+    // read-ahead helper thread; a co-run keeps generating inline, so a job
+    // adds at most one thread whatever its core count.
     std::vector<trace::TraceSourcePtr> traces;
     traces.reserve(job.workloads.size());
     for (const auto& wl : job.workloads) {
-      traces.push_back(trace::make_trace(wl));
+      traces.push_back(job.workloads.size() == 1
+                           ? trace::make_read_ahead_trace(wl)
+                           : trace::make_trace(wl));
     }
     sim::System system(job.machine, std::move(traces));
     out.run = system.run(guard);

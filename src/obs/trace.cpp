@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/flat_json.hpp"
 #include "util/log.hpp"
 
 namespace lpm::obs {
@@ -27,27 +28,13 @@ int trace_tid() {
   return tid;
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
+using util::json_escape;
 
 std::string format_args(const TraceArgs& args) {
   std::ostringstream os;
   os << '{';
   for (std::size_t i = 0; i < args.size(); ++i) {
-    os << (i == 0 ? "" : ",") << '"' << escape(args[i].first)
+    os << (i == 0 ? "" : ",") << '"' << json_escape(args[i].first)
        << "\":" << args[i].second;
   }
   os << '}';
@@ -85,7 +72,8 @@ void TraceSession::complete_event(const std::string& name,
                                   std::uint64_t start_us, std::uint64_t dur_us,
                                   const TraceArgs& args) {
   std::ostringstream os;
-  os << "{\"name\":\"" << escape(name) << "\",\"cat\":\"" << escape(cat)
+  os << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
+     << json_escape(cat)
      << "\",\"ph\":\"X\",\"ts\":" << start_us << ",\"dur\":" << dur_us
      << ",\"pid\":1,\"tid\":" << trace_tid()
      << ",\"args\":" << format_args(args) << '}';
@@ -95,7 +83,7 @@ void TraceSession::complete_event(const std::string& name,
 void TraceSession::counter_event(const std::string& name, std::uint64_t ts_us,
                                  const TraceArgs& values) {
   std::ostringstream os;
-  os << "{\"name\":\"" << escape(name)
+  os << "{\"name\":\"" << json_escape(name)
      << "\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":" << ts_us
      << ",\"pid\":1,\"tid\":0,\"args\":" << format_args(values) << '}';
   emit(os.str());
@@ -105,7 +93,8 @@ void TraceSession::instant_event(const std::string& name,
                                  const std::string& cat, std::uint64_t ts_us,
                                  const TraceArgs& args) {
   std::ostringstream os;
-  os << "{\"name\":\"" << escape(name) << "\",\"cat\":\"" << escape(cat)
+  os << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
+     << json_escape(cat)
      << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ts_us
      << ",\"pid\":1,\"tid\":" << trace_tid()
      << ",\"args\":" << format_args(args) << '}';

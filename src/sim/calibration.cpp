@@ -64,7 +64,8 @@ class CalibrationCache {
       lock.unlock();
       CpiExeResult result;
       try {
-        const trace::TraceSourcePtr trace = trace::make_trace(workload);
+        const trace::TraceSourcePtr trace =
+            trace::make_read_ahead_trace(workload);
         result = measure_cpi_exe(cfg, *trace, guard);
       } catch (...) {
         lock.lock();

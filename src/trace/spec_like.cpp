@@ -1,6 +1,7 @@
 #include "trace/spec_like.hpp"
 
 #include "trace/lpm2.hpp"
+#include "trace/read_ahead.hpp"
 #include "util/error.hpp"
 
 namespace lpm::trace {
@@ -198,6 +199,12 @@ TraceSourcePtr make_trace(const WorkloadProfile& profile) {
     return reader;
   }
   return std::make_unique<SyntheticTrace>(profile);
+}
+
+TraceSourcePtr make_read_ahead_trace(const WorkloadProfile& profile) {
+  TraceSourcePtr trace = make_trace(profile);
+  if (profile.file_backed()) return trace;
+  return std::make_unique<ReadAhead>(std::move(trace));
 }
 
 }  // namespace lpm::trace

@@ -54,4 +54,10 @@ enum class SpecBenchmark {
 /// Convenience: builds the trace for a profile.
 [[nodiscard]] TraceSourcePtr make_trace(const WorkloadProfile& profile);
 
+/// make_trace for a run whose one core is the stream's only consumer: a
+/// synthetic stream is generated on a ReadAhead helper thread, overlapping
+/// the simulation; a file-backed profile is read inline.
+[[nodiscard]] TraceSourcePtr make_read_ahead_trace(
+    const WorkloadProfile& profile);
+
 }  // namespace lpm::trace

@@ -38,6 +38,17 @@ class RingBuffer {
     return seq;
   }
 
+  /// Appends one element at the tail and returns its slot for the caller to
+  /// build in place, saving push()'s copy of a temporary. The slot still
+  /// holds whatever element last lived there, so the caller overwrites every
+  /// field. Its sequence number is head_seq() + size() - 1.
+  T& push_slot() {
+    require(!full(), "RingBuffer::push_slot on full buffer");
+    T& slot = slots_[(head_seq_ + size_) & mask_];
+    ++size_;
+    return slot;
+  }
+
   /// Appends up to `n` elements copied from `src`, bounded by free space;
   /// returns how many were appended. Batch counterpart of push() for
   /// producers that generate in chunks (e.g. TraceSource::fill).

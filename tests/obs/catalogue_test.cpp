@@ -115,7 +115,7 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
       "exp.jobs.failed", "exp.jobs.retries", "exp.jobs.timeouts",
       "exp.jobs.faults_injected", "exp.jobs.journal_skips",
       "sim.runs", "sim.cycles", "sim.instructions", "sim.calibrations",
-      "sim.calibration_cache_hits",
+      "sim.calibration_cache_hits", "trace.readahead.waits",
       "sim.cache.accesses.l1", "sim.cache.hits.l1", "sim.cache.misses.l1",
       "sim.cache.accesses.l2", "sim.cache.hits.l2", "sim.cache.misses.l2",
       "sim.cache.accesses.l2p", "sim.cache.hits.l2p", "sim.cache.misses.l2p",

@@ -142,8 +142,9 @@ TEST(TraceSession, EscapesSpecialCharactersInNames) {
   }
   const std::string body = slurp(path);
   EXPECT_TRUE(json_structure_ok(body)) << body;
-  // Quotes/backslashes gain escapes; control chars flatten to spaces.
-  EXPECT_NE(body.find("quote\\\"back\\\\slash newline"), std::string::npos);
+  // Names go through util::json_escape: quotes and backslashes gain
+  // escapes, and the newline survives as \n instead of being flattened.
+  EXPECT_NE(body.find("quote\\\"back\\\\slash\\nnewline"), std::string::npos);
   std::filesystem::remove(path);
 }
 

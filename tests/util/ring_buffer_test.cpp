@@ -35,6 +35,21 @@ TEST(RingBuffer, PopEmptyThrows) {
   EXPECT_THROW(rb.front(), LpmError);
 }
 
+TEST(RingBuffer, PushSlotAppendsInPlaceAtTheTailSequence) {
+  RingBuffer<int> rb(2);
+  rb.push_slot() = 7;
+  EXPECT_EQ(rb.at_seq(0), 7);
+  rb.pop();
+  // The next slot is addressed by sequence head_seq() + size() - 1.
+  int& slot = rb.push_slot();
+  slot = 8;
+  EXPECT_EQ(rb.at_seq(rb.head_seq() + rb.size() - 1), 8);
+  rb.push_slot() = 9;
+  EXPECT_TRUE(rb.full());
+  EXPECT_THROW(rb.push_slot(), LpmError);
+  EXPECT_EQ(rb.front(), 8);
+}
+
 TEST(RingBuffer, SequenceNumbersStableAcrossWrap) {
   RingBuffer<int> rb(3);
   const auto s0 = rb.push(10);
