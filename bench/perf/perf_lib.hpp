@@ -26,7 +26,8 @@
 //   * analytic_configs_per_sec — distinct machine configurations per second
 //     through the "rdh" analytic backend, over all 16 SPEC-like profiles,
 //     after each profile's one-off profiling pass, i.e. the screening rate
-//     of a multi-fidelity sweep. The headline claim this gate protects:
+//     of a multi-fidelity sweep. The batch is timed three times and the
+//     median counts. The headline claim this gate protects:
 //     analytic screening stays orders of magnitude faster than cycle
 //     simulation.
 //   * trace_cold_ops_per_sec / trace_warm_ops_per_sec — recorded-trace

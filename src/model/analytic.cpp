@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -277,19 +278,19 @@ ReuseProfile build_reuse_profile(const trace::WorkloadProfile& wl) {
     b.distance = d;
     b.hist = static_cast<double>(p.hist[d]);
     b.covered = static_cast<double>(p.covered[d]);
+    std::uint64_t cum = 0;
+    std::uint64_t cum_covered = 0;
     for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
-      b.followers[c] = static_cast<double>(p.followers[c][d]);
-      b.followers_covered[c] = static_cast<double>(p.followers_covered[c][d]);
+      cum += p.followers[c][d];
+      cum_covered += p.followers_covered[c][d];
+      b.cum_followers[c] = static_cast<double>(cum);
+      b.cum_followers_covered[c] = static_cast<double>(cum_covered);
     }
     p.buckets.push_back(b);
   }
   return p;
 }
 
-namespace {
-
-/// Fraction of each follower gap class that falls inside a coalescing
-/// window of `w` memory accesses (linear within the class bounds).
 std::array<double, ReuseProfile::kNumBurstClasses> burst_fractions(double w) {
   std::array<double, ReuseProfile::kNumBurstClasses> f{};
   for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
@@ -299,8 +300,6 @@ std::array<double, ReuseProfile::kNumBurstClasses> burst_fractions(double w) {
   }
   return f;
 }
-
-}  // namespace
 
 MissEstimate fa_misses(const ReuseProfile& p, std::uint64_t capacity_blocks,
                        double prefetch_alpha, double burst_window) {
@@ -325,6 +324,136 @@ MissEstimate fa_misses(const ReuseProfile& p, std::uint64_t capacity_blocks,
   return e;
 }
 
+namespace {
+
+constexpr bool burst_classes_contiguous() {
+  for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
+    const std::uint64_t below = c == 0 ? 0 : ReuseProfile::kBurstClassHi[c - 1];
+    if (ReuseProfile::kBurstClassLo[c] != below ||
+        ReuseProfile::kBurstClassLo[c] >= ReuseProfile::kBurstClassHi[c]) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(burst_classes_contiguous(),
+              "BurstWeight needs each gap class to start where the one "
+              "below it ends");
+
+/// burst_fractions(w) in the shape the bucket pass uses: 1 on every class
+/// below `k`, `frac` on class k, +0 above it.
+///
+/// The general weighted sum over a bucket's classes,
+///   ((((0 + f0*x0) + f1*x1) + f2*x2) + f3*x3),
+/// then equals cum[k-1] + frac * x[k] bit for bit: 1*x = x, and the sum of
+/// the first k terms is an integer below 2^53, so it is exact and equal to
+/// the stored cum[k-1]; x[k] = cum[k] - cum[k-1] is exact for the same
+/// reason; and every term above k is +0, which leaves a sum >= +0 as it
+/// is. No sum is reassociated.
+struct BurstWeight {
+  std::size_t k = 0;
+  double frac = 0.0;
+
+  explicit BurstWeight(
+      const std::array<double, ReuseProfile::kNumBurstClasses>& f) {
+    while (k + 1 < f.size() && f[k] == 1.0) ++k;
+    frac = f[k];
+    for (std::size_t c = 0; c < f.size(); ++c) {
+      util::require(c < k ? f[c] == 1.0 : c == k || f[c] == 0.0,
+                    "BurstWeight: burst fractions are not a 1..frac..0 step");
+    }
+  }
+
+  /// A bucket's followers inside the window, from its cumulative counts.
+  [[nodiscard]] double of(
+      const std::array<double, ReuseProfile::kNumBurstClasses>& cum) const {
+    const double below = k == 0 ? 0.0 : cum[k - 1];
+    return below + frac * (cum[k] - below);
+  }
+};
+
+/// An (S >= 2, A) cache's miss-probability table, resolved once per
+/// evaluation, with its FA capacity.
+struct RdhLevel {
+  std::shared_ptr<const std::vector<double>> miss_prob;
+  std::uint64_t capacity = 0;
+
+  RdhLevel(std::uint64_t sets, std::uint32_t associativity)
+      : miss_prob(MissProbTable::get(sets, associativity)),
+        capacity(sets * static_cast<std::uint64_t>(associativity)) {}
+
+  /// Below FA capacity the binomial (random-mapping) model overpredicts:
+  /// real address streams index sets far more uniformly than random, so
+  /// only a damped fraction of the predicted conflicts materialize.
+  [[nodiscard]] double effective(std::size_t distance) const {
+    const double pm = (*miss_prob)[distance];
+    return distance < capacity ? kConflictDamp * pm : pm;
+  }
+
+  /// The table ends where P[miss] saturates at 1: every leader from there
+  /// on misses, so the rest is the suffix tail. Below that, only non-empty
+  /// buckets add anything — an empty one has no leaders and no followers.
+  [[nodiscard]] std::size_t saturated(const ReuseProfile& p) const {
+    return std::min(miss_prob->size(), p.distance_end);
+  }
+};
+
+/// The `fills` pass of rdh_misses: burst leaders only, so it reads no
+/// follower count and no coalescing window.
+double rdh_fills(const ReuseProfile& p, const RdhLevel& level,
+                 double prefetch_alpha) {
+  double fills = static_cast<double>(p.cold) -
+                 prefetch_alpha * static_cast<double>(p.cold_covered);
+  const std::size_t saturated = level.saturated(p);
+  for (const ReuseProfile::Bucket& b : p.buckets) {
+    if (b.distance >= saturated) break;
+    fills += level.effective(b.distance) *
+             (b.hist - prefetch_alpha * b.covered);
+  }
+  fills += static_cast<double>(p.suffix[saturated]) -
+           prefetch_alpha * static_cast<double>(p.suffix_covered[saturated]);
+  return std::max(0.0, fills);
+}
+
+/// The `demand` pass of rdh_misses: every access of a missing burst inside
+/// the coalescing window.
+double rdh_demand(const ReuseProfile& p, const RdhLevel& level,
+                  double prefetch_alpha, double burst_window) {
+  const auto frac = burst_fractions(burst_window);
+  const BurstWeight weight(frac);
+  double foll_cold = 0.0;
+  double foll_cold_cov = 0.0;
+  for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
+    foll_cold += frac[cl] * static_cast<double>(p.cold_followers[cl]);
+    foll_cold_cov +=
+        frac[cl] * static_cast<double>(p.cold_followers_covered[cl]);
+  }
+  double demand = static_cast<double>(p.cold) + foll_cold -
+                  prefetch_alpha *
+                      (static_cast<double>(p.cold_covered) + foll_cold_cov);
+
+  const std::size_t saturated = level.saturated(p);
+  for (const ReuseProfile::Bucket& b : p.buckets) {
+    if (b.distance >= saturated) break;
+    const double f = weight.of(b.cum_followers);
+    const double f_cov = weight.of(b.cum_followers_covered);
+    demand += level.effective(b.distance) *
+              (b.hist + f - prefetch_alpha * (b.covered + f_cov));
+  }
+  double f = 0.0, f_cov = 0.0;
+  for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
+    f += frac[cl] * static_cast<double>(p.suffix_followers[cl][saturated]);
+    f_cov += frac[cl] *
+             static_cast<double>(p.suffix_followers_covered[cl][saturated]);
+  }
+  demand += static_cast<double>(p.suffix[saturated]) + f -
+            prefetch_alpha *
+                (static_cast<double>(p.suffix_covered[saturated]) + f_cov);
+  return std::max(0.0, demand);
+}
+
+}  // namespace
+
 MissEstimate rdh_misses(const ReuseProfile& p, std::uint64_t sets,
                         std::uint32_t associativity, double prefetch_alpha,
                         double burst_window) {
@@ -334,58 +463,10 @@ MissEstimate rdh_misses(const ReuseProfile& p, std::uint64_t sets,
     // Degenerate to the exact fully-associative answer.
     return fa_misses(p, associativity, prefetch_alpha, burst_window);
   }
-  const auto table = MissProbTable::get(sets, associativity);
-  const std::vector<double>& miss_prob = *table;
-  const auto frac = burst_fractions(burst_window);
-  const std::uint64_t capacity =
-      sets * static_cast<std::uint64_t>(associativity);
-
+  const RdhLevel level(sets, associativity);
   MissEstimate e;
-  double foll_cold = 0.0;
-  double foll_cold_cov = 0.0;
-  for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
-    foll_cold += frac[cl] * static_cast<double>(p.cold_followers[cl]);
-    foll_cold_cov +=
-        frac[cl] * static_cast<double>(p.cold_followers_covered[cl]);
-  }
-  e.fills = static_cast<double>(p.cold) -
-            prefetch_alpha * static_cast<double>(p.cold_covered);
-  e.demand = static_cast<double>(p.cold) + foll_cold -
-             prefetch_alpha *
-                 (static_cast<double>(p.cold_covered) + foll_cold_cov);
-
-  // The table ends where P[miss] saturates at 1: every leader from there
-  // on misses, so the rest is the suffix tail. Below that, only non-empty
-  // buckets add anything — an empty one has no leaders and no followers.
-  const std::size_t saturated = std::min(miss_prob.size(), p.distance_end);
-  for (const ReuseProfile::Bucket& b : p.buckets) {
-    if (b.distance >= saturated) break;
-    double f = 0.0, f_cov = 0.0;
-    for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
-      f += frac[cl] * b.followers[cl];
-      f_cov += frac[cl] * b.followers_covered[cl];
-    }
-    // Below FA capacity the binomial (random-mapping) model overpredicts:
-    // real address streams index sets far more uniformly than random, so
-    // only a damped fraction of the predicted conflicts materialize.
-    const double pm = miss_prob[b.distance];
-    const double pm_eff = b.distance < capacity ? kConflictDamp * pm : pm;
-    e.fills += pm_eff * (b.hist - prefetch_alpha * b.covered);
-    e.demand += pm_eff * (b.hist + f - prefetch_alpha * (b.covered + f_cov));
-  }
-  double f = 0.0, f_cov = 0.0;
-  for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
-    f += frac[cl] * static_cast<double>(p.suffix_followers[cl][saturated]);
-    f_cov += frac[cl] *
-             static_cast<double>(p.suffix_followers_covered[cl][saturated]);
-  }
-  e.fills += static_cast<double>(p.suffix[saturated]) -
-             prefetch_alpha * static_cast<double>(p.suffix_covered[saturated]);
-  e.demand += static_cast<double>(p.suffix[saturated]) + f -
-              prefetch_alpha *
-                  (static_cast<double>(p.suffix_covered[saturated]) + f_cov);
-  e.fills = std::max(0.0, e.fills);
-  e.demand = std::max(0.0, e.demand);
+  e.fills = rdh_fills(p, level, prefetch_alpha);
+  e.demand = rdh_demand(p, level, prefetch_alpha, burst_window);
   return e;
 }
 
@@ -402,9 +483,7 @@ std::shared_ptr<const ReuseProfile> ProfileCache::reuse(
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (const auto it = profiles_.find(key); it != profiles_.end()) {
-      obs::MetricsRegistry::global()
-          .counter("model.backend.profile_cache_hits")
-          .inc();
+      hits_counter_.inc();
       return it->second;
     }
   }
@@ -415,7 +494,7 @@ std::shared_ptr<const ReuseProfile> ProfileCache::reuse(
   // identical and the map keeps the first; a single-flight miss belongs to
   // the one memo of ROADMAP item 7.
   auto built = std::make_shared<const ReuseProfile>(build_reuse_profile(wl));
-  obs::MetricsRegistry::global().counter("model.backend.profile_builds").inc();
+  builds_counter_.inc();
   const std::lock_guard<std::mutex> lock(mutex_);
   ++profile_builds_;
   return profiles_.emplace(key, std::move(built)).first->second;
@@ -439,18 +518,45 @@ std::uint64_t ProfileCache::calibration_runs() const {
 
 namespace {
 
-/// Closed-form miss prediction for one cache level under one backend.
-MissEstimate level_misses(const std::string& backend, const ReuseProfile& p,
-                          const mem::CacheConfig& c, std::uint32_t share,
-                          double alpha, double burst_window) {
-  if (backend == kFaBackend) {
-    const std::uint64_t cap =
-        std::max<std::uint64_t>(1, c.size_bytes / c.block_bytes / share);
-    return fa_misses(p, cap, alpha, burst_window);
+/// Closed-form miss model for one cache level under one backend, resolved
+/// once per evaluation: an rdh level looks its miss-probability table up
+/// here, and the traffic pass and every fixed-point iteration reuse it.
+class LevelModel {
+ public:
+  LevelModel(const std::string& backend, const mem::CacheConfig& c,
+             std::uint32_t share) {
+    if (backend == kFaBackend) {
+      fa_blocks_ =
+          std::max<std::uint64_t>(1, c.size_bytes / c.block_bytes / share);
+      return;
+    }
+    const std::uint64_t sets = std::max<std::uint64_t>(1, c.num_sets() / share);
+    util::require(c.associativity >= 1, "rdh_misses: bad cache geometry");
+    if (sets == 1) {
+      // Degenerate to the exact fully-associative answer.
+      fa_blocks_ = c.associativity;
+    } else {
+      rdh_.emplace(sets, c.associativity);
+    }
   }
-  const std::uint64_t sets = std::max<std::uint64_t>(1, c.num_sets() / share);
-  return rdh_misses(p, sets, c.associativity, alpha, burst_window);
-}
+
+  /// Unique fills sent downstream; the coalescing window does not enter.
+  [[nodiscard]] double fills(const ReuseProfile& p, double alpha) const {
+    return rdh_ ? rdh_fills(p, *rdh_, alpha)
+                : fa_misses(p, fa_blocks_, alpha).fills;
+  }
+
+  /// Misses as the demand MR counts them, coalesced repeats included.
+  [[nodiscard]] double demand(const ReuseProfile& p, double alpha,
+                              double burst_window) const {
+    return rdh_ ? rdh_demand(p, *rdh_, alpha, burst_window)
+                : fa_misses(p, fa_blocks_, alpha, burst_window).demand;
+  }
+
+ private:
+  std::optional<RdhLevel> rdh_;
+  std::uint64_t fa_blocks_ = 0;
+};
 
 /// Synthesizes a counter block whose derived parameters reproduce the
 /// intended (H, CH, MR, purity, CM) and whose Eq. 2 / Eq. 3 identities
@@ -537,25 +643,23 @@ CoreChain evaluate_core(const exp::SimJob& job, const trace::WorkloadProfile& wl
   // prefetch-eliminated demand misses are still fetched from below. Below
   // L1 the burst is already coalesced: every level sees the unique fill
   // stream, so fills-based estimates drive both misses and traffic.
-  constexpr double kAnyWindow = ReuseProfile::kMaxBurstWindow;
+  const LevelModel l1(job.backend, mc.l1, 1);
   out.a1 = p.mem_ops;
-  const double m1_traffic =
-      level_misses(job.backend, p, mc.l1, 1, 0.0, kAnyWindow).fills;
+  const double m1_traffic = l1.fills(p, 0.0);
   double upstream_traffic = std::max(m1_traffic, 1.0);
   double upstream_misses = m1_traffic;
   if (mc.use_private_l2) {
     out.a2p = to_count(upstream_traffic);
-    const double m2p = std::min(
-        upstream_misses,
-        level_misses(job.backend, p, mc.private_l2, 1, 0.0, kAnyWindow).fills);
+    const double m2p =
+        std::min(upstream_misses,
+                 LevelModel(job.backend, mc.private_l2, 1).fills(p, 0.0));
     out.m2p = std::min<std::uint64_t>(out.a2p, to_count(m2p));
     upstream_traffic = std::max(m2p, 0.0);
     upstream_misses = m2p;
   }
   out.a2 = to_count(std::max(upstream_traffic, 0.0));
   const double m2 = std::min(
-      upstream_misses,
-      level_misses(job.backend, p, mc.l2, cores, 0.0, kAnyWindow).fills);
+      upstream_misses, LevelModel(job.backend, mc.l2, cores).fills(p, 0.0));
   out.m2 = std::min<std::uint64_t>(out.a2, to_count(m2));
   out.a3 = out.m2;
 
@@ -660,9 +764,8 @@ CoreChain evaluate_core(const exp::SimJob& job, const trace::WorkloadProfile& wl
       const double mshr_free = clampd(1.0 - mshr_util * mshr_util, 0.0, 1.0);
       alpha1 = kPrefetchAlpha * std::min(1.0, lead / fill_latency) * mshr_free;
     }
-    const MissEstimate m1_est =
-        level_misses(job.backend, p, mc.l1, 1, alpha1, burst_window);
-    out.m1 = std::min<std::uint64_t>(out.a1, to_count(m1_est.demand));
+    out.m1 = std::min<std::uint64_t>(
+        out.a1, to_count(l1.demand(p, alpha1, burst_window)));
     mr1 = static_cast<double>(out.m1) /
           std::max(1.0, static_cast<double>(out.a1));
 

@@ -47,6 +47,7 @@
 
 #include "exp/experiment_engine.hpp"
 #include "model/backend.hpp"
+#include "obs/metrics.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/system.hpp"
 #include "trace/workload_profile.hpp"
@@ -124,13 +125,15 @@ struct ReuseProfile {
 
   /// One non-empty histogram bucket with its counts as doubles (exact:
   /// every count is below 2^53), packed so an evaluation reads it in one
-  /// contiguous record.
+  /// contiguous record. The follower counts are cumulative in class
+  /// order: cum_followers[c] = followers[0][d] + ... + followers[c][d],
+  /// so class c alone is cum_followers[c] - cum_followers[c - 1], exactly.
   struct Bucket {
     std::size_t distance = 0;
     double hist = 0.0;
     double covered = 0.0;
-    std::array<double, kNumBurstClasses> followers{};
-    std::array<double, kNumBurstClasses> followers_covered{};
+    std::array<double, kNumBurstClasses> cum_followers{};
+    std::array<double, kNumBurstClasses> cum_followers_covered{};
   };
   /// Every d < distance_end with hist[d] != 0, ascending in d. Followers
   /// only land in a bucket whose leader did, so every other bucket is
@@ -156,6 +159,13 @@ struct ReuseProfile {
 /// the pass and cut to the support at its end.
 [[nodiscard]] ReuseProfile build_reuse_profile(const trace::WorkloadProfile& wl);
 
+/// Fraction of each follower gap class that falls inside a coalescing
+/// window of `w` memory accesses (linear within the class bounds). The
+/// classes are contiguous, so the result is 1 on a prefix of the classes,
+/// in [0, 1] on at most one class after it and +0 on every class above.
+[[nodiscard]] std::array<double, ReuseProfile::kNumBurstClasses>
+burst_fractions(double w);
+
 /// What a closed-form cache model predicts for one level.
 struct MissEstimate {
   /// Misses as the demand MR counts them: every access of a missing burst
@@ -180,7 +190,9 @@ struct MissEstimate {
 /// Expected misses of a (sets, associativity) LRU cache under uniform
 /// set mapping (binomial correction); same prefetch/burst handling.
 /// O(p.buckets): it visits the non-empty buckets below the distance where
-/// P[miss] saturates, then adds the suffix tail from there.
+/// P[miss] saturates, then adds the suffix tail from there. `fills` and
+/// `demand` come from two independent passes; an evaluation that needs
+/// only one of them runs only that pass.
 [[nodiscard]] MissEstimate rdh_misses(
     const ReuseProfile& p, std::uint64_t sets, std::uint32_t associativity,
     double prefetch_alpha,
@@ -210,6 +222,12 @@ class ProfileCache {
   std::unordered_map<std::uint64_t, std::shared_ptr<const ReuseProfile>>
       profiles_;
   std::uint64_t profile_builds_ = 0;
+  /// Resolved once: a lookup by name takes the registry's mutex.
+  obs::MetricsRegistry::Counter hits_counter_ =
+      obs::MetricsRegistry::global().counter(
+          "model.backend.profile_cache_hits");
+  obs::MetricsRegistry::Counter builds_counter_ =
+      obs::MetricsRegistry::global().counter("model.backend.profile_builds");
 };
 
 /// Evaluates one backend-tagged job ("rdh" or "fa") analytically and

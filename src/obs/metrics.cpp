@@ -95,6 +95,13 @@ struct TlsCacheMap {
   ~TlsCacheMap() {
     t_last = nullptr;
     t_caches_gone = true;
+    // Later writes on this thread take the teardown shard, so nothing
+    // writes through these shards again until a new thread takes them.
+    for (const auto& [serial, cache] : caches) {
+      if (cache.shard_index != kNoShard) {
+        MetricsRegistry::release_shard(serial, cache.shard_index);
+      }
+    }
   }
 };
 
@@ -111,14 +118,46 @@ TlsCache* tls_for(std::uint64_t serial) {
   return &c;
 }
 
+/// The registries alive now, by serial: an exiting thread hands a shard
+/// back only to a registry it finds here. Leaked, like global(), because
+/// threads still exit while static destructors run. Lock order: this
+/// mutex, then a registry's.
+struct LiveRegistries {
+  std::mutex mutex;
+  std::unordered_map<std::uint64_t, MetricsRegistry*> by_serial;
+};
+
+LiveRegistries& live_registries() {
+  static auto* live = new LiveRegistries;
+  return *live;
+}
+
 }  // namespace
 
 // --- registry -------------------------------------------------------------
 
 MetricsRegistry::MetricsRegistry()
-    : serial_(g_registry_serial.fetch_add(1, std::memory_order_relaxed) + 1) {}
+    : serial_(g_registry_serial.fetch_add(1, std::memory_order_relaxed) + 1) {
+  LiveRegistries& live = live_registries();
+  const std::lock_guard<std::mutex> lock(live.mutex);
+  live.by_serial.emplace(serial_, this);
+}
 
-MetricsRegistry::~MetricsRegistry() = default;
+MetricsRegistry::~MetricsRegistry() {
+  LiveRegistries& live = live_registries();
+  const std::lock_guard<std::mutex> lock(live.mutex);
+  live.by_serial.erase(serial_);
+}
+
+void MetricsRegistry::release_shard(std::uint64_t serial, std::size_t index) {
+  LiveRegistries& live = live_registries();
+  const std::lock_guard<std::mutex> live_lock(live.mutex);
+  const auto it = live.by_serial.find(serial);
+  if (it == live.by_serial.end()) return;
+  MetricsRegistry& reg = *it->second;
+  const std::lock_guard<std::mutex> lock(reg.mutex_);
+  reg.free_shards_.push_back(index);
+}
 
 MetricsRegistry::Counter MetricsRegistry::counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -161,7 +200,10 @@ std::vector<double> MetricsRegistry::concurrency_bounds() {
 }
 
 MetricsRegistry::Shard& MetricsRegistry::shard_locked(std::size_t& index) {
-  if (index == kNoShard) {
+  if (index == kNoShard && !free_shards_.empty()) {
+    index = free_shards_.back();
+    free_shards_.pop_back();
+  } else if (index == kNoShard) {
     index = shards_.size();
     shards_.push_back(std::make_unique<Shard>());
   }
@@ -236,6 +278,11 @@ void MetricsRegistry::Histogram::observe(double value) {
 std::size_t MetricsRegistry::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return counter_ids_.size() + gauge_ids_.size() + histogram_ids_.size();
+}
+
+std::size_t MetricsRegistry::shard_count() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return shards_.size();
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

@@ -6,7 +6,10 @@
 // Write path: each (thread, registry) pair owns a *shard* — a private block
 // of relaxed atomics, one slot per metric. An increment is a thread-local
 // cache lookup plus one relaxed fetch_add; no mutex is touched after the
-// first time a thread uses a metric. Read path (snapshot()) takes the
+// first time a thread uses a metric. When a thread exits, its shards go
+// back to their registries, and a later thread reuses them, so the shard
+// count follows the number of threads writing at once, not the number that
+// ever wrote. Read path (snapshot()) takes the
 // registry mutex, walks every shard, and sums the slots — merge-on-read,
 // so writers are never blocked by a reader and vice versa.
 //
@@ -150,6 +153,17 @@ class MetricsRegistry {
   /// Number of distinct metrics registered (counters + gauges + histograms).
   [[nodiscard]] std::size_t size() const;
 
+  /// Number of shards allocated: at most one per thread writing at once,
+  /// plus the teardown shard. A thread's shard goes to a free list when
+  /// the thread exits and the next new writer takes it over.
+  [[nodiscard]] std::size_t shard_count() const;
+
+  /// Implementation detail of the shard-per-thread write path, public only
+  /// so the thread-local cache can call it when its thread exits: puts
+  /// shard `index` on the free list of the registry with `serial`, if that
+  /// registry is still alive.
+  static void release_shard(std::uint64_t serial, std::size_t index);
+
   /// The process-wide registry used by all built-in instrumentation. Never
   /// destroyed (leaked on purpose so worker threads and static destructors
   /// can never observe a dead registry). First use arms the $LPM_METRICS
@@ -165,8 +179,8 @@ class MetricsRegistry {
   /// `id`, creating the thread's shard on first touch.
   std::atomic<std::uint64_t>* counter_slot(std::size_t id);
   HistogramShard* histogram_shard(std::size_t id);
-  /// The shard at `index`, appended first if `index` is unset. Caller
-  /// holds mutex_.
+  /// The shard at `index`; if `index` is unset, a freed shard or else a
+  /// new one is assigned to it first. Caller holds mutex_.
   Shard& shard_locked(std::size_t& index);
 
   /// Serial number distinguishing registry instances so a thread-local
@@ -176,6 +190,9 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Shards of exited threads. Their slots keep their counts (snapshots
+  /// sum every shard), and the next thread to take one adds onto them.
+  std::vector<std::size_t> free_shards_;
   /// Shared by every thread whose slot cache is already destroyed (writes
   /// from static and thread-exit destructors); its slots are atomics, so
   /// sharing costs only contention.

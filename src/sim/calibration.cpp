@@ -44,9 +44,7 @@ class CalibrationCache {
       Slot& slot = it->second;
       if (!inserted) {
         if (slot.done) {
-          obs::MetricsRegistry::global()
-              .counter("sim.calibration_cache_hits")
-              .inc();
+          hits_.inc();
           return slot.result;
         }
         // Another thread is calibrating this key: wait for it, but keep
@@ -97,6 +95,9 @@ class CalibrationCache {
   std::condition_variable cv_;
   std::unordered_map<std::uint64_t, Slot> slots_;
   std::uint64_t runs_ = 0;
+  /// Resolved once: a lookup by name takes the registry's mutex.
+  obs::MetricsRegistry::Counter hits_ =
+      obs::MetricsRegistry::global().counter("sim.calibration_cache_hits");
 };
 
 }  // namespace

@@ -16,11 +16,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "common/rdh_reference.hpp"
 #include "model/analytic.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/workload_profile.hpp"
@@ -28,67 +27,13 @@
 namespace lpm::model {
 namespace {
 
-constexpr std::size_t kMaxD = ReuseProfile::kMaxTrackedDistance;
+using test::at;
+using test::fractions;
+using test::kMaxD;
+using test::miss_prob;
+using test::suffix_at;
 
 // --- full-range reference ---------------------------------------------------
-
-/// P[Binom(d, 1/sets) >= assoc] for every d in [0, kMaxD]: the same
-/// truncated pmf recursion the library uses.
-std::vector<double> reference_miss_prob(std::uint64_t sets,
-                                        std::uint32_t assoc) {
-  std::vector<double> miss(kMaxD + 1, 1.0);
-  const double q = 1.0 / static_cast<double>(sets);
-  std::vector<double> pmf(assoc, 0.0);
-  pmf[0] = 1.0;
-  double survive = 1.0;
-  for (std::size_t d = 0; d <= kMaxD; ++d) {
-    miss[d] = 1.0 - survive;
-    if (survive < 1e-12) {
-      std::fill(miss.begin() + static_cast<std::ptrdiff_t>(d), miss.end(), 1.0);
-      break;
-    }
-    for (std::size_t k = assoc; k-- > 0;) {
-      const double from_below = k > 0 ? pmf[k - 1] * q : 0.0;
-      pmf[k] = pmf[k] * (1.0 - q) + from_below;
-    }
-    survive = 0.0;
-    for (const double v : pmf) survive += v;
-  }
-  return miss;
-}
-
-const std::vector<double>& miss_prob(std::uint64_t sets, std::uint32_t assoc) {
-  static std::map<std::pair<std::uint64_t, std::uint32_t>, std::vector<double>>
-      tables;
-  auto it = tables.find({sets, assoc});
-  if (it == tables.end()) {
-    it = tables.emplace(std::make_pair(sets, assoc),
-                        reference_miss_prob(sets, assoc))
-             .first;
-  }
-  return it->second;
-}
-
-/// Full-range views of a cut profile: zero past the support for the
-/// per-distance arrays, the tail slot for every suffix index at or past it.
-std::uint64_t at(const ReuseProfile& p, const std::vector<std::uint64_t>& v,
-                 std::size_t d) {
-  return d < p.distance_end ? v[d] : 0;
-}
-std::uint64_t suffix_at(const ReuseProfile& p,
-                        const std::vector<std::uint64_t>& s, std::size_t d) {
-  return s[d < p.distance_end ? d : p.distance_end];
-}
-
-std::array<double, ReuseProfile::kNumBurstClasses> fractions(double w) {
-  std::array<double, ReuseProfile::kNumBurstClasses> f{};
-  for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
-    const double lo = static_cast<double>(ReuseProfile::kBurstClassLo[c]);
-    const double hi = static_cast<double>(ReuseProfile::kBurstClassHi[c]);
-    f[c] = std::min(1.0, std::max(0.0, (w - lo) / (hi - lo)));
-  }
-  return f;
-}
 
 MissEstimate reference_fa(const ReuseProfile& p, std::uint64_t capacity,
                           double alpha, double window) {
@@ -270,11 +215,16 @@ TEST(AnalyticSupport, NonEmptyRecordsMatchTheDenseArrays) {
       EXPECT_EQ(rec.hist, static_cast<double>(p.hist[d])) << name << " d=" << d;
       EXPECT_EQ(rec.covered, static_cast<double>(p.covered[d]))
           << name << " d=" << d;
+      // Follower counts are cumulative in class order.
+      std::uint64_t cum = 0;
+      std::uint64_t cum_covered = 0;
       for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
-        EXPECT_EQ(rec.followers[c], static_cast<double>(p.followers[c][d]))
+        cum += p.followers[c][d];
+        cum_covered += p.followers_covered[c][d];
+        EXPECT_EQ(rec.cum_followers[c], static_cast<double>(cum))
             << name << " d=" << d << " class=" << c;
-        EXPECT_EQ(rec.followers_covered[c],
-                  static_cast<double>(p.followers_covered[c][d]))
+        EXPECT_EQ(rec.cum_followers_covered[c],
+                  static_cast<double>(cum_covered))
             << name << " d=" << d << " class=" << c;
       }
     }

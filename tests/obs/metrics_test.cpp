@@ -79,6 +79,36 @@ TEST(MetricsRegistry, ConcurrentIncrementsEqualSerialTotal) {
   EXPECT_EQ(bucket_total, hist.count);
 }
 
+TEST(MetricsRegistry, ExitedThreadsHandTheirShardsOn) {
+  // Engines start and join worker threads all the time; a shard per thread
+  // that ever wrote would grow without bound. The free list bounds the
+  // shard count by the writers alive at once, and a reused shard keeps
+  // its counts, so the total stays exact.
+  MetricsRegistry reg;
+  auto c = reg.counter("test.short_lived");
+  auto h = reg.histogram("test.short_lived_h", {1.0});
+  constexpr int kThreads = 2000;
+  constexpr int kConcurrent = 4;
+  for (int started = 0; started < kThreads; started += kConcurrent) {
+    std::vector<std::thread> batch;
+    batch.reserve(kConcurrent);
+    for (int t = 0; t < kConcurrent; ++t) {
+      batch.emplace_back([&] {
+        c.inc();
+        h.observe(0.5);
+      });
+    }
+    for (auto& th : batch) th.join();
+    ASSERT_LE(reg.shard_count(), static_cast<std::size_t>(kConcurrent) + 1)
+        << "after " << started + kConcurrent << " threads";
+  }
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("test.short_lived"),
+            static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(snap.histograms.at("test.short_lived_h").count,
+            static_cast<std::uint64_t>(kThreads));
+}
+
 TEST(MetricsRegistry, HistogramBucketEdgesAreUpperInclusive) {
   MetricsRegistry reg;
   auto h = reg.histogram("test.buckets", {1.0, 10.0, 100.0});
