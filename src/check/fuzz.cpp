@@ -610,10 +610,10 @@ FuzzSummary Fuzzer::run() {
       }
     }
     if (violation.empty() && opt.completed) {
-      // Analytic-backend properties on a deterministic workload pool. A
-      // ReuseProfile is sized to its trace's reuse support (a few KB at
-      // fuzz lengths), but model::ProfileCache never evicts, so cases
-      // share 8 cached workloads rather than profiling a fresh one each.
+      // Analytic-backend properties on a deterministic workload pool:
+      // cases share 8 workloads, so model::ProfileCache profiles each once
+      // and serves the other cases, rather than replaying a fresh trace
+      // per case.
       const trace::WorkloadProfile wl =
           random_workload(cfg_.seed + (i & 7), cfg_.trace_len);
       violation = check_analytic_properties(c.machine, wl);

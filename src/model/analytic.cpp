@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -12,6 +12,7 @@
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
 #include "util/fingerprint.hpp"
+#include "util/memo.hpp"
 
 namespace lpm::model {
 
@@ -76,29 +77,32 @@ constexpr double kMissSaturated = 1.0 - 1e-12;
 /// P[Binom(d, 1/S) >= A], computed by the truncated pmf recursion for
 /// every d below the first distance where it saturates (kMissSaturated),
 /// or up to kMaxTrackedDistance: the table's size is its saturation
-/// point. Cached per exact (S, A) pair — a design-space walk revisits few
-/// geometries.
+/// point. Memoized per exact (S, A) pair — a design-space walk revisits
+/// few geometries.
 class MissProbTable {
  public:
-  static std::shared_ptr<const std::vector<double>> get(std::uint64_t sets,
-                                                        std::uint32_t assoc) {
-    static std::mutex mutex;
-    static std::map<std::pair<std::uint64_t, std::uint32_t>,
-                    std::shared_ptr<const std::vector<double>>>
-        tables;
-    const std::pair<std::uint64_t, std::uint32_t> key{sets, assoc};
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      if (const auto it = tables.find(key); it != tables.end()) {
-        return it->second;
-      }
-    }
-    auto table = std::make_shared<std::vector<double>>(build(sets, assoc));
-    const std::lock_guard<std::mutex> lock(mutex);
-    return tables.emplace(key, std::move(table)).first->second;
+  using Table = std::shared_ptr<const std::vector<double>>;
+
+  static Table get(std::uint64_t sets, std::uint32_t assoc) {
+    // 16 MiB holds 32 full-length (512 KiB) tables (DESIGN §11). Leaked
+    // on purpose: engine workers may still evaluate while statics destruct.
+    static auto* memo = new util::Memo<Geometry, Table, GeometryHash>(
+        16u << 20, [](const Table& t) -> std::uint64_t {
+          return t->capacity() * sizeof(double);
+        });
+    return memo->get_or_build({sets, assoc}, [&] {
+      return std::make_shared<const std::vector<double>>(build(sets, assoc));
+    }).value;
   }
 
  private:
+  using Geometry = std::pair<std::uint64_t, std::uint32_t>;
+  struct GeometryHash {
+    std::size_t operator()(const Geometry& g) const {
+      return std::hash<std::uint64_t>{}(g.first * 0x9e3779b97f4a7c15ull ^ g.second);
+    }
+  };
+
   static std::vector<double> build(std::uint64_t sets, std::uint32_t assoc) {
     const std::size_t n = ReuseProfile::kMaxTrackedDistance + 1;
     std::vector<double> miss;
@@ -477,27 +481,27 @@ ProfileCache& ProfileCache::global() {
   return cache;
 }
 
+std::uint64_t ProfileCache::footprint(const ReuseProfile& p) {
+  std::uint64_t words = p.hist.capacity() + p.covered.capacity() +
+                        p.suffix.capacity() + p.suffix_covered.capacity();
+  for (std::size_t c = 0; c < ReuseProfile::kNumBurstClasses; ++c) {
+    words += p.followers[c].capacity() + p.followers_covered[c].capacity() +
+             p.suffix_followers[c].capacity() +
+             p.suffix_followers_covered[c].capacity();
+  }
+  return sizeof(ReuseProfile) + words * sizeof(std::uint64_t) +
+         p.buckets.capacity() * sizeof(ReuseProfile::Bucket);
+}
+
 std::shared_ptr<const ReuseProfile> ProfileCache::reuse(
     const trace::WorkloadProfile& wl) {
-  const std::uint64_t key = util::fingerprint(wl);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = profiles_.find(key); it != profiles_.end()) {
-      hits_counter_.inc();
-      return it->second;
-    }
-  }
-  // Build outside the lock: profiles of different workloads build in
-  // parallel. Duplicate builds of one workload are not rare: every worker
-  // that misses a cold profile builds it, so lpmbench `screen` (4 workers,
-  // 16 workloads per sweep) counts about 56 builds per answer. They are
-  // identical and the map keeps the first; a single-flight miss belongs to
-  // the one memo of ROADMAP item 7.
-  auto built = std::make_shared<const ReuseProfile>(build_reuse_profile(wl));
-  builds_counter_.inc();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++profile_builds_;
-  return profiles_.emplace(key, std::move(built)).first->second;
+  // Concurrent misses on one workload run one trace replay; profiles of
+  // different workloads build in parallel.
+  Memo::Found found = memo_.get_or_build(util::fingerprint(wl), [&] {
+    return std::make_shared<const ReuseProfile>(build_reuse_profile(wl));
+  });
+  (found.built ? builds_counter_ : hits_counter_).inc();
+  return std::move(found.value);
 }
 
 sim::CpiExeResult ProfileCache::calibration(const sim::MachineConfig& machine,
@@ -505,10 +509,9 @@ sim::CpiExeResult ProfileCache::calibration(const sim::MachineConfig& machine,
   return sim::cached_cpi_exe(machine, wl);
 }
 
-std::uint64_t ProfileCache::profile_builds() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return profile_builds_;
-}
+std::uint64_t ProfileCache::profile_builds() const { return memo_.builds(); }
+
+std::uint64_t ProfileCache::bytes() const { return memo_.bytes(); }
 
 std::uint64_t ProfileCache::calibration_runs() const {
   return sim::calibration_runs();

@@ -40,9 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exp/experiment_engine.hpp"
@@ -51,6 +49,7 @@
 #include "sim/machine_config.hpp"
 #include "sim/system.hpp"
 #include "trace/workload_profile.hpp"
+#include "util/memo.hpp"
 
 namespace lpm::model {
 
@@ -198,12 +197,18 @@ struct MissEstimate {
     double prefetch_alpha,
     double burst_window = ReuseProfile::kMaxBurstWindow);
 
-/// Process-wide cache of reuse profiles (keyed by workload fingerprint),
+/// Process-wide memo of reuse profiles (keyed by workload fingerprint),
 /// the expensive part of an analytic evaluation besides the CPIexe
 /// calibration (shared with the cycle backend in sim::cached_cpi_exe);
-/// everything downstream is closed-form. Thread-safe.
+/// everything downstream is closed-form. Thread-safe; concurrent misses
+/// on one workload build its profile once.
 class ProfileCache {
  public:
+  /// Byte budget of the stored profiles. A profile's arrays stop at
+  /// kMaxTrackedDistance, so it costs at most about 16 MB and any 16
+  /// profiles fit, whatever their length (DESIGN §11).
+  static constexpr std::uint64_t kBudgetBytes = 256u << 20;
+
   static ProfileCache& global();
 
   [[nodiscard]] std::shared_ptr<const ReuseProfile> reuse(
@@ -213,15 +218,21 @@ class ProfileCache {
   [[nodiscard]] sim::CpiExeResult calibration(
       const sim::MachineConfig& machine, const trace::WorkloadProfile& wl);
 
+  /// Trace replays reuse() has run (one per miss of a distinct workload).
   [[nodiscard]] std::uint64_t profile_builds() const;
   /// sim::calibration_runs(): every backend's calibrations, process-wide.
   [[nodiscard]] std::uint64_t calibration_runs() const;
+  /// Bytes the stored profiles are charged; never above kBudgetBytes.
+  [[nodiscard]] std::uint64_t bytes() const;
+  /// Bytes one profile keeps alive: the record and its arrays' capacity.
+  [[nodiscard]] static std::uint64_t footprint(const ReuseProfile& p);
 
  private:
-  mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const ReuseProfile>>
-      profiles_;
-  std::uint64_t profile_builds_ = 0;
+  using Memo = util::Memo<std::uint64_t, std::shared_ptr<const ReuseProfile>>;
+
+  Memo memo_{kBudgetBytes, [](const std::shared_ptr<const ReuseProfile>& p) {
+               return footprint(*p);
+             }};
   /// Resolved once: a lookup by name takes the registry's mutex.
   obs::MetricsRegistry::Counter hits_counter_ =
       obs::MetricsRegistry::global().counter(

@@ -5,8 +5,9 @@
 // guard and the workload — not on any cache geometry, port count, MSHR,
 // L2 or DRAM setting. A design-space walk visits many configurations that
 // share one core, and both the cycle backend (calibrate=true jobs) and the
-// analytic backends need the same number; this cache runs each distinct
-// calibration once per process and serves every later request from memory.
+// analytic backends need the same number; a process-wide util::Memo runs
+// each distinct calibration once and serves every later request from
+// memory (its byte budget holds far more calibrations than a walk visits).
 #pragma once
 
 #include <cstdint>
@@ -24,8 +25,9 @@ namespace lpm::sim {
                                             const trace::WorkloadProfile& workload);
 
 /// measure_cpi_exe over a fresh trace of `workload`, memoized process-wide
-/// by calibration_key. Concurrent misses on one key run one calibration;
-/// the other callers wait for it, polling their own `guard`. A cancelled
+/// by calibration_key (util::Memo). Concurrent misses on one key run one
+/// calibration; the other callers wait for it, polling their own `guard`.
+/// A cancelled
 /// guard throws util::TimeoutError, hit, miss or wait alike. A calibration
 /// that throws is never cached: the error reaches its own caller and a
 /// waiter retries the key.

@@ -101,7 +101,10 @@ Server::Server(Options opts)
                                      opts_.degrade_watermark,
                                      opts_.degrade_backend,
                                      opts_.retry_after_ms}),
-      memo_(opts_.memo_bytes),
+      memo_(opts_.memo_bytes,
+            [](const std::string& body) -> std::uint64_t {
+              return body.size();
+            }),
       conns_accepted_(obs::MetricsRegistry::global().counter(
           "srv.connections.accepted")),
       tcp_conns_accepted_(obs::MetricsRegistry::global().counter(
@@ -118,12 +121,19 @@ Server::Server(Options opts)
           "srv.jobs.deadline_expired")),
       jobs_recovered_(
           obs::MetricsRegistry::global().counter("srv.jobs.recovered")),
+      cache_hits_(obs::MetricsRegistry::global().counter("srv.cache.hits")),
+      cache_misses_(
+          obs::MetricsRegistry::global().counter("srv.cache.misses")),
+      cache_evictions_(
+          obs::MetricsRegistry::global().counter("srv.cache.evictions")),
+      cache_bytes_(obs::MetricsRegistry::global().gauge("srv.cache.bytes")),
       tcp_port_(obs::MetricsRegistry::global().gauge("srv.tcp.port")),
       queue_wait_ms_(obs::MetricsRegistry::global().histogram(
           "srv.job.queue_wait_ms", obs::MetricsRegistry::latency_ms_bounds())),
       service_ms_(obs::MetricsRegistry::global().histogram(
           "srv.job.service_ms", obs::MetricsRegistry::latency_ms_bounds())) {
   util::require(opts_.workers > 0, "Server: workers must be > 0");
+  cache_bytes_.set(0.0);
   // Analytic backends must exist before any degraded or rdh/fa job runs.
   model::register_analytic_executors();
   util::require(
@@ -134,7 +144,7 @@ Server::Server(Options opts)
       exp::ExperimentEngine::Options::builder()
           // Serial engine = executor threads are the pool; see server.hpp.
           .threads(1)
-          .cache(false)  // the MemoStore is the one server cache
+          .cache(false)  // memo_ is the one server cache
           .max_retries(opts_.max_retries)
           .retry_backoff_base_ms(5)
           .job_timeout_ms(opts_.job_timeout_ms)
@@ -608,8 +618,6 @@ void Server::executor_loop() {
 
 std::string Server::outcome_fragment(const exp::SimJob& job,
                                      const exp::SimJobOutcome& outcome) {
-  const std::uint64_t fp = job.fingerprint();
-  if (auto cached = memo_.get(fp)) return *cached;
   const exp::ResultRecord rec =
       exp::ResultRecord::make(job, *outcome.result, outcome.from_cache);
   JsonWriter out;
@@ -626,7 +634,8 @@ std::string Server::outcome_fragment(const exp::SimJob& job,
       .num("camat2", rec.camat2)
       .num("cpi_exe", rec.cpi_exe)
       .num("duration_ms", rec.duration_ms);
-  memo_.put(fp, out.body());
+  cache_evictions_.add(memo_.put(job.fingerprint(), out.body()));
+  cache_bytes_.set(static_cast<double>(memo_.bytes()));
   return out.body();
 }
 
@@ -667,6 +676,7 @@ void Server::execute_job(QueuedJob job) {
       std::vector<std::size_t> missing_index;
       for (std::size_t i = 0; i < points.size(); ++i) {
         fragments[i] = memo_.get(points[i].fingerprint());
+        (fragments[i] ? cache_hits_ : cache_misses_).inc();
         if (!fragments[i]) {
           missing.push_back(points[i]);
           missing_index.push_back(i);

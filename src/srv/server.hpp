@@ -12,8 +12,9 @@
 // each job inline on the calling thread, and run_batch_outcomes() is safe
 // to call concurrently, so the executor threads *are* the worker pool —
 // no double-layered queueing, and the engine watchdog still bounds every
-// execution. The engine's own memo cache is disabled; the server's
-// MemoStore (LRU, byte-budgeted) is the only cache, shared across clients.
+// execution. The engine's own memo cache is disabled (it never evicts);
+// the server's util::Memo of rendered result fragments, keyed by job
+// fingerprint and bounded by `memo_bytes`, is the only cache.
 //
 // Exactly-once delivery (with a journal configured):
 //   execute → journal result frames → journal done → deliver frames.
@@ -65,8 +66,8 @@
 #include "obs/metrics.hpp"
 #include "srv/admission.hpp"
 #include "srv/job_journal.hpp"
-#include "srv/memo_store.hpp"
 #include "srv/wire.hpp"
+#include "util/memo.hpp"
 
 namespace lpm::srv {
 
@@ -180,7 +181,8 @@ class Server {
   /// Runs one admitted job to its recorded frames (execution, rendering,
   /// journaling) and delivers them. Never throws.
   void execute_job(QueuedJob job);
-  /// Renders one engine outcome into a body fragment via the MemoStore.
+  /// Renders one engine outcome into a body fragment and stores it in the
+  /// memo (the lookup that missed was counted before execution).
   std::string outcome_fragment(const exp::SimJob& job,
                                const exp::SimJobOutcome& outcome);
   /// Journals frames + done for `key`, stores them, then delivers.
@@ -202,7 +204,8 @@ class Server {
 
   Options opts_;
   AdmissionQueue queue_;
-  MemoStore memo_;
+  /// Rendered result fragments by job fingerprint; 0 bytes disables.
+  util::Memo<std::uint64_t, std::string> memo_;
   std::unique_ptr<exp::ExperimentEngine> engine_;
   std::unique_ptr<JobJournal> journal_;
   std::size_t recovered_pending_ = 0;
@@ -235,6 +238,10 @@ class Server {
   obs::MetricsRegistry::Counter jobs_failed_;
   obs::MetricsRegistry::Counter jobs_deadline_expired_;
   obs::MetricsRegistry::Counter jobs_recovered_;
+  obs::MetricsRegistry::Counter cache_hits_;
+  obs::MetricsRegistry::Counter cache_misses_;
+  obs::MetricsRegistry::Counter cache_evictions_;
+  obs::MetricsRegistry::Gauge cache_bytes_;
   obs::MetricsRegistry::Gauge tcp_port_;
   obs::MetricsRegistry::Histogram queue_wait_ms_;
   obs::MetricsRegistry::Histogram service_ms_;

@@ -11,16 +11,19 @@
 // the facade.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/experiment_engine.hpp"
 #include "lpm.hpp"
 #include "model/analytic.hpp"
 #include "model/backend.hpp"
+#include "obs/metrics.hpp"
 #include "sim/machine_config.hpp"
 #include "trace/spec_like.hpp"
 #include "util/error.hpp"
@@ -98,6 +101,71 @@ TEST(ReuseProfileTest, TwentyThousandOpProfilesRetainUnderOneMegabyte) {
     }
     EXPECT_LT(retained, std::size_t{1} << 20) << trace::spec_name(b);
   }
+}
+
+std::uint64_t counter(const std::string& name) {
+  return obs::MetricsRegistry::global().snapshot().counter_or_zero(name);
+}
+
+TEST(ProfileCache, ConcurrentMissesBuildOneProfile) {
+  ProfileCache& cache = ProfileCache::global();
+  // A workload no other test profiles, long enough that every thread
+  // misses while the first build runs.
+  const auto wl = trace::spec_profile(trace::SpecBenchmark::kMcf, 200'000, 901);
+  constexpr int kThreads = 8;
+  const std::uint64_t builds = cache.profile_builds();
+  const std::uint64_t built = counter("model.backend.profile_builds");
+  std::vector<std::shared_ptr<const ReuseProfile>> got(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      got[i] = cache.reuse(wl);
+    });
+  }
+  go.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(cache.profile_builds(), builds + 1);
+  EXPECT_EQ(counter("model.backend.profile_builds"), built + 1);
+  for (const auto& p : got) {
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p.get(), got.front().get());
+  }
+}
+
+TEST(ProfileCache, StaysWithinItsBudgetAndRebuildsEvictedProfilesIdentically) {
+  ProfileCache& cache = ProfileCache::global();
+  exp::SimJob job = exp::SimJob::solo(
+      sim::MachineConfig::single_core_default(),
+      trace::spec_profile(trace::SpecBenchmark::kGcc, 20'000, 902));
+  job.backend = kRdhBackend;
+  const exp::SimJobResult first = evaluate_analytic(job);
+  // Profile fresh workloads on 4 threads until their footprints alone
+  // exceed the budget: the least recently used profile, the job's, must go.
+  const auto& all = trace::all_spec_benchmarks();
+  std::atomic<std::uint64_t> profiled{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t seed = 903; profiled.load() <= ProfileCache::kBudgetBytes;
+           ++seed) {
+        for (std::size_t b = t; b < all.size(); b += 4) {
+          const auto p = cache.reuse(trace::spec_profile(all[b], 200'000, seed));
+          profiled += ProfileCache::footprint(*p);
+          EXPECT_LE(cache.bytes(), ProfileCache::kBudgetBytes);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const std::uint64_t builds = cache.profile_builds();
+  const exp::SimJobResult again = evaluate_analytic(job);
+  EXPECT_EQ(cache.profile_builds(), builds + 1) << "the profile was evicted";
+  EXPECT_EQ(again.fingerprint, first.fingerprint);
+  EXPECT_EQ(again.backend, first.backend);
+  EXPECT_EQ(again.run, first.run);
+  EXPECT_EQ(again.calib, first.calib);
 }
 
 TEST(AnalyticMissCurves, InfiniteCacheKeepsOnlyCompulsoryBursts) {

@@ -198,6 +198,30 @@ TEST_F(ServerTest, ResubmitOfCompletedJobReplaysWithoutReexecution) {
   server.stop();
 }
 
+TEST_F(ServerTest, MemoCountsOneLookupPerExecutedPoint) {
+  Server server(base_options("memo_counts"));
+  server.start();
+  Client client(server.options().endpoint, "t1");
+  client.connect();
+  const auto count = [](const char* name) {
+    return obs::MetricsRegistry::global().snapshot().counter_or_zero(name);
+  };
+  const std::uint64_t hits = count("srv.cache.hits");
+  const std::uint64_t misses = count("srv.cache.misses");
+  ASSERT_TRUE(client.submit("m1", quick_spec()));
+  ASSERT_EQ(drain_until_terminal(client, "m1").back().get_string("op").value_or(""),
+            "done");
+  EXPECT_EQ(count("srv.cache.misses"), misses + 1) << "a cold point is one miss";
+  EXPECT_EQ(count("srv.cache.hits"), hits);
+  // The same point under a new id is served from the memo.
+  ASSERT_TRUE(client.submit("m2", quick_spec()));
+  ASSERT_EQ(drain_until_terminal(client, "m2").back().get_string("op").value_or(""),
+            "done");
+  EXPECT_EQ(count("srv.cache.misses"), misses + 1);
+  EXPECT_EQ(count("srv.cache.hits"), hits + 1);
+  server.stop();
+}
+
 TEST_F(ServerTest, AttachUnknownJobIsTypedError) {
   Server server(base_options("attach_unknown"));
   server.start();
