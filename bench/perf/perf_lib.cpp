@@ -144,6 +144,20 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
     report.wall_seconds_membound = seconds_since(start);
   }
 
+  // Phase 1c: one 16-core co-run on the shared-L2 NUCA machine, the
+  // per-schedule cost of the Fig. 8 case study.
+  if (opts.corun_length >= 1) {
+    std::vector<trace::TraceSourcePtr> traces;
+    for (const trace::SpecBenchmark b : trace::all_spec_benchmarks()) {
+      traces.push_back(std::make_unique<trace::SyntheticTrace>(
+          trace::spec_profile(b, opts.corun_length, 29)));
+    }
+    const auto start = Clock::now();
+    sim::System system(sim::MachineConfig::nuca16(), std::move(traces));
+    report.corun_cycles = system.run().cycles;
+    report.wall_seconds_corun = seconds_since(start);
+  }
+
   // Phase 2: engine saturating sweep. Many distinct near-zero-cost jobs
   // (the registered null backend) pushed from several submitter threads
   // into one worker pool — all contention lands on the engine's job queue
@@ -282,6 +296,8 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
                                      report.wall_seconds_simulate);
   report.sim_membound_cycles_per_sec = rate(
       static_cast<double>(report.membound_cycles), report.wall_seconds_membound);
+  report.sim_corun_cycles_per_sec = rate(
+      static_cast<double>(report.corun_cycles), report.wall_seconds_corun);
   report.engine_jobs_per_sec =
       rate(static_cast<double>(report.jobs), report.wall_seconds_engine);
   report.analytic_configs_per_sec =
@@ -310,6 +326,10 @@ std::string to_json(const PerfReport& r) {
      << ",\"wall_seconds_membound\":" << util::fmt(r.wall_seconds_membound, 6)
      << ",\"sim_membound_cycles_per_sec\":"
      << util::fmt(r.sim_membound_cycles_per_sec, 1)
+     << ",\"corun_cycles\":" << r.corun_cycles
+     << ",\"wall_seconds_corun\":" << util::fmt(r.wall_seconds_corun, 6)
+     << ",\"sim_corun_cycles_per_sec\":"
+     << util::fmt(r.sim_corun_cycles_per_sec, 1)
      << ",\"engine_jobs_per_sec\":" << util::fmt(r.engine_jobs_per_sec, 3)
      << ",\"analytic_configs_per_sec\":"
      << util::fmt(r.analytic_configs_per_sec, 1)
@@ -360,6 +380,12 @@ PerfReport parse_report(const std::string& json_text) {
       json.get_number("wall_seconds_membound").value_or(0.0);
   r.sim_membound_cycles_per_sec =
       json.get_number("sim_membound_cycles_per_sec").value_or(0.0);
+  // Optional — absent before the co-run phase; 0 = not measured.
+  r.corun_cycles = static_cast<std::uint64_t>(
+      json.get_number("corun_cycles").value_or(0.0));
+  r.wall_seconds_corun = json.get_number("wall_seconds_corun").value_or(0.0);
+  r.sim_corun_cycles_per_sec =
+      json.get_number("sim_corun_cycles_per_sec").value_or(0.0);
   // Optional — absent before the trace-ingestion phase; 0 = not measured.
   r.trace_ops =
       static_cast<std::uint64_t>(json.get_number("trace_ops").value_or(0.0));
@@ -410,6 +436,10 @@ BaselineCheck check_against_baseline(const PerfReport& current,
   if (baseline.sim_membound_cycles_per_sec > 0.0) {
     gate("sim_membound_cycles_per_sec", current.sim_membound_cycles_per_sec,
          baseline.sim_membound_cycles_per_sec);
+  }
+  if (baseline.sim_corun_cycles_per_sec > 0.0) {
+    gate("sim_corun_cycles_per_sec", current.sim_corun_cycles_per_sec,
+         baseline.sim_corun_cycles_per_sec);
   }
   if (baseline.analytic_configs_per_sec > 0.0) {
     gate("analytic_configs_per_sec", current.analytic_configs_per_sec,

@@ -15,6 +15,10 @@
 //     stalled on data): cycle-accurate confirms shaped like lpmbench's
 //     `screen` sweep, where the caches, MSHRs and DRAM scheduler rather
 //     than the core take most of the host time.
+//   * sim_corun_cycles_per_sec — simulated cycles per second of one
+//     16-core MachineConfig::nuca16() co-run of the 16 SPEC-like profiles:
+//     the shared-L2/DRAM regime of lpmbench's `nuca` workload (Fig. 8),
+//     where cores finish far apart and the L1s wait on their MSHRs.
 //   * engine_jobs_per_sec   — distinct jobs per second through an
 //     ExperimentEngine worker pool under a *saturating sweep*: many
 //     near-zero-cost jobs (a registered null backend) submitted from
@@ -65,6 +69,9 @@ struct PerfOptions {
   /// Micro-ops per run in the memory-bound System::run phase (0 disables
   /// the phase). Each of its four runs replays one memory-bound profile.
   std::uint64_t membound_length = 200'000;
+  /// Micro-ops per core in the 16-core co-run phase (0 disables the
+  /// phase).
+  std::uint64_t corun_length = 20'000;
   /// Distinct jobs in the engine saturating-sweep phase (>= 1). Each is
   /// near-free to execute, so the phase times queue + dispatch + outcome
   /// bookkeeping per job.
@@ -94,11 +101,13 @@ struct PerfReport {
   std::uint64_t instructions = 0;  ///< committed instructions, same phase
   std::uint64_t membound_cycles = 0;  ///< simulated cycles, memory-bound phase
   std::uint64_t membound_instructions = 0;  ///< committed, same phase
+  std::uint64_t corun_cycles = 0;  ///< simulated cycles, 16-core co-run phase
   std::uint64_t jobs = 0;          ///< jobs executed, engine phase
   std::uint64_t analytic_configs = 0;  ///< config x profile evaluations
   std::uint64_t trace_ops = 0;  ///< ops ingested per pass, trace phase
   double wall_seconds_simulate = 0.0;
   double wall_seconds_membound = 0.0;
+  double wall_seconds_corun = 0.0;
   double wall_seconds_engine = 0.0;
   double wall_seconds_analytic = 0.0;
   double wall_seconds_trace_cold = 0.0;
@@ -106,6 +115,7 @@ struct PerfReport {
   double sim_cycles_per_sec = 0.0;
   double instructions_per_sec = 0.0;
   double sim_membound_cycles_per_sec = 0.0;
+  double sim_corun_cycles_per_sec = 0.0;
   double engine_jobs_per_sec = 0.0;
   double analytic_configs_per_sec = 0.0;
   /// Cold pass: pages evicted (posix_fadvise DONTNEED) before the drain.
@@ -138,9 +148,9 @@ struct BaselineCheck {
 /// Compares the throughput metrics against a baseline: metric m fails when
 /// m < baseline.m * (1 - tolerance). tolerance 0.30 absorbs CI-runner
 /// noise; exceeding the baseline never fails. Metrics added after the
-/// first baseline (sim_membound_cycles_per_sec, analytic_configs_per_sec,
-/// the trace ingestion rates) are gated only when the baseline carries
-/// them (> 0), so older baselines keep working.
+/// first baseline (sim_membound_cycles_per_sec, sim_corun_cycles_per_sec,
+/// analytic_configs_per_sec, the trace ingestion rates) are gated only when
+/// the baseline carries them (> 0), so older baselines keep working.
 [[nodiscard]] BaselineCheck check_against_baseline(const PerfReport& current,
                                                    const PerfReport& baseline,
                                                    double tolerance);

@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
                     ? 0.0
                     : static_cast<double>(report.membound_instructions) /
                           static_cast<double>(report.membound_cycles));
+    std::printf("corun cycles/sec    : %.3e\n", report.sim_corun_cycles_per_sec);
     std::printf("engine jobs/sec     : %.3f\n", report.engine_jobs_per_sec);
     std::printf("analytic configs/sec: %.1f\n", report.analytic_configs_per_sec);
     std::printf("trace cold ops/sec  : %.3e\n", report.trace_cold_ops_per_sec);

@@ -547,6 +547,65 @@ ReplayCase Fuzzer::generate_memory_contention(std::uint64_t case_seed) const {
   return c;
 }
 
+ReplayCase Fuzzer::generate_uneven_finish(std::uint64_t case_seed) const {
+  util::Rng rng(case_seed * 0xa0761d6478bd642fULL + 11);
+  const std::uint32_t block = rng.next_bool(0.5) ? 32 : 64;
+
+  sim::MachineConfig m;
+  m.num_cores = static_cast<std::uint32_t>(rng.next_in(2, 4));
+  m.core = random_core(rng);
+  m.l1 = random_l1(rng, block);
+  m.l2 = random_l2(rng, block, "L2");
+  m.dram = random_dram(rng);
+  if (rng.next_bool(0.5)) {
+    m.use_private_l2 = true;
+    m.private_l2 = random_l2(rng, block, "L2p");
+  }
+  const bool dirty = rng.next_bool(0.5);
+  if (dirty) {
+    // Every short-core store miss evicts a dirty line into a small buffer
+    // that a congested one-port L2 drains slowly.
+    m.l1.associativity = 1;
+    m.l1.size_bytes = 4ull * block;
+    m.l1.writeback_capacity = static_cast<std::uint32_t>(rng.next_in(1, 4));
+    m.l2.ports = 1;
+    m.l2.banks = 1;
+  }
+  m.max_cycles = 4'000'000;
+  m.validate();
+
+  std::vector<bool> is_short(m.num_cores, false);
+  const std::uint64_t shorts =
+      std::min<std::uint64_t>(rng.next_in(1, 3), m.num_cores - 1);
+  for (std::uint64_t k = 0; k < shorts;) {
+    const std::uint64_t c = rng.next_below(m.num_cores);
+    if (!is_short[c]) {
+      is_short[c] = true;
+      ++k;
+    }
+  }
+
+  ReplayCase c;
+  c.machine = std::move(m);
+  for (std::uint32_t core = 0; core < c.machine.num_cores; ++core) {
+    const std::uint64_t len =
+        is_short[core]
+            ? std::max<std::uint64_t>(1, cfg_.trace_len * rng.next_in(1, 5) / 100)
+            : cfg_.trace_len;
+    std::vector<trace::MicroOp> ops = random_ops(rng, len, block);
+    if (dirty && is_short[core]) {
+      for (trace::MicroOp& op : ops) {
+        if (rng.next_bool(0.7)) {
+          op.type = trace::OpType::kStore;
+          op.addr = rng.next_below(64) * block;
+        }
+      }
+    }
+    c.ops.push_back(std::move(ops));
+  }
+  return c;
+}
+
 FuzzSummary Fuzzer::run() {
   FuzzSummary summary;
   if (!cfg_.artifact_dir.empty()) {

@@ -110,6 +110,15 @@ class Fuzzer {
   /// own generator rather than changing the meaning of the seeded sweep.
   [[nodiscard]] ReplayCase generate_memory_contention(std::uint64_t case_seed) const;
 
+  /// Deterministically generates a case whose cores finish far apart: 2-4
+  /// cores, of which 1-3 (never all) run only 1-5% of cfg.trace_len ops.
+  /// Half the cases give the short cores store-heavy streams over tiny
+  /// direct-mapped L1s behind a one-port L2, so they finish with dirty
+  /// lines and writebacks still queued; half add private L2s. This is the
+  /// path where sim::System retires finished cores from its cycle loop and
+  /// RefSystem keeps ticking them.
+  [[nodiscard]] ReplayCase generate_uneven_finish(std::uint64_t case_seed) const;
+
   /// Runs cfg.cases cases (seeds cfg.seed .. cfg.seed + cases - 1).
   [[nodiscard]] FuzzSummary run();
 

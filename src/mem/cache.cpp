@@ -196,11 +196,7 @@ void Cache::tick(Cycle now) {
   // Idle fast path: with nothing in flight anywhere, steps (3)-(7) are all
   // no-ops. This is the common case for upper levels whose working set fits
   // (and for every level while the core crunches ALU phases).
-  if (pipeline_.empty() && fill_q_.empty() && deferred_fill_blocks_.empty() &&
-      mshr_wait_.empty() && mshr_.in_use() == 0 && writeback_q_.empty() &&
-      prefetch_q_.empty()) {
-    return;
-  }
+  if (idle()) return;
 
   // (3) Install fills: deferred ones first (FIFO fairness), then new ones.
   for (std::size_t i = deferred_fill_blocks_.size(); i > 0; --i) {
@@ -222,14 +218,7 @@ void Cache::tick(Cycle now) {
   }
 
   // (4) Retry misses waiting for MSHR resources (entries may have freed).
-  for (std::size_t i = mshr_wait_.size(); i > 0; --i) {
-    const WaitingMiss wm = mshr_wait_.front();
-    mshr_wait_.pop();
-    if (!try_handle_miss(wm.req, wm.miss_start, now)) {
-      mshr_wait_.push(wm);
-      ++stats_.mshr_full_waits;
-    }
-  }
+  if (!mshr_wait_.empty()) retry_waiting_misses(now);
 
   // (5) Complete lookups whose pipeline latency elapsed.
   while (!pipeline_.empty() && pipeline_.front().ready <= now) {
@@ -246,6 +235,31 @@ void Cache::tick(Cycle now) {
 
   // (7) Drain the writeback buffer.
   drain_writebacks();
+}
+
+void Cache::retry_waiting_misses(Cycle now) {
+  // A failed retry changes nothing but two counters, so while the MSHR
+  // state every waiting miss failed against stands, the pass is credited
+  // in bulk rather than replayed.
+  if (wait_gate_holds()) {
+    stats_.mshr_full_waits += mshr_wait_.size();
+    stats_.quota_waits += wait_gate_.quota_failures;
+    return;
+  }
+  const std::uint64_t quota_before = stats_.quota_waits;
+  bool all_failed = true;
+  for (std::size_t i = mshr_wait_.size(); i > 0; --i) {
+    const WaitingMiss wm = mshr_wait_.front();
+    mshr_wait_.pop();
+    if (try_handle_miss(wm.req, wm.miss_start, now)) {
+      all_failed = false;
+    } else {
+      mshr_wait_.push(wm);
+      ++stats_.mshr_full_waits;
+    }
+  }
+  wait_gate_ = WaitGate{all_failed, mshr_.mutations(), runtime_mshr_limit_,
+                        stats_.quota_waits - quota_before};
 }
 
 void Cache::note_prefetch_useful() { ++pf_window_useful_; }
@@ -343,8 +357,14 @@ void Cache::complete_lookup(const LookupEntry& entry, Cycle now) {
   ++stats_.misses;
   if (req.core < cfg_.num_cores) ++stats_.core_misses[req.core];
   if (probe_ != nullptr) probe_->on_miss(req.id, now);
+  const std::uint64_t quota_before = stats_.quota_waits;
   if (!try_handle_miss(req, now, now)) {
     mshr_wait_.push(WaitingMiss{req, now});
+    // It failed against the gated state (if that still holds): the next
+    // bulk credit must count its quota failure too.
+    if (wait_gate_holds()) {
+      wait_gate_.quota_failures += stats_.quota_waits - quota_before;
+    }
   }
   schedule_prefetches(block_addr(req.addr), req.core);
 }
@@ -494,6 +514,18 @@ void Cache::finalize(Cycle end_cycle) { sample_activity(end_cycle); }
 bool Cache::busy() const {
   return !pipeline_.empty() || mshr_.in_use() > 0 || !mshr_wait_.empty() ||
          !writeback_q_.empty() || !fill_q_.empty() || !deferred_fill_blocks_.empty();
+}
+
+bool Cache::idle() const {
+  return pipeline_.empty() && fill_q_.empty() && deferred_fill_blocks_.empty() &&
+         mshr_wait_.empty() && mshr_.in_use() == 0 && writeback_q_.empty() &&
+         prefetch_q_.empty();
+}
+
+bool Cache::dormant() const {
+  // An empty pipeline also means nothing was accepted since the last tick,
+  // so tick() has no per-cycle port state left to reset.
+  return idle() && (probe_ == nullptr || probe_quiesced_);
 }
 
 void CacheStats::publish(obs::MetricsRegistry& registry,

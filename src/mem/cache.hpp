@@ -128,6 +128,11 @@ class Cache final : public MemoryLevel, public ResponseSink {
   void tick(Cycle now) override;
   void finalize(Cycle end_cycle) override;
   [[nodiscard]] bool busy() const override;
+  /// True when tick() does nothing until an upper level calls try_access:
+  /// no queued or in-flight work, no MSHR in use, and the probe already
+  /// saw its last idle cycle. sim::System retires a finished core's L1
+  /// (and private L2) from its cycle loop on this.
+  [[nodiscard]] bool dormant() const;
 
   /// Fills arriving from the level below.
   void on_response(const MemResponse& rsp) override;
@@ -181,10 +186,14 @@ class Cache final : public MemoryLevel, public ResponseSink {
   /// Way of `addr`'s block within its set, or kNoWay when absent.
   [[nodiscard]] std::uint32_t find_way(Addr addr) const;
 
+  /// Nothing queued or in flight: tick() steps (3)-(7) are all no-ops.
+  [[nodiscard]] bool idle() const;
   void sample_activity(Cycle cycle);
   void complete_lookup(const LookupEntry& entry, Cycle now);
   /// Attempts MSHR allocation/coalescing; false = must wait and retry.
   bool try_handle_miss(const MemRequest& req, Cycle miss_start, Cycle now);
+  /// Tick step (4): replays the MSHR-wait queue, or credits it in bulk.
+  void retry_waiting_misses(Cycle now);
   /// Installs a filled block; false = deferred (writeback buffer full).
   bool try_install_fill(Addr blk, Cycle now);
   void issue_pending_fills(Cycle now);
@@ -221,6 +230,21 @@ class Cache final : public MemoryLevel, public ResponseSink {
   // already in the lookup pipeline may still miss into the queue, so the
   // pool carries ports*hit_latency slack.
   util::RingBuffer<WaitingMiss> mshr_wait_{1};
+  // MSHR-wait gate: the MSHR state (mutation count and allocation limit)
+  // every queued miss last failed against, and how many of those failures
+  // were quota failures. While the state is unchanged a replay would fail
+  // every miss again, so tick() credits it in bulk instead.
+  struct WaitGate {
+    bool armed = false;
+    std::uint64_t mutations = 0;
+    std::uint32_t limit = 0;
+    std::uint64_t quota_failures = 0;
+  };
+  WaitGate wait_gate_;
+  [[nodiscard]] bool wait_gate_holds() const {
+    return wait_gate_.armed && wait_gate_.mutations == mshr_.mutations() &&
+           wait_gate_.limit == runtime_mshr_limit_;
+  }
   void reserve_pools();
   std::deque<MemRequest> writeback_q_;
   util::RingBuffer<MemResponse> fill_q_{1};  // <= one per MSHR entry

@@ -60,12 +60,14 @@ std::uint32_t MshrFile::allocate_prefetch(Addr block_addr, Cycle now, CoreId cor
   e.allocated = now;
   e.targets.clear();
   --free_;
+  ++mutations_;
   return i;
 }
 
 void MshrFile::add_target(std::uint32_t idx, const MshrTarget& target) {
   util::require(can_add_target(idx), "MshrFile::add_target on full/invalid entry");
   entries_.at(idx).targets.push_back(target);
+  ++mutations_;
 }
 
 std::vector<MshrTarget> MshrFile::release(std::uint32_t idx) {
@@ -106,6 +108,7 @@ void MshrFile::release_into(std::uint32_t idx, std::vector<MshrTarget>& out) {
   e.allocated = 0;
   e.targets.reserve(max_targets_);
   ++free_;
+  ++mutations_;
 }
 
 MshrEntry& MshrFile::entry(std::uint32_t idx) { return entries_.at(idx); }

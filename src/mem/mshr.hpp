@@ -85,6 +85,11 @@ class MshrFile {
   [[nodiscard]] std::uint32_t in_use() const { return capacity() - free_; }
   [[nodiscard]] std::uint32_t max_targets() const { return max_targets_; }
 
+  /// Bumped by every allocation, coalesced target and release: equal
+  /// values mean an unchanged set of blocks, targets and owners, so a
+  /// lookup that failed once fails again (Cache's MSHR-wait gate).
+  [[nodiscard]] std::uint64_t mutations() const { return mutations_; }
+
   /// Total demand accesses currently waiting across all entries.
   [[nodiscard]] std::uint32_t outstanding_targets() const;
 
@@ -121,6 +126,7 @@ class MshrFile {
   std::uint32_t index_shift_;     // 64 - log2(index_.size())
   std::uint32_t max_targets_;
   std::uint32_t free_;
+  std::uint64_t mutations_ = 0;
 };
 
 // The two lookups on the cache's per-cycle path, inline.

@@ -66,6 +66,7 @@ System::System(MachineConfig cfg, std::vector<trace::TraceSourcePtr> traces)
     l1s_.push_back(std::move(l1));
     l1_analyzers_.push_back(std::move(analyzer));
     cores_.push_back(std::move(core));
+    live_.push_back(c);
   }
 }
 
@@ -79,21 +80,43 @@ bool System::finished() const {
   for (const auto& core : cores_) {
     if (!core->finished()) return false;
   }
+  return uncore_idle();
+}
+
+bool System::uncore_idle() const {
   for (const auto& l2p : private_l2s_) {
     if (l2p->busy()) return false;
   }
   return !dram_->busy() && !l2_->busy();
 }
 
+bool System::retire_finished_cores() {
+  // A retired core's components never see traffic again: only the core
+  // feeds its L1, only that L1 feeds its private L2, and a dormant cache has
+  // no fill outstanding below. Removal keeps the survivors' tick order.
+  bool all_finished = true;
+  std::erase_if(live_, [&](std::uint32_t c) {
+    if (!cores_[c]->finished()) {
+      all_finished = false;
+      return false;
+    }
+    return l1s_[c]->dormant() &&
+           (private_l2s_.empty() || private_l2s_[c]->dormant());
+  });
+  return all_finished;
+}
+
 bool System::step() {
-  if (finished()) return false;
+  if (retire_finished_cores() && uncore_idle()) return false;
   // Bottom-up ticking: responses flow upward within the same cycle, demand
   // requests flow downward and begin service the cycle they are accepted.
   dram_->tick(now_);
   l2_->tick(now_);
-  for (auto& l2p : private_l2s_) l2p->tick(now_);
-  for (auto& l1 : l1s_) l1->tick(now_);
-  for (auto& core : cores_) core->tick(now_);
+  if (!private_l2s_.empty()) {
+    for (const std::uint32_t c : live_) private_l2s_[c]->tick(now_);
+  }
+  for (const std::uint32_t c : live_) l1s_[c]->tick(now_);
+  for (const std::uint32_t c : live_) cores_[c]->tick(now_);
   ++now_;
   return true;
 }

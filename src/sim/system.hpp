@@ -96,6 +96,12 @@ class System {
   std::vector<std::unique_ptr<mem::Cache>> l1s_;
   std::vector<std::unique_ptr<camat::Analyzer>> l1_analyzers_;
   std::vector<std::unique_ptr<cpu::OooCore>> cores_;
+  // Cores still in the cycle loop, in index order. A finished core whose L1
+  // (and private L2) went dormant is retired: all three ticks are no-ops
+  // from then on. finalize and collect still visit every component.
+  std::vector<std::uint32_t> live_;
+  [[nodiscard]] bool retire_finished_cores();
+  [[nodiscard]] bool uncore_idle() const;
   Cycle now_ = 0;
   bool finalized_ = false;
 };

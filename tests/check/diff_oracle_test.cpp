@@ -98,6 +98,37 @@ TEST(DiffOracle, MemoryContentionCasesAgree) {
   EXPECT_GT(row_conflicts, 0u) << row_conflicts;
 }
 
+TEST(DiffOracle, UnevenFinishCasesAgree) {
+  // Every other family gives all cores the same trace length, so they
+  // finish within a few hundred cycles of each other. Here 1-3 cores run
+  // 1-5% of the others' ops: sim::System retires them (and their L1s and
+  // private L2s) from the cycle loop long before the run ends, including
+  // short cores that finish with dirty lines and queued writebacks, while
+  // RefSystem ticks every component to the end.
+  FuzzConfig cfg;
+  cfg.trace_len = 2000;
+  Fuzzer fuzzer(cfg);
+  int private_l2_cases = 0;
+  int far_apart = 0;
+  for (std::uint64_t seed = 9100; seed < 9140; ++seed) {
+    const ReplayCase c = fuzzer.generate_uneven_finish(seed);
+    const sim::SystemResult opt = run_optimized(c);
+    const std::string d = describe_divergence(opt, run_reference(c));
+    EXPECT_TRUE(d.empty()) << "seed " << seed << ": " << d;
+    EXPECT_TRUE(opt.completed) << "seed " << seed;
+    if (c.machine.use_private_l2) ++private_l2_cases;
+    const auto [first, last] = std::minmax_element(
+        opt.cores.begin(), opt.cores.end(),
+        [](const cpu::CoreStats& a, const cpu::CoreStats& b) {
+          return a.cycles < b.cycles;
+        });
+    if (4 * first->cycles < last->cycles) ++far_apart;
+  }
+  EXPECT_GT(private_l2_cases, 0);
+  // The short cores really finish far ahead of the long ones.
+  EXPECT_GE(far_apart, 30) << far_apart;
+}
+
 TEST(DiffOracle, GenerateIsDeterministic) {
   Fuzzer a;
   Fuzzer b;

@@ -16,6 +16,7 @@ PerfOptions tiny_options() {
   opts.length = 2000;
   opts.sim_configs = 1;
   opts.membound_length = 2000;
+  opts.corun_length = 500;
   opts.engine_jobs = 2;
   opts.engine_submitters = 1;
   opts.engine_threads = 1;
@@ -35,7 +36,8 @@ TEST(PerfReport, EmitsRequiredSchema) {
         "wall_seconds_simulate", "wall_seconds_engine", "wall_seconds_analytic",
         "sim_cycles_per_sec", "instructions_per_sec", "membound_cycles",
         "membound_instructions", "wall_seconds_membound",
-        "sim_membound_cycles_per_sec", "engine_jobs_per_sec",
+        "sim_membound_cycles_per_sec", "corun_cycles", "wall_seconds_corun",
+        "sim_corun_cycles_per_sec", "engine_jobs_per_sec",
         "analytic_configs_per_sec", "trace_ops", "wall_seconds_trace_cold",
         "wall_seconds_trace_warm", "trace_cold_ops_per_sec",
         "trace_warm_ops_per_sec"}) {
@@ -58,6 +60,9 @@ TEST(PerfReport, EmitsRequiredSchema) {
   EXPECT_EQ(report.membound_instructions, 4u * 2000u);
   EXPECT_GT(report.membound_cycles, report.membound_instructions);
   EXPECT_GT(report.sim_membound_cycles_per_sec, 0.0);
+  // The co-run phase drained all sixteen cores.
+  EXPECT_GT(report.corun_cycles, 0u);
+  EXPECT_GT(report.sim_corun_cycles_per_sec, 0.0);
   // The ingestion phase drained the recorded trace, both passes.
   EXPECT_EQ(report.trace_ops, 5000u);
   EXPECT_GT(report.trace_cold_ops_per_sec, 0.0);
@@ -79,6 +84,9 @@ TEST(PerfReport, JsonRoundTrips) {
   r.membound_instructions = 333;
   r.wall_seconds_membound = 0.75;
   r.sim_membound_cycles_per_sec = 1332.0;
+  r.corun_cycles = 777;
+  r.wall_seconds_corun = 0.5;
+  r.sim_corun_cycles_per_sec = 1554.0;
   r.analytic_configs = 64;
   r.wall_seconds_analytic = 0.125;
   r.analytic_configs_per_sec = 512.0;
@@ -102,6 +110,9 @@ TEST(PerfReport, JsonRoundTrips) {
   EXPECT_DOUBLE_EQ(back.wall_seconds_membound, r.wall_seconds_membound);
   EXPECT_DOUBLE_EQ(back.sim_membound_cycles_per_sec,
                    r.sim_membound_cycles_per_sec);
+  EXPECT_EQ(back.corun_cycles, r.corun_cycles);
+  EXPECT_DOUBLE_EQ(back.wall_seconds_corun, r.wall_seconds_corun);
+  EXPECT_DOUBLE_EQ(back.sim_corun_cycles_per_sec, r.sim_corun_cycles_per_sec);
   EXPECT_DOUBLE_EQ(back.analytic_configs_per_sec, r.analytic_configs_per_sec);
   EXPECT_EQ(back.trace_ops, r.trace_ops);
   EXPECT_DOUBLE_EQ(back.trace_cold_ops_per_sec, r.trace_cold_ops_per_sec);
@@ -125,6 +136,7 @@ TEST(PerfReport, LegacyReportsWithoutAnalyticKeysStillParse) {
   EXPECT_DOUBLE_EQ(baseline.trace_warm_ops_per_sec, 0.0);
   EXPECT_EQ(baseline.membound_cycles, 0u);
   EXPECT_DOUBLE_EQ(baseline.sim_membound_cycles_per_sec, 0.0);
+  EXPECT_DOUBLE_EQ(baseline.sim_corun_cycles_per_sec, 0.0);
 
   PerfReport current = baseline;
   current.analytic_configs_per_sec = 0.0;  // even "no analytic phase" passes
@@ -145,6 +157,7 @@ TEST(PerfBaseline, GateFailsOnlyBelowTolerance) {
   baseline.instructions_per_sec = 2000.0;
   baseline.engine_jobs_per_sec = 10.0;
   baseline.sim_membound_cycles_per_sec = 800.0;
+  baseline.sim_corun_cycles_per_sec = 600.0;
   baseline.analytic_configs_per_sec = 500.0;
   baseline.trace_cold_ops_per_sec = 100.0;
   baseline.trace_warm_ops_per_sec = 200.0;
@@ -183,6 +196,18 @@ TEST(PerfBaseline, GateFailsOnlyBelowTolerance) {
   current.sim_membound_cycles_per_sec = 568.0;
   EXPECT_TRUE(check_against_baseline(current, baseline, 0.30).ok);
   current.sim_membound_cycles_per_sec = baseline.sim_membound_cycles_per_sec;
+
+  // So is the co-run rate: 69% of baseline fails.
+  current.sim_corun_cycles_per_sec = 414.0;
+  {
+    const BaselineCheck failed =
+        check_against_baseline(current, baseline, 0.30);
+    EXPECT_FALSE(failed.ok);
+    ASSERT_EQ(failed.failures.size(), 1u);
+    EXPECT_NE(failed.failures[0].find("sim_corun_cycles_per_sec"),
+              std::string::npos);
+  }
+  current.sim_corun_cycles_per_sec = baseline.sim_corun_cycles_per_sec;
 
   // The analytic metric is gated like the others once the baseline has it.
   current.analytic_configs_per_sec = 340.0;  // 68% of baseline
