@@ -97,6 +97,106 @@ TEST(Replay, MakeTracesReplaysTheOpsVerbatim) {
   EXPECT_EQ(drained, c.ops[0]);
 }
 
+// A replay file exactly as the multi-line writer of earlier releases laid
+// it out (two cores, private L2s, heterogeneous L1s, a 64-bit cycle
+// budget). Repro artifacts saved by CI in that layout must stay loadable
+// by tools/lpm_replay.
+constexpr const char* kPrettyPrintedCase = R"({
+  "format": "lpm-replay-v1",
+  "num_cores": 2,
+  "max_cycles": "18364758544493064720",
+  "use_private_l2": true,
+  "l1_size_per_core": "4096,16384",
+  "core.issue_width": 4,
+  "core.dispatch_width": 4,
+  "core.commit_width": 4,
+  "core.iw_size": 32,
+  "core.rob_size": 32,
+  "core.lsq_size": 16,
+  "l1.size_bytes": 32768,
+  "l1.block_bytes": 64,
+  "l1.associativity": 4,
+  "l1.hit_latency": 3,
+  "l1.ports": 1,
+  "l1.banks": 1,
+  "l1.interleave_bytes": 64,
+  "l1.mshr_entries": 4,
+  "l1.mshr_targets": 8,
+  "l1.writeback_capacity": 8,
+  "l1.prefetch_degree": 6,
+  "l1.prefetch_accuracy_window": 256,
+  "l1.mshr_quota_per_core": 0,
+  "l1.replacement": "lru",
+  "l1.seed": "99",
+  "l2.size_bytes": 4194304,
+  "l2.block_bytes": 64,
+  "l2.associativity": 16,
+  "l2.hit_latency": 24,
+  "l2.ports": 2,
+  "l2.banks": 8,
+  "l2.interleave_bytes": 64,
+  "l2.mshr_entries": 32,
+  "l2.mshr_targets": 8,
+  "l2.writeback_capacity": 8,
+  "l2.prefetch_degree": 0,
+  "l2.prefetch_accuracy_window": 256,
+  "l2.mshr_quota_per_core": 0,
+  "l2.replacement": "lru",
+  "l2.seed": "99",
+  "private_l2.size_bytes": 262144,
+  "private_l2.block_bytes": 64,
+  "private_l2.associativity": 8,
+  "private_l2.hit_latency": 10,
+  "private_l2.ports": 2,
+  "private_l2.banks": 2,
+  "private_l2.interleave_bytes": 64,
+  "private_l2.mshr_entries": 12,
+  "private_l2.mshr_targets": 8,
+  "private_l2.writeback_capacity": 8,
+  "private_l2.prefetch_degree": 0,
+  "private_l2.prefetch_accuracy_window": 256,
+  "private_l2.mshr_quota_per_core": 0,
+  "private_l2.replacement": "lru",
+  "private_l2.seed": "99",
+  "dram.banks": 8,
+  "dram.row_bytes": 2048,
+  "dram.interleave_bytes": 64,
+  "dram.t_rcd": 12,
+  "dram.t_cl": 12,
+  "dram.t_rp": 12,
+  "dram.t_burst": 4,
+  "dram.frontend_latency": 18,
+  "dram.queue_capacity": 32,
+  "dram.max_issue_per_cycle": 1,
+  "dram.starvation_threshold": 200,
+  "ops.0": "l40:0:0:1;a0:1:0:2;sbeef00:2:0:1",
+  "ops.1": "s40:0:0:1"
+}
+)";
+
+std::string without_whitespace(std::string text) {
+  std::erase_if(text, [](char c) { return c == ' ' || c == '\n'; });
+  return text;
+}
+
+TEST(Replay, PrettyPrintedLegacyFileStillLoads) {
+  const ReplayCase c = replay_from_json(kPrettyPrintedCase);
+  EXPECT_EQ(c.machine.num_cores, 2u);
+  EXPECT_EQ(c.machine.max_cycles, 0xfedc'ba98'7654'3210ULL);
+  EXPECT_TRUE(c.machine.use_private_l2);
+  EXPECT_EQ(c.machine.l1_size_per_core,
+            (std::vector<std::uint64_t>{4 * 1024, 16 * 1024}));
+  EXPECT_EQ(c.machine.l1.mshr_entries, 4u);
+  EXPECT_EQ(c.machine.private_l2.size_bytes, 256u * 1024u);
+  EXPECT_EQ(c.machine.dram.starvation_threshold, 200u);
+  ASSERT_EQ(c.ops.size(), 2u);
+  EXPECT_EQ(c.ops[0], decode_ops("l40:0:0:1;a0:1:0:2;sbeef00:2:0:1"));
+  EXPECT_EQ(c.ops[1], decode_ops("s40:0:0:1"));
+  // Re-saving it changes nothing but whitespace (no value here holds any).
+  EXPECT_EQ(without_whitespace(replay_to_json(c)),
+            without_whitespace(kPrettyPrintedCase));
+}
+
 TEST(Replay, RejectsMalformedInput) {
   EXPECT_THROW((void)replay_from_json("not json"), util::LpmError);
   EXPECT_THROW((void)replay_from_json("{\"format\": \"something-else\"}"),

@@ -176,6 +176,54 @@ TEST(ResultSink, RecordsWallClockDurationInSinkAndJournal) {
   std::filesystem::remove(journal_path);
 }
 
+// One fixed record pins the exact row text both formats write. lpmbench
+// reads `duration_ms` back from the JSON-lines row, so any change in these
+// bytes moves a benchmark metric with no change in the program.
+exp::ResultRecord pinned_record() {
+  exp::ResultRecord r;
+  r.tag = "walk \"a\",b";
+  r.fingerprint = "00ff00ff00ff00ff";
+  r.backend = "rdh";
+  r.from_cache = true;
+  r.completed = true;
+  r.cycles = 123456789012;
+  r.cores = 4;
+  r.instructions = 987654321;
+  r.ipc = 1.23456789;
+  r.mr1 = 0.0421;
+  r.mr2 = 0.5;
+  r.camat1 = 3.14159265;
+  r.camat2 = 27.0;
+  r.cpi_exe = 0.0;
+  r.duration_ms = 12.3456;
+  return r;
+}
+
+TEST(ResultSink, JsonLinesRowBytesArePinned) {
+  std::ostringstream out;
+  exp::ResultSink sink(out, exp::ResultSink::Format::kJsonLines);
+  sink.write(pinned_record());
+  EXPECT_EQ(out.str(),
+            "{\"tag\":\"walk \\\"a\\\",b\",\"fingerprint\":\"00ff00ff00ff00ff\","
+            "\"backend\":\"rdh\",\"from_cache\":true,\"completed\":true,"
+            "\"cycles\":123456789012,\"cores\":4,\"instructions\":987654321,"
+            "\"ipc\":1.234568,\"mr1\":0.042100,\"mr2\":0.500000,"
+            "\"camat1\":3.141593,\"camat2\":27.000000,\"cpi_exe\":0.000000,"
+            "\"duration_ms\":12.346}\n");
+}
+
+TEST(ResultSink, CsvRowBytesArePinned) {
+  std::ostringstream out;
+  exp::ResultSink sink(out, exp::ResultSink::Format::kCsv);
+  sink.write(pinned_record());
+  EXPECT_EQ(out.str(),
+            "tag,fingerprint,backend,from_cache,completed,cycles,cores,"
+            "instructions,ipc,mr1,mr2,camat1,camat2,cpi_exe,duration_ms\n"
+            "\"walk \"\"a\"\",b\",00ff00ff00ff00ff,rdh,1,1,123456789012,4,"
+            "987654321,1.234568,0.042100,0.500000,3.141593,27.000000,0.000000,"
+            "12.346\n");
+}
+
 TEST(ResultSink, JsonEscapesControlCharacters) {
   std::ostringstream json;
   exp::ResultSink sink(json, exp::ResultSink::Format::kJsonLines);

@@ -119,6 +119,54 @@ TEST(PerfReport, JsonRoundTrips) {
   EXPECT_DOUBLE_EQ(back.trace_warm_ops_per_sec, r.trace_warm_ops_per_sec);
 }
 
+// BENCH_simulator.json is compared against committed baselines and kept
+// as the trajectory, so its exact text is pinned, not only its schema.
+TEST(PerfReport, JsonBytesArePinned) {
+  PerfReport r;
+  r.bench = "lpm_convergence";
+  r.cycles = 123;
+  r.instructions = 456;
+  r.jobs = 7;
+  r.analytic_configs = 64;
+  r.wall_seconds_simulate = 1.5;
+  r.wall_seconds_engine = 2.25;
+  r.wall_seconds_analytic = 0.125;
+  r.sim_cycles_per_sec = 82.04;
+  r.instructions_per_sec = 304.36;
+  r.membound_cycles = 999;
+  r.membound_instructions = 333;
+  r.wall_seconds_membound = 0.7500004;
+  r.sim_membound_cycles_per_sec = 1332.0;
+  r.corun_cycles = 777;
+  r.wall_seconds_corun = 0.5;
+  r.sim_corun_cycles_per_sec = 1554.25;
+  r.engine_jobs_per_sec = 2.8;
+  r.analytic_configs_per_sec = 512.0;
+  r.trace_ops = 4096;
+  r.wall_seconds_trace_cold = 0.5;
+  r.wall_seconds_trace_warm = 0.25;
+  r.trace_cold_ops_per_sec = 8192.0;
+  r.trace_warm_ops_per_sec = 16384.0;
+  EXPECT_EQ(to_json(r),
+            "{\"bench\":\"lpm_convergence\",\"cycles\":123,\"instructions\":456,"
+            "\"jobs\":7,\"analytic_configs\":64,"
+            "\"wall_seconds_simulate\":1.500000,"
+            "\"wall_seconds_engine\":2.250000,"
+            "\"wall_seconds_analytic\":0.125000,"
+            "\"sim_cycles_per_sec\":82.0,\"instructions_per_sec\":304.4,"
+            "\"membound_cycles\":999,\"membound_instructions\":333,"
+            "\"wall_seconds_membound\":0.750000,"
+            "\"sim_membound_cycles_per_sec\":1332.0,\"corun_cycles\":777,"
+            "\"wall_seconds_corun\":0.500000,"
+            "\"sim_corun_cycles_per_sec\":1554.2,"
+            "\"engine_jobs_per_sec\":2.800,"
+            "\"analytic_configs_per_sec\":512.0,\"trace_ops\":4096,"
+            "\"wall_seconds_trace_cold\":0.500000,"
+            "\"wall_seconds_trace_warm\":0.250000,"
+            "\"trace_cold_ops_per_sec\":8192.0,"
+            "\"trace_warm_ops_per_sec\":16384.0}\n");
+}
+
 TEST(PerfReport, LegacyReportsWithoutAnalyticKeysStillParse) {
   // Baselines written before the analytic-screening phase carry no
   // analytic_* keys; they must load with 0 ("not measured"), and the gate
