@@ -311,35 +311,34 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
 }
 
 std::string to_json(const PerfReport& r) {
-  std::ostringstream os;
-  os << "{\"bench\":\"" << r.bench << "\""
-     << ",\"cycles\":" << r.cycles << ",\"instructions\":" << r.instructions
-     << ",\"jobs\":" << r.jobs
-     << ",\"analytic_configs\":" << r.analytic_configs
-     << ",\"wall_seconds_simulate\":" << util::fmt(r.wall_seconds_simulate, 6)
-     << ",\"wall_seconds_engine\":" << util::fmt(r.wall_seconds_engine, 6)
-     << ",\"wall_seconds_analytic\":" << util::fmt(r.wall_seconds_analytic, 6)
-     << ",\"sim_cycles_per_sec\":" << util::fmt(r.sim_cycles_per_sec, 1)
-     << ",\"instructions_per_sec\":" << util::fmt(r.instructions_per_sec, 1)
-     << ",\"membound_cycles\":" << r.membound_cycles
-     << ",\"membound_instructions\":" << r.membound_instructions
-     << ",\"wall_seconds_membound\":" << util::fmt(r.wall_seconds_membound, 6)
-     << ",\"sim_membound_cycles_per_sec\":"
-     << util::fmt(r.sim_membound_cycles_per_sec, 1)
-     << ",\"corun_cycles\":" << r.corun_cycles
-     << ",\"wall_seconds_corun\":" << util::fmt(r.wall_seconds_corun, 6)
-     << ",\"sim_corun_cycles_per_sec\":"
-     << util::fmt(r.sim_corun_cycles_per_sec, 1)
-     << ",\"engine_jobs_per_sec\":" << util::fmt(r.engine_jobs_per_sec, 3)
-     << ",\"analytic_configs_per_sec\":"
-     << util::fmt(r.analytic_configs_per_sec, 1)
-     << ",\"trace_ops\":" << r.trace_ops
-     << ",\"wall_seconds_trace_cold\":" << util::fmt(r.wall_seconds_trace_cold, 6)
-     << ",\"wall_seconds_trace_warm\":" << util::fmt(r.wall_seconds_trace_warm, 6)
-     << ",\"trace_cold_ops_per_sec\":" << util::fmt(r.trace_cold_ops_per_sec, 1)
-     << ",\"trace_warm_ops_per_sec\":" << util::fmt(r.trace_warm_ops_per_sec, 1)
-     << "}\n";
-  return os.str();
+  return util::JsonWriter()
+             .str("bench", r.bench)
+             .num_u64("cycles", r.cycles)
+             .num_u64("instructions", r.instructions)
+             .num_u64("jobs", r.jobs)
+             .num_u64("analytic_configs", r.analytic_configs)
+             .fixed("wall_seconds_simulate", r.wall_seconds_simulate, 6)
+             .fixed("wall_seconds_engine", r.wall_seconds_engine, 6)
+             .fixed("wall_seconds_analytic", r.wall_seconds_analytic, 6)
+             .fixed("sim_cycles_per_sec", r.sim_cycles_per_sec, 1)
+             .fixed("instructions_per_sec", r.instructions_per_sec, 1)
+             .num_u64("membound_cycles", r.membound_cycles)
+             .num_u64("membound_instructions", r.membound_instructions)
+             .fixed("wall_seconds_membound", r.wall_seconds_membound, 6)
+             .fixed("sim_membound_cycles_per_sec",
+                    r.sim_membound_cycles_per_sec, 1)
+             .num_u64("corun_cycles", r.corun_cycles)
+             .fixed("wall_seconds_corun", r.wall_seconds_corun, 6)
+             .fixed("sim_corun_cycles_per_sec", r.sim_corun_cycles_per_sec, 1)
+             .fixed("engine_jobs_per_sec", r.engine_jobs_per_sec, 3)
+             .fixed("analytic_configs_per_sec", r.analytic_configs_per_sec, 1)
+             .num_u64("trace_ops", r.trace_ops)
+             .fixed("wall_seconds_trace_cold", r.wall_seconds_trace_cold, 6)
+             .fixed("wall_seconds_trace_warm", r.wall_seconds_trace_warm, 6)
+             .fixed("trace_cold_ops_per_sec", r.trace_cold_ops_per_sec, 1)
+             .fixed("trace_warm_ops_per_sec", r.trace_warm_ops_per_sec, 1)
+             .finish() +
+         "\n";
 }
 
 PerfReport parse_report(const std::string& json_text) {

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <sstream>
 
 #include "model/analytic.hpp"
 #include "trace/spec_like.hpp"
 #include "util/error.hpp"
+#include "util/flat_json.hpp"
 #include "util/table.hpp"
 
 namespace lpm::check {
@@ -157,29 +157,30 @@ FidelityReport run_fidelity_harness(const FidelityConfig& cfg) {
 }
 
 std::string FidelityReport::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"worst_mr1_rel_error\": " << util::fmt(worst_mr1_rel_error, 6)
-     << ",\n  \"worst_camat1_rel_error\": "
-     << util::fmt(worst_camat1_rel_error, 6)
-     << ",\n  \"p50_mr1_rel_error\": " << util::fmt(p50_mr1_rel_error, 6)
-     << ",\n  \"p90_mr1_rel_error\": " << util::fmt(p90_mr1_rel_error, 6)
-     << ",\n  \"p50_camat1_rel_error\": " << util::fmt(p50_camat1_rel_error, 6)
-     << ",\n  \"p90_camat1_rel_error\": " << util::fmt(p90_camat1_rel_error, 6)
-     << ",\n  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const FidelityPoint& p = points[i];
-    os << "    {\"benchmark\": \"" << p.benchmark << "\", \"backend\": \""
-       << p.backend << "\", \"l1_size_bytes\": " << p.l1_size_bytes
-       << ", \"mr1_cycle\": " << util::fmt(p.mr1_cycle, 6)
-       << ", \"mr1_analytic\": " << util::fmt(p.mr1_analytic, 6)
-       << ", \"mr1_rel_error\": " << util::fmt(p.mr1_rel_error, 6)
-       << ", \"camat1_cycle\": " << util::fmt(p.camat1_cycle, 6)
-       << ", \"camat1_analytic\": " << util::fmt(p.camat1_analytic, 6)
-       << ", \"camat1_rel_error\": " << util::fmt(p.camat1_rel_error, 6)
-       << "}" << (i + 1 < points.size() ? "," : "") << "\n";
+  std::vector<util::JsonWriter> point_objs;
+  point_objs.reserve(points.size());
+  for (const FidelityPoint& p : points) {
+    point_objs.push_back(util::JsonWriter()
+                             .str("benchmark", p.benchmark)
+                             .str("backend", p.backend)
+                             .num_u64("l1_size_bytes", p.l1_size_bytes)
+                             .fixed("mr1_cycle", p.mr1_cycle, 6)
+                             .fixed("mr1_analytic", p.mr1_analytic, 6)
+                             .fixed("mr1_rel_error", p.mr1_rel_error, 6)
+                             .fixed("camat1_cycle", p.camat1_cycle, 6)
+                             .fixed("camat1_analytic", p.camat1_analytic, 6)
+                             .fixed("camat1_rel_error", p.camat1_rel_error, 6));
   }
-  os << "  ]\n}\n";
-  return os.str();
+  return util::JsonWriter()
+             .fixed("worst_mr1_rel_error", worst_mr1_rel_error, 6)
+             .fixed("worst_camat1_rel_error", worst_camat1_rel_error, 6)
+             .fixed("p50_mr1_rel_error", p50_mr1_rel_error, 6)
+             .fixed("p90_mr1_rel_error", p90_mr1_rel_error, 6)
+             .fixed("p50_camat1_rel_error", p50_camat1_rel_error, 6)
+             .fixed("p90_camat1_rel_error", p90_camat1_rel_error, 6)
+             .array("points", point_objs)
+             .finish() +
+         "\n";
 }
 
 std::string FidelityReport::table() const {

@@ -14,48 +14,28 @@ namespace {
 
 constexpr const char* kFormatTag = "lpm-replay-v1";
 
-void append_kv(std::string& out, const std::string& key, const std::string& raw,
-               bool quote) {
-  out += "  \"";
-  out += key;
-  out += "\": ";
-  if (quote) out += '"';
-  out += raw;
-  if (quote) out += '"';
-  out += ",\n";
-}
-
-void put_num(std::string& out, const std::string& key, std::uint64_t v) {
-  append_kv(out, key, std::to_string(v), /*quote=*/false);
-}
-
 // 64-bit values that may exceed 2^53 travel as strings (FlatJson numbers
 // are doubles).
-void put_u64(std::string& out, const std::string& key, std::uint64_t v) {
-  append_kv(out, key, std::to_string(v), /*quote=*/true);
+void put_u64(util::JsonWriter& out, const std::string& key, std::uint64_t v) {
+  out.str(key, std::to_string(v));
 }
 
-void put_str(std::string& out, const std::string& key, const std::string& v) {
-  // Replay values are [a-z0-9.,:;_-] only; no escaping needed beyond quotes.
-  append_kv(out, key, v, /*quote=*/true);
-}
-
-void put_cache(std::string& out, const std::string& p,
+void put_cache(util::JsonWriter& out, const std::string& p,
                const mem::CacheConfig& c) {
-  put_num(out, p + ".size_bytes", c.size_bytes);
-  put_num(out, p + ".block_bytes", c.block_bytes);
-  put_num(out, p + ".associativity", c.associativity);
-  put_num(out, p + ".hit_latency", c.hit_latency);
-  put_num(out, p + ".ports", c.ports);
-  put_num(out, p + ".banks", c.banks);
-  put_num(out, p + ".interleave_bytes", c.interleave_bytes);
-  put_num(out, p + ".mshr_entries", c.mshr_entries);
-  put_num(out, p + ".mshr_targets", c.mshr_targets);
-  put_num(out, p + ".writeback_capacity", c.writeback_capacity);
-  put_num(out, p + ".prefetch_degree", c.prefetch_degree);
-  put_num(out, p + ".prefetch_accuracy_window", c.prefetch_accuracy_window);
-  put_num(out, p + ".mshr_quota_per_core", c.mshr_quota_per_core);
-  put_str(out, p + ".replacement", mem::to_string(c.replacement));
+  out.num_u64(p + ".size_bytes", c.size_bytes)
+      .num_u64(p + ".block_bytes", c.block_bytes)
+      .num_u64(p + ".associativity", c.associativity)
+      .num_u64(p + ".hit_latency", c.hit_latency)
+      .num_u64(p + ".ports", c.ports)
+      .num_u64(p + ".banks", c.banks)
+      .num_u64(p + ".interleave_bytes", c.interleave_bytes)
+      .num_u64(p + ".mshr_entries", c.mshr_entries)
+      .num_u64(p + ".mshr_targets", c.mshr_targets)
+      .num_u64(p + ".writeback_capacity", c.writeback_capacity)
+      .num_u64(p + ".prefetch_degree", c.prefetch_degree)
+      .num_u64(p + ".prefetch_accuracy_window", c.prefetch_accuracy_window)
+      .num_u64(p + ".mshr_quota_per_core", c.mshr_quota_per_core)
+      .str(p + ".replacement", mem::to_string(c.replacement));
   put_u64(out, p + ".seed", c.seed);
 }
 
@@ -170,47 +150,42 @@ std::vector<trace::MicroOp> decode_ops(const std::string& text) {
 
 std::string replay_to_json(const ReplayCase& c) {
   const sim::MachineConfig& m = c.machine;
-  std::string out = "{\n";
-  put_str(out, "format", kFormatTag);
-  put_num(out, "num_cores", m.num_cores);
+  util::JsonWriter out;
+  out.str("format", kFormatTag).num_u64("num_cores", m.num_cores);
   put_u64(out, "max_cycles", m.max_cycles);
-  append_kv(out, "use_private_l2", m.use_private_l2 ? "true" : "false",
-            /*quote=*/false);
+  out.boolean("use_private_l2", m.use_private_l2);
   if (!m.l1_size_per_core.empty()) {
     std::string sizes;
     for (std::size_t i = 0; i < m.l1_size_per_core.size(); ++i) {
       if (i != 0) sizes += ',';
       sizes += std::to_string(m.l1_size_per_core[i]);
     }
-    put_str(out, "l1_size_per_core", sizes);
+    out.str("l1_size_per_core", sizes);
   }
-  put_num(out, "core.issue_width", m.core.issue_width);
-  put_num(out, "core.dispatch_width", m.core.dispatch_width);
-  put_num(out, "core.commit_width", m.core.commit_width);
-  put_num(out, "core.iw_size", m.core.iw_size);
-  put_num(out, "core.rob_size", m.core.rob_size);
-  put_num(out, "core.lsq_size", m.core.lsq_size);
+  out.num_u64("core.issue_width", m.core.issue_width)
+      .num_u64("core.dispatch_width", m.core.dispatch_width)
+      .num_u64("core.commit_width", m.core.commit_width)
+      .num_u64("core.iw_size", m.core.iw_size)
+      .num_u64("core.rob_size", m.core.rob_size)
+      .num_u64("core.lsq_size", m.core.lsq_size);
   put_cache(out, "l1", m.l1);
   put_cache(out, "l2", m.l2);
   if (m.use_private_l2) put_cache(out, "private_l2", m.private_l2);
-  put_num(out, "dram.banks", m.dram.banks);
-  put_num(out, "dram.row_bytes", m.dram.row_bytes);
-  put_num(out, "dram.interleave_bytes", m.dram.interleave_bytes);
-  put_num(out, "dram.t_rcd", m.dram.t_rcd);
-  put_num(out, "dram.t_cl", m.dram.t_cl);
-  put_num(out, "dram.t_rp", m.dram.t_rp);
-  put_num(out, "dram.t_burst", m.dram.t_burst);
-  put_num(out, "dram.frontend_latency", m.dram.frontend_latency);
-  put_num(out, "dram.queue_capacity", m.dram.queue_capacity);
-  put_num(out, "dram.max_issue_per_cycle", m.dram.max_issue_per_cycle);
-  put_num(out, "dram.starvation_threshold", m.dram.starvation_threshold);
+  out.num_u64("dram.banks", m.dram.banks)
+      .num_u64("dram.row_bytes", m.dram.row_bytes)
+      .num_u64("dram.interleave_bytes", m.dram.interleave_bytes)
+      .num_u64("dram.t_rcd", m.dram.t_rcd)
+      .num_u64("dram.t_cl", m.dram.t_cl)
+      .num_u64("dram.t_rp", m.dram.t_rp)
+      .num_u64("dram.t_burst", m.dram.t_burst)
+      .num_u64("dram.frontend_latency", m.dram.frontend_latency)
+      .num_u64("dram.queue_capacity", m.dram.queue_capacity)
+      .num_u64("dram.max_issue_per_cycle", m.dram.max_issue_per_cycle)
+      .num_u64("dram.starvation_threshold", m.dram.starvation_threshold);
   for (std::size_t cidx = 0; cidx < c.ops.size(); ++cidx) {
-    put_str(out, "ops." + std::to_string(cidx), encode_ops(c.ops[cidx]));
+    out.str("ops." + std::to_string(cidx), encode_ops(c.ops[cidx]));
   }
-  // Replace the trailing ",\n" with the closing brace.
-  out.erase(out.size() - 2);
-  out += "\n}\n";
-  return out;
+  return out.finish() + "\n";
 }
 
 ReplayCase replay_from_json(const std::string& text) {

@@ -5,9 +5,10 @@
 // finds a divergence it delta-debugs the trace down to a minimal repro and
 // writes it as a replay file; `tools/lpm_replay` re-executes such a file
 // against both the optimized and the reference simulator. The file is one
-// flat JSON object (util::FlatJson-parseable — no nested containers):
-// machine knobs appear as dotted scalar keys ("l1.mshr_entries": 4) and
-// each core's trace as one compact op string ("ops.0": "l40:0:0:1;a0:1:0:2").
+// flat JSON object on one line (util::JsonWriter out, util::FlatJson in —
+// no nested containers, and any whitespace layout loads): machine knobs
+// appear as dotted scalar keys ("l1.mshr_entries":4) and each core's
+// trace as one compact op string ("ops.0":"l40:0:0:1;a0:1:0:2").
 #pragma once
 
 #include <cstdint>

@@ -180,8 +180,7 @@ void DesignSpaceExplorer::evaluate_batch(const std::vector<ArchKnobs>& batch) {
   // an on-path evaluation of the same point would retry and then fail fast
   // in evaluate_full.
   const auto outcomes = engine().run_batch_outcomes(
-      jobs, exp::BatchOptions{exp::FailurePolicy::kCollect,
-                              /*consult_journal=*/false});
+      jobs, exp::FailurePolicy::kCollect);
   for (std::size_t i = 0; i < todo.size(); ++i) {
     if (!outcomes[i].ok()) {
       util::log_warn() << "design-space candidate '" << jobs[i].tag

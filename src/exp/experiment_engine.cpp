@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 
-#include "exp/journal.hpp"
 #include "exp/result_sink.hpp"
 #include "obs/trace.hpp"
 #include "sim/calibration.hpp"
@@ -114,11 +113,6 @@ bool ExperimentEngine::has_backend_executor(const std::string& name) {
 
 const SimResultPtr& SimJobOutcome::value() const {
   if (result != nullptr) return result;
-  if (skipped) {
-    util::throw_error(util::ErrorCode::kGeneric,
-                      "SimJobOutcome: point " + util::fingerprint_hex(fingerprint) +
-                          " was journal-skipped (no in-process result)");
-  }
   util::throw_error(error == util::ErrorCode::kNone ? util::ErrorCode::kGeneric
                                                     : error,
                     error_message);
@@ -219,7 +213,6 @@ ExperimentEngine::ExperimentEngine(Options opts)
       job_timeout_ms_(opts.job_timeout_ms),
       default_policy_(opts.policy),
       fault_plan_(std::move(opts.fault_plan)),
-      journal_(opts.journal),
       sink_(opts.sink) {
   // Resolve registry handles (and thereby touch the global registry +
   // trace session) before any worker exists: the $LPM_METRICS/$LPM_TRACE
@@ -236,7 +229,6 @@ ExperimentEngine::ExperimentEngine(Options opts)
       reg.counter("exp.jobs.retries"),
       reg.counter("exp.jobs.timeouts"),
       reg.counter("exp.jobs.faults_injected"),
-      reg.counter("exp.jobs.journal_skips"),
       reg.histogram("exp.job.queue_wait_ms",
                     obs::MetricsRegistry::latency_ms_bounds()),
       reg.histogram("exp.job.run_ms",
@@ -533,10 +525,7 @@ SimResultPtr ExperimentEngine::run(const SimJob& job) {
 
 std::vector<SimResultPtr> ExperimentEngine::run_batch(
     const std::vector<SimJob>& jobs) {
-  // The journal is never consulted here: this API promises a result object
-  // per job, which a journal skip cannot provide.
-  auto outcomes = run_batch_impl(jobs, FailurePolicy::kFailFast,
-                                 /*consult_journal=*/false);
+  auto outcomes = run_batch_impl(jobs, FailurePolicy::kFailFast);
   std::vector<SimResultPtr> results;
   results.reserve(outcomes.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -555,12 +544,12 @@ std::vector<SimResultPtr> ExperimentEngine::run_batch(
 
 std::vector<SimJobOutcome> ExperimentEngine::run_batch_outcomes(
     const std::vector<SimJob>& jobs) {
-  return run_batch_impl(jobs, default_policy_, journal_ != nullptr);
+  return run_batch_impl(jobs, default_policy_);
 }
 
 std::vector<SimJobOutcome> ExperimentEngine::run_batch_outcomes(
-    const std::vector<SimJob>& jobs, BatchOptions batch) {
-  return run_batch_impl(jobs, batch.policy, batch.consult_journal);
+    const std::vector<SimJob>& jobs, FailurePolicy policy) {
+  return run_batch_impl(jobs, policy);
 }
 
 void ExperimentEngine::run_group(BatchCtx& ctx, std::uint32_t gi) {
@@ -638,8 +627,7 @@ obs::MetricsRegistry::Counter ExperimentEngine::backend_evals(
 }
 
 std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
-    const std::vector<SimJob>& jobs, FailurePolicy policy,
-    bool consult_journal) {
+    const std::vector<SimJob>& jobs, FailurePolicy policy) {
   std::vector<SimJobOutcome> outcomes(jobs.size());
   if (jobs.empty()) return outcomes;
   obs::ScopedSpan batch_span(obs::TraceSession::global(), "exp.run_batch",
@@ -648,11 +636,11 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
   obs_.jobs_submitted.add(jobs.size());
   obs_.batch_size.observe(static_cast<double>(jobs.size()));
 
-  // Resolve fingerprints, validation failures, cache hits and journal
-  // skips on the submitting thread; group the remainder so each distinct
-  // point simulates exactly once. Groups keep submission order, which also
-  // fixes the fault plan's executed-point numbering independently of the
-  // worker pool.
+  // Resolve fingerprints, validation failures and cache hits on the
+  // submitting thread; group the remainder so each distinct point
+  // simulates exactly once. Groups keep submission order, which also fixes
+  // the fault plan's executed-point numbering independently of the worker
+  // pool.
   BatchCtx ctx;
   ctx.policy = policy;
   // Fingerprint dedup uses a flat linear-probe table (power-of-two sized,
@@ -693,12 +681,6 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
         obs_.cache_hits.inc();
         continue;
       }
-    }
-    if (consult_journal && journal_ != nullptr && journal_->completed(fp)) {
-      outcomes[i].skipped = true;
-      journal_skips_.fetch_add(1, std::memory_order_relaxed);
-      obs_.journal_skips.inc();
-      continue;
     }
     dedup_fp[slot] = fp;
     dedup_group[slot] = static_cast<std::uint32_t>(ctx.groups.size());
@@ -757,9 +739,9 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
 
     // Merge-on-read: workers wrote one slot per group; fan the slots back
     // out to submission indices here, on the submitting thread, so cache
-    // inserts, duplicate accounting, and the sink/journal pass below all
-    // happen in submission order no matter how the pool scheduled the
-    // groups. This is what keeps N workers bit-identical to serial.
+    // inserts, duplicate accounting, and the sink pass below all happen in
+    // submission order no matter how the pool scheduled the groups. This is
+    // what keeps N workers bit-identical to serial.
     // Batches overwhelmingly run one backend, so memoize the per-backend
     // evals counter: the steady state is a relaxed add per group instead
     // of a mutex plus a string-keyed map lookup.
@@ -794,22 +776,16 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
     }
   }
 
-  // Journal + sink bookkeeping happens on the submitting thread, in
-  // submission order, so structured output is deterministic regardless of
-  // worker scheduling. The journal line is written after the sink record
-  // flushed: a crash between the two re-runs the point (harmless) rather
-  // than losing its data row (not).
+  // Sink bookkeeping happens on the submitting thread, in submission
+  // order, so structured output is deterministic regardless of worker
+  // scheduling.
   {
     const std::lock_guard<std::mutex> lock(sink_mutex_);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const SimJobOutcome& out = outcomes[i];
-      if (!out.ok()) continue;
-      if (sink_ != nullptr) {
+    if (sink_ != nullptr) {
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SimJobOutcome& out = outcomes[i];
+        if (!out.ok()) continue;
         sink_->write(ResultRecord::make(jobs[i], *out.result, out.from_cache));
-      }
-      if (journal_ != nullptr && !out.skipped) {
-        journal_->mark_done(out.fingerprint, jobs[i].tag,
-                            out.result->duration_ms);
       }
     }
   }
@@ -832,8 +808,8 @@ void ExperimentEngine::set_sink(ResultSink* sink) {
 }
 
 ExperimentEngine& ExperimentEngine::shared() {
-  // Sink and journal are separate statics constructed first so they
-  // outlive the engine's destructor (which joins the workers).
+  // The sink is a separate static constructed first so it outlives the
+  // engine's destructor (which joins the workers).
   static const std::unique_ptr<ResultSink> sink = []() -> std::unique_ptr<ResultSink> {
     const char* path = std::getenv("LPM_RESULTS");
     if (path == nullptr) return nullptr;
@@ -845,21 +821,9 @@ ExperimentEngine& ExperimentEngine::shared() {
       return nullptr;
     }
   }();
-  static const std::unique_ptr<SweepJournal> journal =
-      []() -> std::unique_ptr<SweepJournal> {
-    const char* path = std::getenv("LPM_JOURNAL");
-    if (path == nullptr) return nullptr;
-    try {
-      return SweepJournal::open(path);
-    } catch (const std::exception& e) {
-      util::log_error() << "LPM_JOURNAL disabled: " << e.what();
-      return nullptr;
-    }
-  }();
   static ExperimentEngine engine{[] {
     return Options::builder()
         .sink(sink.get())
-        .journal(journal.get())
         .max_retries(static_cast<unsigned>(env_u64_or("LPM_MAX_RETRIES", 0)))
         .retry_backoff_base_ms(env_u64_or("LPM_RETRY_BACKOFF_MS", 10))
         .job_timeout_ms(env_u64_or("LPM_JOB_TIMEOUT_MS", 0))

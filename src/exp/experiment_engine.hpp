@@ -32,9 +32,7 @@
 // seeded jittered backoff; a watchdog thread cancels over-budget jobs
 // cooperatively through sim::RunGuard (never by killing a thread). A
 // FaultPlan injects failures at chosen executed-point indices so all of
-// these paths are testable, and an optional SweepJournal lets a killed
-// sweep resume without re-simulating completed points
-// (tests/exp/fault_injection_test.cpp).
+// these paths are testable (tests/exp/fault_injection_test.cpp).
 //
 // Concurrency core (DESIGN.md "Engine concurrency"): the job queue is one
 // mutex + condition variable + deque. A submitter pushes all of a batch's
@@ -89,7 +87,6 @@
 namespace lpm::exp {
 
 class ResultSink;
-class SweepJournal;
 
 /// RAII wall-clock timer feeding a registry histogram (and optionally a
 /// trace span); re-exported here because the engine's consumers time their
@@ -148,10 +145,9 @@ struct SimJobResult {
   std::vector<sim::CpiExeResult> calib;
   /// Wall-clock milliseconds the successful execution took (simulation +
   /// calibration). Milliseconds are the one duration unit across the repo:
-  /// sinks (ResultRecord::duration_ms), the sweep journal, and the perf
-  /// harness all record the same field. Rides the shared result object, so
-  /// a cache-served outcome reports the duration of the run that produced
-  /// it.
+  /// sinks (ResultRecord::duration_ms) and the perf harness both record
+  /// the same field. Rides the shared result object, so a cache-served
+  /// outcome reports the duration of the run that produced it.
   double duration_ms = 0.0;
 };
 
@@ -180,26 +176,14 @@ struct SimJobOutcome {
   util::ErrorCode error = util::ErrorCode::kNone;
   /// First error of the final attempt (tagged with the job on rethrow).
   std::string error_message;
-  /// Execution attempts made (0 for cache hits and journal skips).
+  /// Execution attempts made (0 for cache hits).
   unsigned attempts = 0;
   bool from_cache = false;
-  /// Skipped because the engine's SweepJournal already marks it done (a
-  /// resumed sweep; the data row is in the previous run's sink file).
-  bool skipped = false;
 
   [[nodiscard]] bool ok() const { return result != nullptr; }
   /// Returns the result or rethrows the recorded failure with its
   /// concrete exception type (util::TimeoutError etc.).
   [[nodiscard]] const SimResultPtr& value() const;
-};
-
-/// Per-batch knobs for run_batch_outcomes.
-struct BatchOptions {
-  FailurePolicy policy = FailurePolicy::kFailFast;
-  /// Skip points the engine's SweepJournal marks done (returned as
-  /// `skipped` outcomes with no result object). Resumable sweep drivers
-  /// opt in; consumers that need every result object leave this off.
-  bool consult_journal = false;
 };
 
 /// Evaluates one non-cycle job and returns a fully-populated result (run
@@ -257,12 +241,10 @@ class ExperimentEngine {
     /// jobs are cancelled cooperatively (sim::RunGuard) and come back as
     /// util::ErrorCode::kTimeout.
     std::uint64_t job_timeout_ms = 0;
-    /// Default policy for run_batch_outcomes(jobs) without BatchOptions.
+    /// Default policy for run_batch_outcomes(jobs) without a policy.
     FailurePolicy policy = FailurePolicy::kFailFast;
     /// Deterministic fault injection (see fault_plan.hpp); empty = none.
     FaultPlan fault_plan;
-    /// Optional crash-safe sweep journal (non-owning; may be nullptr).
-    SweepJournal* journal = nullptr;
 
     class Builder;
     /// Fluent construction from the defaults; build() validates and throws
@@ -291,10 +273,11 @@ class ExperimentEngine {
   std::vector<SimResultPtr> run_batch(const std::vector<SimJob>& jobs);
 
   /// Like run_batch, but failures become data: one SimJobOutcome per job,
-  /// in submission order, never throwing for job-level errors.
+  /// in submission order, never throwing for job-level errors. Without
+  /// `policy`, the engine's Options::policy applies.
   std::vector<SimJobOutcome> run_batch_outcomes(const std::vector<SimJob>& jobs);
   std::vector<SimJobOutcome> run_batch_outcomes(const std::vector<SimJob>& jobs,
-                                                BatchOptions batch);
+                                                FailurePolicy policy);
 
   /// Deterministic jittered backoff before retry `attempt` (1-based count
   /// of failures so far): base << (attempt-1) plus a [0, base] jitter
@@ -329,10 +312,6 @@ class ExperimentEngine {
   [[nodiscard]] std::uint64_t jobs_failed() const {
     return jobs_failed_.load(std::memory_order_relaxed);
   }
-  /// Points skipped because the journal already marks them done.
-  [[nodiscard]] std::uint64_t journal_skips() const {
-    return journal_skips_.load(std::memory_order_relaxed);
-  }
   /// Aggregate wall time spent inside simulations, across all workers.
   /// busy_seconds() / elapsed wall time ~= achieved parallel speedup.
   [[nodiscard]] double busy_seconds() const {
@@ -346,8 +325,8 @@ class ExperimentEngine {
   /// own: one cache means e.g. a bench and the LPM walk never re-simulate
   /// each other's points. Thread count from $LPM_THREADS; if $LPM_RESULTS
   /// is set, every executed job is appended there (.csv or .jsonl).
-  /// Fault-tolerance knobs from $LPM_MAX_RETRIES, $LPM_JOB_TIMEOUT_MS,
-  /// $LPM_FAULT_SPEC and $LPM_JOURNAL.
+  /// Fault-tolerance knobs from $LPM_MAX_RETRIES, $LPM_JOB_TIMEOUT_MS and
+  /// $LPM_FAULT_SPEC.
   static ExperimentEngine& shared();
 
   /// Registers (or replaces) the executor for a non-cycle backend name.
@@ -396,8 +375,7 @@ class ExperimentEngine {
   SimJobOutcome execute_with_retry(const SimJob& job, std::uint64_t fingerprint,
                                    std::uint64_t fault_index);
   std::vector<SimJobOutcome> run_batch_impl(const std::vector<SimJob>& jobs,
-                                            FailurePolicy policy,
-                                            bool consult_journal);
+                                            FailurePolicy policy);
 
   // Watchdog bookkeeping: execute_with_retry registers each attempt's
   // guard + deadline; the watchdog thread flips cancel flags once the
@@ -415,7 +393,6 @@ class ExperimentEngine {
   std::uint64_t job_timeout_ms_ = 0;
   FailurePolicy default_policy_ = FailurePolicy::kFailFast;
   FaultPlan fault_plan_;
-  SweepJournal* journal_ = nullptr;
 
   mutable std::mutex cache_mutex_;
   std::unordered_map<std::uint64_t, SimResultPtr> cache_;
@@ -434,7 +411,6 @@ class ExperimentEngine {
     obs::MetricsRegistry::Counter retries;
     obs::MetricsRegistry::Counter timeouts;
     obs::MetricsRegistry::Counter faults_injected;
-    obs::MetricsRegistry::Counter journal_skips;
     obs::MetricsRegistry::Histogram queue_wait_ms;
     obs::MetricsRegistry::Histogram run_ms;
     obs::MetricsRegistry::Histogram batch_size;
@@ -448,7 +424,6 @@ class ExperimentEngine {
   std::atomic<std::uint64_t> busy_nanos_{0};
   std::atomic<std::uint64_t> retries_performed_{0};
   std::atomic<std::uint64_t> jobs_failed_{0};
-  std::atomic<std::uint64_t> journal_skips_{0};
   /// Executed-point cursor for the fault plan; advanced on the submitting
   /// thread in submission order so injection sites are pool-independent.
   std::atomic<std::uint64_t> fault_cursor_{0};
@@ -525,10 +500,6 @@ class ExperimentEngine::Options::Builder {
   }
   Builder& fault_plan(FaultPlan plan) {
     opts_.fault_plan = std::move(plan);
-    return *this;
-  }
-  Builder& journal(SweepJournal* journal) {
-    opts_.journal = journal;
     return *this;
   }
   /// Validates and returns the finished Options: threads <= 256.

@@ -9,8 +9,8 @@
 // makes the 3rd executed point throw a SimError, the 7th hang until the
 // watchdog cancels it (TimeoutError), and the 12th throw an IoError.
 // Indices are 1-based and count *distinct points the engine decides to
-// simulate, in submission order* — cache hits and journal skips do not
-// consume an index, and the numbering is identical for a serial and a
+// simulate, in submission order* — cache hits do not consume an index,
+// and the numbering is identical for a serial and a
 // pooled engine (the index is assigned on the submitting thread, not when
 // a worker happens to pick the job up). A fault fires on the job's first
 // attempt only, so a retrying engine recovers deterministically.

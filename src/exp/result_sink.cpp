@@ -5,12 +5,12 @@
 #include <sstream>
 
 #include "exp/experiment_engine.hpp"
-#include "exp/journal.hpp"
 #include "util/error.hpp"
 #include "util/fingerprint.hpp"
 #include "util/flat_json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
+#include "util/torn_line.hpp"
 
 namespace lpm::exp {
 
@@ -224,7 +224,7 @@ std::unique_ptr<ResultSink> ResultSink::open(const std::string& path) {
   // which carries no complete record — drop it so every surviving line
   // parses. Re-runs then append clean records (header only once).
   if (std::filesystem::exists(path)) {
-    const std::uintmax_t trimmed = trim_partial_last_line(path);
+    const std::uintmax_t trimmed = util::trim_partial_last_line(path);
     if (trimmed > 0) {
       util::log_warn() << "results file '" << path << "': dropped " << trimmed
                        << " byte(s) of torn final line";
@@ -259,17 +259,24 @@ void ResultSink::write(const ResultRecord& r) {
        << util::fmt(r.camat2, 6) << ',' << util::fmt(r.cpi_exe, 6) << ','
        << util::fmt(r.duration_ms, 3) << "\n";
   } else {
-    os << "{\"tag\":\"" << util::json_escape(r.tag) << "\",\"fingerprint\":\""
-       << r.fingerprint << "\",\"backend\":\"" << util::json_escape(r.backend)
-       << "\",\"from_cache\":" << (r.from_cache ? "true" : "false")
-       << ",\"completed\":" << (r.completed ? "true" : "false")
-       << ",\"cycles\":" << r.cycles << ",\"cores\":" << r.cores
-       << ",\"instructions\":" << r.instructions << ",\"ipc\":" << util::fmt(r.ipc, 6)
-       << ",\"mr1\":" << util::fmt(r.mr1, 6) << ",\"mr2\":" << util::fmt(r.mr2, 6)
-       << ",\"camat1\":" << util::fmt(r.camat1, 6)
-       << ",\"camat2\":" << util::fmt(r.camat2, 6)
-       << ",\"cpi_exe\":" << util::fmt(r.cpi_exe, 6)
-       << ",\"duration_ms\":" << util::fmt(r.duration_ms, 3) << "}\n";
+    os << util::JsonWriter()
+              .str("tag", r.tag)
+              .str("fingerprint", r.fingerprint)
+              .str("backend", r.backend)
+              .boolean("from_cache", r.from_cache)
+              .boolean("completed", r.completed)
+              .num_u64("cycles", r.cycles)
+              .num_u64("cores", r.cores)
+              .num_u64("instructions", r.instructions)
+              .fixed("ipc", r.ipc, 6)
+              .fixed("mr1", r.mr1, 6)
+              .fixed("mr2", r.mr2, 6)
+              .fixed("camat1", r.camat1, 6)
+              .fixed("camat2", r.camat2, 6)
+              .fixed("cpi_exe", r.cpi_exe, 6)
+              .fixed("duration_ms", r.duration_ms, 3)
+              .finish()
+       << "\n";
   }
   // Append-then-flush: the record reaches the OS as one write, so a crash
   // can only ever tear the final line (which open() heals on resume).

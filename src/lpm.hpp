@@ -29,7 +29,6 @@
 #include "core/lpm_model.hpp"
 #include "core/online_controller.hpp"
 #include "exp/experiment_engine.hpp"
-#include "exp/journal.hpp"
 #include "exp/result_sink.hpp"
 #include "model/analytic.hpp"
 #include "model/backend.hpp"

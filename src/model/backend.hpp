@@ -8,7 +8,7 @@
 //    in microseconds per config — fast, approximate.
 //
 // Every backend funnels through exp::ExperimentEngine as a backend-tagged
-// SimJob, so memoization, batching, retries, sinks and journals apply to
+// SimJob, so memoization, batching, retries and sinks apply to
 // analytic evaluations exactly as they do to simulations, and the memo
 // cache keeps the fidelities apart (the backend is part of the job
 // fingerprint). Consumers that only need numbers read LayerEstimates;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -10,6 +9,7 @@
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/flat_json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -34,15 +34,6 @@ void atomic_add_double(std::atomic<double>& slot, double delta) {
                                      std::memory_order_relaxed,
                                      std::memory_order_relaxed)) {
   }
-}
-
-std::string json_number(double v) {
-  // JSON has no inf/nan; clamp to null-free sentinels so the file always
-  // parses (python -m json.tool chokes on bare inf).
-  if (!(v == v)) return "0";
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 }  // namespace
@@ -363,34 +354,24 @@ void MetricsSnapshot::write_text(std::ostream& out) const {
 }
 
 void MetricsSnapshot::write_json(std::ostream& out) const {
-  out << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out << (first ? "" : ",") << '"' << name << "\":" << value;
-    first = false;
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out << (first ? "" : ",") << '"' << name << "\":" << json_number(value);
-    first = false;
-  }
-  out << "},\"histograms\":{";
-  first = true;
+  util::JsonWriter counter_obj;
+  for (const auto& [name, value] : counters) counter_obj.num_u64(name, value);
+  util::JsonWriter gauge_obj;
+  for (const auto& [name, value] : gauges) gauge_obj.num(name, value);
+  util::JsonWriter histogram_obj;
   for (const auto& [name, h] : histograms) {
-    out << (first ? "" : ",") << '"' << name << "\":{\"bounds\":[";
-    for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-      out << (b == 0 ? "" : ",") << json_number(h.bounds[b]);
-    }
-    out << "],\"counts\":[";
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      out << (b == 0 ? "" : ",") << h.counts[b];
-    }
-    out << "],\"count\":" << h.count << ",\"sum\":" << json_number(h.sum)
-        << '}';
-    first = false;
+    histogram_obj.object(name, util::JsonWriter()
+                                   .array("bounds", h.bounds)
+                                   .array("counts", h.counts)
+                                   .num_u64("count", h.count)
+                                   .num("sum", h.sum));
   }
-  out << "}}\n";
+  out << util::JsonWriter()
+             .object("counters", counter_obj)
+             .object("gauges", gauge_obj)
+             .object("histograms", histogram_obj)
+             .finish()
+      << '\n';
 }
 
 // --- global registry + exit dump ------------------------------------------

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/flat_json.hpp"
@@ -28,17 +27,10 @@ int trace_tid() {
   return tid;
 }
 
-using util::json_escape;
-
-std::string format_args(const TraceArgs& args) {
-  std::ostringstream os;
-  os << '{';
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    os << (i == 0 ? "" : ",") << '"' << json_escape(args[i].first)
-       << "\":" << args[i].second;
-  }
-  os << '}';
-  return os.str();
+util::JsonWriter args_object(const TraceArgs& args) {
+  util::JsonWriter out;
+  for (const auto& [key, value] : args) out.num(key, value);
+  return out;
 }
 
 }  // namespace
@@ -71,34 +63,44 @@ void TraceSession::complete_event(const std::string& name,
                                   const std::string& cat,
                                   std::uint64_t start_us, std::uint64_t dur_us,
                                   const TraceArgs& args) {
-  std::ostringstream os;
-  os << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
-     << json_escape(cat)
-     << "\",\"ph\":\"X\",\"ts\":" << start_us << ",\"dur\":" << dur_us
-     << ",\"pid\":1,\"tid\":" << trace_tid()
-     << ",\"args\":" << format_args(args) << '}';
-  emit(os.str());
+  emit(util::JsonWriter()
+           .str("name", name)
+           .str("cat", cat)
+           .str("ph", "X")
+           .num_u64("ts", start_us)
+           .num_u64("dur", dur_us)
+           .num_u64("pid", 1)
+           .num_u64("tid", trace_tid())
+           .object("args", args_object(args))
+           .finish());
 }
 
 void TraceSession::counter_event(const std::string& name, std::uint64_t ts_us,
                                  const TraceArgs& values) {
-  std::ostringstream os;
-  os << "{\"name\":\"" << json_escape(name)
-     << "\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":" << ts_us
-     << ",\"pid\":1,\"tid\":0,\"args\":" << format_args(values) << '}';
-  emit(os.str());
+  emit(util::JsonWriter()
+           .str("name", name)
+           .str("cat", "counter")
+           .str("ph", "C")
+           .num_u64("ts", ts_us)
+           .num_u64("pid", 1)
+           .num_u64("tid", 0)
+           .object("args", args_object(values))
+           .finish());
 }
 
 void TraceSession::instant_event(const std::string& name,
                                  const std::string& cat, std::uint64_t ts_us,
                                  const TraceArgs& args) {
-  std::ostringstream os;
-  os << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
-     << json_escape(cat)
-     << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ts_us
-     << ",\"pid\":1,\"tid\":" << trace_tid()
-     << ",\"args\":" << format_args(args) << '}';
-  emit(os.str());
+  emit(util::JsonWriter()
+           .str("name", name)
+           .str("cat", cat)
+           .str("ph", "i")
+           .str("s", "t")
+           .num_u64("ts", ts_us)
+           .num_u64("pid", 1)
+           .num_u64("tid", trace_tid())
+           .object("args", args_object(args))
+           .finish());
 }
 
 void TraceSession::close() {

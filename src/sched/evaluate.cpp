@@ -78,8 +78,7 @@ std::vector<EvalResult> evaluate_schedules(
   // a missing co-run would silently bias the winner. The first failed
   // candidate's typed error is rethrown tagged with its scheduler name.
   const auto outcomes = eng.run_batch_outcomes(
-      jobs, exp::BatchOptions{exp::FailurePolicy::kFailFast,
-                              /*consult_journal=*/false});
+      jobs, exp::FailurePolicy::kFailFast);
 
   std::vector<EvalResult> out;
   out.reserve(candidates.size());

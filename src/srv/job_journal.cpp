@@ -3,9 +3,9 @@
 #include <filesystem>
 #include <map>
 
-#include "exp/journal.hpp"  // trim_partial_last_line
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/torn_line.hpp"
 
 namespace lpm::srv {
 
@@ -42,7 +42,7 @@ std::unique_ptr<JobJournal> JobJournal::open(const std::string& path) {
   // admission queue re-interleaves per client anyway).
   std::map<std::string, RecoveredJob> jobs;
   if (std::filesystem::exists(path)) {
-    const std::uintmax_t trimmed = exp::trim_partial_last_line(path);
+    const std::uintmax_t trimmed = util::trim_partial_last_line(path);
     if (trimmed > 0) {
       util::log_warn() << "job journal '" << path << "': dropped " << trimmed
                        << " byte(s) of torn final line";

@@ -2,7 +2,7 @@
 //
 // Three record kinds, one per line, appended in job-lifecycle order and
 // flushed at every append (the same discipline — and the same torn-tail
-// healing — as exp::SweepJournal):
+// healing, util::trim_partial_last_line — as the ResultSink files):
 //
 //   accept <job-key> <degraded> <spec-json>     admitted, not yet finished
 //   result <job-key> <frame-json>               one terminal/stream frame
@@ -11,7 +11,7 @@
 // `job-key` is "client/id" (both components use a restricted charset with
 // no whitespace, enforced at the protocol layer, so the line format stays
 // space-delimited). The JSON payloads are single-line by construction
-// (JsonWriter never emits newlines), so one record is always one line.
+// (util::JsonWriter never emits newlines), so one record is always one line.
 //
 // The ordering is the exactly-once contract:
 //   execute → append result frames → append done → deliver to the client.

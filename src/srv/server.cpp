@@ -685,7 +685,7 @@ void Server::execute_job(QueuedJob job) {
       std::vector<exp::SimJobOutcome> outcomes;
       if (!missing.empty()) {
         outcomes = engine_->run_batch_outcomes(
-            missing, {exp::FailurePolicy::kCollect, false});
+            missing, exp::FailurePolicy::kCollect);
       }
       std::vector<std::string> errors(points.size());
       for (std::size_t m = 0; m < outcomes.size(); ++m) {

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 
 #include <fcntl.h>
@@ -17,7 +16,6 @@
 #include <cstdlib>
 
 #include "util/error.hpp"
-#include "util/flat_json.hpp"
 
 namespace lpm::srv {
 
@@ -392,50 +390,6 @@ IoStatus read_frame(const Fd& fd, std::string& payload, int timeout_ms) {
   if (len == 0) return IoStatus::kOk;
   return read_all(fd, payload.data(), len, deadline);
 }
-
-void JsonWriter::key(const std::string& k) {
-  if (!body_.empty()) body_ += ',';
-  body_ += '"';
-  body_ += util::json_escape(k);
-  body_ += "\":";
-}
-
-JsonWriter& JsonWriter::str(const std::string& k, const std::string& value) {
-  key(k);
-  body_ += '"';
-  body_ += util::json_escape(value);
-  body_ += '"';
-  return *this;
-}
-
-JsonWriter& JsonWriter::num(const std::string& k, double value) {
-  key(k);
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  body_ += buf;
-  return *this;
-}
-
-JsonWriter& JsonWriter::num_u64(const std::string& k, std::uint64_t value) {
-  key(k);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-JsonWriter& JsonWriter::boolean(const std::string& k, bool value) {
-  key(k);
-  body_ += value ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::raw_body(const std::string& fragment) {
-  if (fragment.empty()) return *this;
-  if (!body_.empty()) body_ += ',';
-  body_ += fragment;
-  return *this;
-}
-
-std::string JsonWriter::finish() const { return "{" + body_ + "}"; }
 
 const std::vector<std::string>& request_ops() {
   static const std::vector<std::string> ops = {

@@ -3,8 +3,9 @@
 // ("unix:<path>", "tcp:<host>:<port>", or a bare path meaning unix).
 //
 // A frame is a 4-byte big-endian payload length followed by that many bytes
-// of UTF-8 text holding exactly one flat JSON object (the shape
-// util::FlatJson parses — no nesting needed anywhere in the protocol).
+// of UTF-8 text holding exactly one flat JSON object, written by
+// util::JsonWriter and read by util::FlatJson (no nesting needed anywhere
+// in the protocol).
 // Frames are capped at kMaxFramePayload so a misbehaving peer can never
 // make the server buffer unboundedly; an oversized length prefix is a
 // protocol error detected before any allocation, not an allocation.
@@ -32,6 +33,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "util/flat_json.hpp"
 
 namespace lpm::srv {
 
@@ -137,30 +140,9 @@ struct Endpoint {
 [[nodiscard]] IoStatus read_frame(const Fd& fd, std::string& payload,
                                   int timeout_ms);
 
-/// Builder for one flat JSON object, the only payload shape the protocol
-/// uses. Key order is insertion order; keys and values go through
-/// util::json_escape, the escaper the ResultSink JSON-lines writer uses
-/// (every control character covered).
-class JsonWriter {
- public:
-  JsonWriter& str(const std::string& key, const std::string& value);
-  JsonWriter& num(const std::string& key, double value);
-  JsonWriter& num_u64(const std::string& key, std::uint64_t value);
-  JsonWriter& boolean(const std::string& key, bool value);
-  /// Splices a pre-rendered `"key":value[,...]` body fragment (produced by
-  /// another writer's body()) into this object verbatim.
-  JsonWriter& raw_body(const std::string& fragment);
-
-  /// The comma-joined `"key":value` body without braces — storable and
-  /// spliceable into another frame via raw_body().
-  [[nodiscard]] const std::string& body() const { return body_; }
-  /// The complete `{...}` object.
-  [[nodiscard]] std::string finish() const;
-
- private:
-  void key(const std::string& k);
-  std::string body_;
-};
+/// Frames are built with the repo's one JSON writer. Every payload is one
+/// flat object, so the protocol uses str/num/num_u64/boolean/raw_body only.
+using util::JsonWriter;
 
 // --- Protocol vocabulary -------------------------------------------------
 // The authoritative op and error-code lists. Server::handle_frame

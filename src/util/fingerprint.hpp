@@ -7,9 +7,9 @@
 // while omission would silently alias distinct experiments. Each struct
 // hash starts from a versioned type tag so values are stable within a
 // build but never collide across struct kinds. Fingerprints are not a
-// cross-build serialization format: a journal written by another build
-// simply fails to match and re-runs its points, which is the safe
-// direction.
+// cross-build serialization format: a cached result keyed by another
+// build's fingerprint simply fails to match and re-runs, which is the
+// safe direction.
 #pragma once
 
 #include <bit>

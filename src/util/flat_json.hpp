@@ -1,10 +1,13 @@
-// json_escape, the one JSON string escaper of the repo (ResultSink JSON
-// lines and the lpmd wire protocol both write through it), and a minimal
-// parser for *flat* JSON objects — a single `{...}` whose values
-// are strings, numbers, booleans or null (no nesting). That is exactly the
-// shape of the repo's machine-readable outputs (ResultSink JSON lines,
-// bench/perf's BENCH_simulator.json), and keeping the parser this small
-// means those files can be read back without a JSON dependency.
+// The repo's one JSON vocabulary: json_escape, the one string escaper;
+// JsonWriter, the one writer (lpmd wire frames, ResultSink JSON lines,
+// the metrics snapshot, the Chrome trace events, replay and fidelity
+// files, bench/perf's BENCH_simulator.json); and a minimal parser for
+// *flat* JSON objects — a single `{...}` whose values are strings,
+// numbers, booleans or null (no nesting). That is exactly the shape of the
+// repo's machine-readable outputs that are read back (ResultSink JSON
+// lines, BENCH_simulator.json, replay files, lpmd frames), and keeping
+// the parser this small means those files can be read back without a JSON
+// dependency.
 //
 // Tolerant where it is safe (whitespace, key order, unknown keys), strict
 // where it matters (malformed syntax throws util::LpmError rather than
@@ -12,6 +15,7 @@
 #pragma once
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -49,6 +53,56 @@ namespace lpm::util {
   }
   return out;
 }
+
+/// Builder for one JSON object. Key order is insertion order; keys and
+/// string values go through json_escape, so the output never contains a
+/// newline (srv::JobJournal stores frames one per line on that promise).
+/// Numbers that are not finite are written as `null`, JSON having no inf
+/// or nan.
+class JsonWriter {
+ public:
+  JsonWriter& str(const std::string& k, const std::string& value);
+  /// `%.9g` text.
+  JsonWriter& num(const std::string& k, double value);
+  JsonWriter& num_u64(const std::string& k, std::uint64_t value);
+  /// Fixed-point text with `digits` decimals, exactly util::fmt(value,
+  /// digits).
+  JsonWriter& fixed(const std::string& k, double value, int digits);
+  JsonWriter& boolean(const std::string& k, bool value);
+  /// Splices `inner` as the object value of `k`: `"k":{...}`.
+  JsonWriter& object(const std::string& k, const JsonWriter& inner);
+  /// Splices `items` as the array value of `k`: `"k":[...]`. Doubles are
+  /// written as num() writes them, integers as num_u64(), writers as
+  /// their objects.
+  template <class T>
+  JsonWriter& array(const std::string& k, const std::vector<T>& items) {
+    key(k);
+    body_ += '[';
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i != 0) body_ += ',';
+      value(items[i]);
+    }
+    body_ += ']';
+    return *this;
+  }
+  /// Splices a pre-rendered `"key":value[,...]` body fragment (produced by
+  /// another writer's body()) into this object verbatim.
+  JsonWriter& raw_body(const std::string& fragment);
+
+  /// The comma-joined `"key":value` body without braces — storable and
+  /// spliceable into another object via raw_body().
+  [[nodiscard]] const std::string& body() const { return body_; }
+  /// The complete `{...}` object.
+  [[nodiscard]] std::string finish() const { return "{" + body_ + "}"; }
+
+ private:
+  void key(const std::string& k);
+  void value(double v);
+  void value(std::uint64_t v);
+  void value(const JsonWriter& inner);
+
+  std::string body_;
+};
 
 class FlatJson {
  public:

@@ -138,7 +138,7 @@ TEST(CalibrationOverlap, FailFastAbortStopsPendingWarmCalibrations) {
 
   exp::ExperimentEngine engine = make_engine(2);
   const auto outcomes = engine.run_batch_outcomes(
-      {gate, multi}, exp::BatchOptions{exp::FailurePolicy::kFailFast, false});
+      {gate, multi}, exp::FailurePolicy::kFailFast);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].error, util::ErrorCode::kSim);
   EXPECT_EQ(outcomes[1].error, util::ErrorCode::kCancelled);

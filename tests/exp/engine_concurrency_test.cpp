@@ -1,7 +1,7 @@
 // The engine's pooled core behind the Options builder: builder
 // validation, bit-exact determinism across batch sizes and pool sizes,
 // concurrent submitters sharing one queue, task-count accounting, and the
-// submission-order contract of the SweepJournal under out-of-order
+// submission-order contract of the ResultSink under out-of-order
 // completion.
 //
 // Everything here must pass on a single-core runner: a pool larger than
@@ -10,18 +10,18 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exp/experiment_engine.hpp"
-#include "exp/journal.hpp"
+#include "exp/result_sink.hpp"
 #include "trace/spec_like.hpp"
 #include "util/error.hpp"
 #include "util/fingerprint.hpp"
+#include "util/flat_json.hpp"
 
 namespace lpm {
 namespace {
@@ -155,12 +155,11 @@ TEST(EngineConcurrency, ConcurrentSubmittersShareOnePool) {
   EXPECT_EQ(engine.simulations_executed(), kSubmitters * kJobsEach);
 }
 
-TEST(EngineConcurrency, JournalRecordsInSubmissionOrderDespiteOutOfOrderRuns) {
+TEST(EngineConcurrency, SinkRecordsInSubmissionOrderDespiteOutOfOrderRuns) {
   // Workers finish out of order (later submissions sleep less), but the
-  // journal is written from the submitting thread during ordered merge —
-  // its done-lines must follow submission order exactly. A crash-resumed
-  // sweep depends on this: the journal prefix always matches a prefix of
-  // the sink file.
+  // sink is written from the submitting thread during ordered merge — its
+  // rows must follow submission order exactly, so a results file is the
+  // same at any pool size.
   exp::ExperimentEngine::register_backend_executor(
       "conc-sleeper", [](const exp::SimJob& job, const sim::RunGuard*) {
         const auto seed = job.workloads.front().seed;
@@ -174,36 +173,30 @@ TEST(EngineConcurrency, JournalRecordsInSubmissionOrderDespiteOutOfOrderRuns) {
         return out;
       });
 
-  const std::string path = "/tmp/lpm_engine_conc_journal.log";
-  std::remove(path.c_str());
+  std::ostringstream rows;
+  exp::ResultSink sink(rows, exp::ResultSink::Format::kJsonLines);
   const auto jobs = null_jobs(16, "conc-sleeper");
-  {
-    auto journal = exp::SweepJournal::open(path);
-    exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
-                                     .threads(4)
-                                     .cache(false)
-                                     .journal(journal.get())
-                                     .build());
-    const auto results = engine.run_batch(jobs);
-    ASSERT_EQ(results.size(), jobs.size());
-    EXPECT_EQ(journal->size(), jobs.size());
-  }
+  exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
+                                   .threads(4)
+                                   .cache(false)
+                                   .sink(&sink)
+                                   .build());
+  const auto results = engine.run_batch(jobs);
+  ASSERT_EQ(results.size(), jobs.size());
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open());
+  std::istringstream lines(rows.str());
   std::vector<std::string> fingerprints;
-  std::string verb, fp, rest;
-  while (in >> verb >> fp && std::getline(in, rest)) {
-    ASSERT_EQ(verb, "done");
-    fingerprints.push_back(fp);
+  std::string line;
+  while (std::getline(lines, line)) {
+    fingerprints.push_back(
+        util::FlatJson::parse(line).get_string("fingerprint").value_or(""));
   }
   ASSERT_EQ(fingerprints.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(fingerprints[i], util::fingerprint_hex(jobs[i].fingerprint()))
-        << "journal line " << i << " is not the " << i
-        << "th submitted job: done-records must follow submission order";
+        << "sink row " << i << " is not the " << i
+        << "th submitted job: rows must follow submission order";
   }
-  std::remove(path.c_str());
 }
 
 TEST(EngineConcurrency, QueueMetricsAndTaskCountsStayCoherent) {

@@ -1,21 +1,16 @@
 // Fault-tolerance guarantees of the experiment engine, exercised through
 // deterministic fault injection (exp::FaultPlan): pooled outcomes match
 // serial ones job-for-job, retries recover transient failures on a fixed
-// schedule, the watchdog cancels hung jobs cooperatively, fail-fast never
-// drops an outcome, and a sweep journal resumes a killed sweep without
-// re-simulating completed points.
+// schedule, the watchdog cancels hung jobs cooperatively, and fail-fast
+// never drops an outcome.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/temp_path.hpp"
 #include "exp/experiment_engine.hpp"
 #include "exp/fault_plan.hpp"
-#include "exp/journal.hpp"
 #include "sim/system.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/synthetic.hpp"
@@ -56,12 +51,6 @@ std::vector<exp::SimJob> five_jobs() {
   return jobs;
 }
 
-std::string temp_path(const std::string& name) {
-  const std::string path = test::temp_path(name);
-  std::filesystem::remove(path);
-  return path;
-}
-
 TEST(FaultPlan, ParsesSpecAndRejectsGarbage) {
   const auto plan = exp::FaultPlan::parse("throw@3,hang@7,io@12");
   EXPECT_FALSE(plan.empty());
@@ -86,7 +75,7 @@ TEST(FaultInjection, PooledOutcomesIdenticalToSerial) {
     opts.fault_plan = exp::FaultPlan::parse("throw@2,io@4");
     exp::ExperimentEngine engine(opts);
     return engine.run_batch_outcomes(
-        jobs, exp::BatchOptions{exp::FailurePolicy::kCollect, false});
+        jobs, exp::FailurePolicy::kCollect);
   };
   const auto serial = run_with(1);
   const auto pooled = run_with(4);
@@ -125,7 +114,7 @@ TEST(FaultInjection, HangIsCancelledByWatchdogAsTimeout) {
 
   const auto jobs = five_jobs();
   const auto outcomes = engine.run_batch_outcomes(
-      {jobs[0], jobs[1]}, exp::BatchOptions{exp::FailurePolicy::kCollect, false});
+      {jobs[0], jobs[1]}, exp::FailurePolicy::kCollect);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_FALSE(outcomes[0].ok());
   EXPECT_EQ(outcomes[0].error, util::ErrorCode::kTimeout);
@@ -143,7 +132,7 @@ TEST(FaultInjection, RetryRecoversTransientFailureDeterministically) {
 
   const auto jobs = five_jobs();
   const auto outcomes = engine.run_batch_outcomes(
-      {jobs[0]}, exp::BatchOptions{exp::FailurePolicy::kCollect, false});
+      {jobs[0]}, exp::FailurePolicy::kCollect);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_TRUE(outcomes[0].ok()) << outcomes[0].error_message;
   EXPECT_EQ(outcomes[0].attempts, 2u);
@@ -176,7 +165,7 @@ TEST(FaultInjection, ConfigErrorsAreNeverRetried) {
   bad.machine = sim::MachineConfig::single_core_default();
   bad.tag = "bad";
   const auto outcomes = engine.run_batch_outcomes(
-      {bad}, exp::BatchOptions{exp::FailurePolicy::kCollect, false});
+      {bad}, exp::FailurePolicy::kCollect);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].error, util::ErrorCode::kConfig);
   EXPECT_EQ(engine.retries_performed(), 0u);
@@ -192,7 +181,7 @@ TEST(FaultInjection, FailFastCancelsUnstartedJobsButDropsNone) {
   const auto jobs = five_jobs();
   const auto outcomes = engine.run_batch_outcomes(
       {jobs[0], jobs[1], jobs[2]},
-      exp::BatchOptions{exp::FailurePolicy::kFailFast, false});
+      exp::FailurePolicy::kFailFast);
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_EQ(outcomes[0].error, util::ErrorCode::kSim);
   EXPECT_EQ(outcomes[1].error, util::ErrorCode::kCancelled);
@@ -215,82 +204,6 @@ TEST(FaultInjection, RunBatchThrowsTypedErrorWithTagAndFingerprint) {
     EXPECT_NE(what.find("job0"), std::string::npos) << what;
     EXPECT_NE(what.find("fingerprint"), std::string::npos) << what;
   }
-}
-
-TEST(FaultInjection, JournalResumesKilledSweepWithoutResimulating) {
-  const std::string path = temp_path("lpm_journal_resume.log");
-  const auto jobs = five_jobs();
-  const std::vector<exp::SimJob> first_half = {jobs[0], jobs[1], jobs[2]};
-
-  {
-    auto journal = exp::SweepJournal::open(path);
-    exp::ExperimentEngine::Options opts;
-    opts.threads = 1;
-    opts.journal = journal.get();
-    exp::ExperimentEngine engine(opts);
-    const auto outcomes = engine.run_batch_outcomes(
-        first_half, exp::BatchOptions{exp::FailurePolicy::kCollect, true});
-    for (const auto& o : outcomes) EXPECT_TRUE(o.ok());
-    EXPECT_EQ(engine.simulations_executed(), 3u);
-    EXPECT_EQ(journal->size(), 3u);
-  }  // "crash": engine and journal destroyed mid-sweep
-
-  auto journal = exp::SweepJournal::open(path);
-  EXPECT_EQ(journal->size(), 3u);
-  exp::ExperimentEngine::Options opts;
-  opts.threads = 1;
-  opts.journal = journal.get();
-  exp::ExperimentEngine engine(opts);
-  const auto outcomes = engine.run_batch_outcomes(
-      jobs, exp::BatchOptions{exp::FailurePolicy::kCollect, true});
-  ASSERT_EQ(outcomes.size(), 5u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(outcomes[i].skipped) << "point " << i << " was already done";
-    EXPECT_FALSE(outcomes[i].ok());
-  }
-  EXPECT_TRUE(outcomes[3].ok());
-  EXPECT_TRUE(outcomes[4].ok());
-  EXPECT_EQ(engine.simulations_executed(), 2u)
-      << "only the two new points simulate on resume";
-  EXPECT_EQ(engine.journal_skips(), 3u);
-  EXPECT_EQ(journal->size(), 5u);
-
-  // The legacy result-object API must never journal-skip.
-  exp::ExperimentEngine::Options opts2;
-  opts2.threads = 1;
-  opts2.journal = journal.get();
-  exp::ExperimentEngine engine2(opts2);
-  const auto results = engine2.run_batch(first_half);
-  ASSERT_EQ(results.size(), 3u);
-  for (const auto& r : results) EXPECT_NE(r, nullptr);
-  std::filesystem::remove(path);
-}
-
-TEST(FaultInjection, JournalHealsTornLastLine) {
-  const std::string path = temp_path("lpm_journal_torn.log");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "done 00000000deadbeef point-a\n";
-    out << "done 0000000012";  // torn mid-append: no newline, short fp
-  }
-  const auto journal = exp::SweepJournal::open(path);
-  EXPECT_EQ(journal->size(), 1u);
-  EXPECT_TRUE(journal->completed(0xdeadbeefULL));
-  EXPECT_FALSE(journal->completed(0x12ULL));
-  std::filesystem::remove(path);
-}
-
-TEST(FaultInjection, TrimPartialLastLineCountsBytes) {
-  const std::string path = temp_path("lpm_trim.log");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "complete line\npartial";
-  }
-  EXPECT_EQ(exp::trim_partial_last_line(path), 7u);
-  EXPECT_EQ(std::filesystem::file_size(path), 14u);
-  EXPECT_EQ(exp::trim_partial_last_line(path), 0u) << "clean file untouched";
-  EXPECT_EQ(exp::trim_partial_last_line(temp_path("lpm_absent.log")), 0u);
-  std::filesystem::remove(path);
 }
 
 TEST(FaultInjection, RunGuardCancelsSystemCooperatively) {

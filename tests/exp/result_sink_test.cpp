@@ -14,7 +14,6 @@
 
 #include "common/temp_path.hpp"
 #include "exp/experiment_engine.hpp"
-#include "exp/journal.hpp"
 #include "trace/spec_like.hpp"
 
 namespace lpm {
@@ -129,9 +128,8 @@ TEST(ResultSink, ReopenHealsTornLineAndKeepsSingleHeader) {
   std::filesystem::remove(path);
 }
 
-TEST(ResultSink, RecordsWallClockDurationInSinkAndJournal) {
+TEST(ResultSink, RecordsWallClockDurationInSink) {
   const std::string csv_path = temp_path("lpm_sink_duration.csv");
-  const std::string journal_path = temp_path("lpm_sink_duration.journal");
 
   const auto job = exp::SimJob::solo(
       sim::MachineConfig::single_core_default(),
@@ -140,11 +138,9 @@ TEST(ResultSink, RecordsWallClockDurationInSinkAndJournal) {
 
   {
     auto sink = exp::ResultSink::open(csv_path);
-    auto journal = exp::SweepJournal::open(journal_path);
     exp::ExperimentEngine::Options opts;
     opts.threads = 1;
     opts.sink = sink.get();
-    opts.journal = journal.get();
     exp::ExperimentEngine engine(opts);
     const auto results = engine.run_batch({job});
     ASSERT_EQ(results.size(), 1u);
@@ -163,17 +159,7 @@ TEST(ResultSink, RecordsWallClockDurationInSinkAndJournal) {
   EXPECT_EQ(header_fields.back(), "duration_ms");
   EXPECT_GE(std::stod(row_fields.back()), 0.0);
 
-  // Journal: `done <hex> <duration_ms> <tag>`, same shape.
-  std::istringstream jlines(slurp(journal_path));
-  std::string verb, hex, ms, tag;
-  ASSERT_TRUE(jlines >> verb >> hex >> ms >> tag);
-  EXPECT_EQ(verb, "done");
-  EXPECT_EQ(hex.size(), 16u);
-  EXPECT_GE(std::stod(ms), 0.0);
-  EXPECT_EQ(tag, "timed");
-
   std::filesystem::remove(csv_path);
-  std::filesystem::remove(journal_path);
 }
 
 // One fixed record pins the exact row text both formats write. lpmbench

@@ -113,7 +113,7 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
   const std::vector<std::string> counters = {
       "exp.jobs.submitted", "exp.jobs.executed", "exp.jobs.cache_hits",
       "exp.jobs.failed", "exp.jobs.retries", "exp.jobs.timeouts",
-      "exp.jobs.faults_injected", "exp.jobs.journal_skips",
+      "exp.jobs.faults_injected",
       "sim.runs", "sim.cycles", "sim.instructions", "sim.calibrations",
       "sim.calibration_cache_hits", "trace.readahead.waits",
       "sim.cache.accesses.l1", "sim.cache.hits.l1", "sim.cache.misses.l1",
