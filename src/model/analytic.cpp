@@ -376,52 +376,59 @@ struct BurstWeight {
   }
 };
 
-/// An (S >= 2, A) cache's miss-probability table, resolved once per
-/// evaluation, with its FA capacity.
-struct RdhLevel {
-  std::shared_ptr<const std::vector<double>> miss_prob;
-  std::uint64_t capacity = 0;
-
-  RdhLevel(std::uint64_t sets, std::uint32_t associativity)
-      : miss_prob(MissProbTable::get(sets, associativity)),
-        capacity(sets * static_cast<std::uint64_t>(associativity)) {}
-
-  /// Below FA capacity the binomial (random-mapping) model overpredicts:
-  /// real address streams index sets far more uniformly than random, so
-  /// only a damped fraction of the predicted conflicts materialize.
-  [[nodiscard]] double effective(std::size_t distance) const {
-    const double pm = (*miss_prob)[distance];
-    return distance < capacity ? kConflictDamp * pm : pm;
-  }
-
-  /// The table ends where P[miss] saturates at 1: every leader from there
-  /// on misses, so the rest is the suffix tail. Below that, only non-empty
+/// An (S >= 2, A) cache's miss probabilities resolved against one profile:
+/// the effective P[miss] of every bucket below the saturation point, in
+/// bucket order, so a bucket pass reads it in step with p.buckets.
+struct BucketWeights {
+  /// The table ends where P[miss] saturates at 1: every leader from here
+  /// on misses, so the rest is the suffix tail. Below it, only non-empty
   /// buckets add anything — an empty one has no leaders and no followers.
-  [[nodiscard]] std::size_t saturated(const ReuseProfile& p) const {
-    return std::min(miss_prob->size(), p.distance_end);
+  std::size_t saturated = 0;
+  /// effective[i] weighs p.buckets[i]; one entry per bucket below
+  /// `saturated`.
+  std::vector<double> effective;
+
+  BucketWeights(const ReuseProfile& p, std::uint64_t sets,
+                std::uint32_t associativity) {
+    const MissProbTable::Table miss_prob =
+        MissProbTable::get(sets, associativity);
+    const std::uint64_t capacity =
+        sets * static_cast<std::uint64_t>(associativity);
+    saturated = std::min(miss_prob->size(), p.distance_end);
+    const auto end = std::lower_bound(
+        p.buckets.begin(), p.buckets.end(), saturated,
+        [](const ReuseProfile::Bucket& b, std::size_t d) {
+          return b.distance < d;
+        });
+    effective.reserve(static_cast<std::size_t>(end - p.buckets.begin()));
+    for (auto b = p.buckets.begin(); b != end; ++b) {
+      // Below FA capacity the binomial (random-mapping) model overpredicts:
+      // real address streams index sets far more uniformly than random, so
+      // only a damped fraction of the predicted conflicts materialize.
+      const double pm = (*miss_prob)[b->distance];
+      effective.push_back(b->distance < capacity ? kConflictDamp * pm : pm);
+    }
   }
 };
 
 /// The `fills` pass of rdh_misses: burst leaders only, so it reads no
 /// follower count and no coalescing window.
-double rdh_fills(const ReuseProfile& p, const RdhLevel& level,
+double rdh_fills(const ReuseProfile& p, const BucketWeights& w,
                  double prefetch_alpha) {
   double fills = static_cast<double>(p.cold) -
                  prefetch_alpha * static_cast<double>(p.cold_covered);
-  const std::size_t saturated = level.saturated(p);
-  for (const ReuseProfile::Bucket& b : p.buckets) {
-    if (b.distance >= saturated) break;
-    fills += level.effective(b.distance) *
-             (b.hist - prefetch_alpha * b.covered);
+  for (std::size_t i = 0; i < w.effective.size(); ++i) {
+    const ReuseProfile::Bucket& b = p.buckets[i];
+    fills += w.effective[i] * (b.hist - prefetch_alpha * b.covered);
   }
-  fills += static_cast<double>(p.suffix[saturated]) -
-           prefetch_alpha * static_cast<double>(p.suffix_covered[saturated]);
+  fills += static_cast<double>(p.suffix[w.saturated]) -
+           prefetch_alpha * static_cast<double>(p.suffix_covered[w.saturated]);
   return std::max(0.0, fills);
 }
 
 /// The `demand` pass of rdh_misses: every access of a missing burst inside
 /// the coalescing window.
-double rdh_demand(const ReuseProfile& p, const RdhLevel& level,
+double rdh_demand(const ReuseProfile& p, const BucketWeights& w,
                   double prefetch_alpha, double burst_window) {
   const auto frac = burst_fractions(burst_window);
   const BurstWeight weight(frac);
@@ -436,14 +443,14 @@ double rdh_demand(const ReuseProfile& p, const RdhLevel& level,
                   prefetch_alpha *
                       (static_cast<double>(p.cold_covered) + foll_cold_cov);
 
-  const std::size_t saturated = level.saturated(p);
-  for (const ReuseProfile::Bucket& b : p.buckets) {
-    if (b.distance >= saturated) break;
+  for (std::size_t i = 0; i < w.effective.size(); ++i) {
+    const ReuseProfile::Bucket& b = p.buckets[i];
     const double f = weight.of(b.cum_followers);
     const double f_cov = weight.of(b.cum_followers_covered);
-    demand += level.effective(b.distance) *
+    demand += w.effective[i] *
               (b.hist + f - prefetch_alpha * (b.covered + f_cov));
   }
+  const std::size_t saturated = w.saturated;
   double f = 0.0, f_cov = 0.0;
   for (std::size_t cl = 0; cl < ReuseProfile::kNumBurstClasses; ++cl) {
     f += frac[cl] * static_cast<double>(p.suffix_followers[cl][saturated]);
@@ -467,10 +474,10 @@ MissEstimate rdh_misses(const ReuseProfile& p, std::uint64_t sets,
     // Degenerate to the exact fully-associative answer.
     return fa_misses(p, associativity, prefetch_alpha, burst_window);
   }
-  const RdhLevel level(sets, associativity);
+  const BucketWeights w(p, sets, associativity);
   MissEstimate e;
-  e.fills = rdh_fills(p, level, prefetch_alpha);
-  e.demand = rdh_demand(p, level, prefetch_alpha, burst_window);
+  e.fills = rdh_fills(p, w, prefetch_alpha);
+  e.demand = rdh_demand(p, w, prefetch_alpha, burst_window);
   return e;
 }
 
@@ -522,12 +529,12 @@ std::uint64_t ProfileCache::calibration_runs() const {
 namespace {
 
 /// Closed-form miss model for one cache level under one backend, resolved
-/// once per evaluation: an rdh level looks its miss-probability table up
-/// here, and the traffic pass and every fixed-point iteration reuse it.
+/// against one profile: an rdh level weighs that profile's buckets here,
+/// and every pass over the same profile reuses the weights.
 class LevelModel {
  public:
   LevelModel(const std::string& backend, const mem::CacheConfig& c,
-             std::uint32_t share) {
+             std::uint32_t share, const ReuseProfile& p) {
     if (backend == kFaBackend) {
       fa_blocks_ =
           std::max<std::uint64_t>(1, c.size_bytes / c.block_bytes / share);
@@ -539,7 +546,7 @@ class LevelModel {
       // Degenerate to the exact fully-associative answer.
       fa_blocks_ = c.associativity;
     } else {
-      rdh_.emplace(sets, c.associativity);
+      rdh_.emplace(p, sets, c.associativity);
     }
   }
 
@@ -556,10 +563,112 @@ class LevelModel {
                 : fa_misses(p, fa_blocks_, alpha, burst_window).demand;
   }
 
+  /// Bytes of the bucket weights this model keeps alive.
+  [[nodiscard]] std::uint64_t weight_bytes() const {
+    return rdh_ ? rdh_->effective.capacity() * sizeof(double) : 0;
+  }
+
  private:
-  std::optional<RdhLevel> rdh_;
+  std::optional<BucketWeights> rdh_;
   std::uint64_t fa_blocks_ = 0;
 };
+
+/// What every evaluation of one core's workload on one cache geometry
+/// shares, resolved once and immutable afterwards. The key below names
+/// every input of every field, so two jobs with one key get equal fields,
+/// and an evaluation computes from them exactly what it would compute
+/// from fresh lookups: the same doubles from the same operations.
+struct EvalContext {
+  /// The profile the L1 weights were computed against. Held weakly: a
+  /// context neither keeps an evicted profile alive nor stops
+  /// ProfileCache from rebuilding it, and a rebuilt profile is equal.
+  std::weak_ptr<const ReuseProfile> profile;
+  sim::CpiExeResult calib;
+  LevelModel l1;
+  /// The alpha-0 fill passes of L1, the private L2 (three-level machines
+  /// only) and the shared L2 slice of one core.
+  double m1_traffic = 0.0;
+  double m2p_fills = 0.0;
+  double m2_fills = 0.0;
+
+  /// Bytes this context keeps alive: itself, its L1 weights, and the
+  /// profile's record, which the weak reference holds (make_shared puts
+  /// the control block and the record in one allocation).
+  [[nodiscard]] std::uint64_t footprint() const {
+    return sizeof(EvalContext) + l1.weight_bytes() + sizeof(ReuseProfile);
+  }
+};
+
+using ContextPtr = std::shared_ptr<const EvalContext>;
+
+util::Memo<std::uint64_t, ContextPtr>& contexts() {
+  // Leaked on purpose: engine workers may still evaluate while statics
+  // destruct.
+  static auto* memo = new util::Memo<std::uint64_t, ContextPtr>(
+      kEvalContextBudgetBytes,
+      [](const ContextPtr& c) -> std::uint64_t { return c->footprint(); });
+  return *memo;
+}
+
+/// Everything an EvalContext is computed from: the profile (workload
+/// fingerprint), the calibration (calibration_key), the backend, the L1,
+/// private-L2 and shared-L2 geometries, and the core count that slices
+/// the shared L2.
+std::uint64_t context_key(const exp::SimJob& job,
+                          const trace::WorkloadProfile& wl) {
+  const sim::MachineConfig& mc = job.machine;
+  util::Fingerprint f;
+  f.mix("model::EvalContext/v1")
+      .mix(job.backend)
+      .mix_u64(util::fingerprint(wl))
+      .mix_u64(sim::calibration_key(mc, wl));
+  for (const mem::CacheConfig* c : {&mc.l1, &mc.private_l2, &mc.l2}) {
+    f.mix_u64(c->size_bytes).mix(c->block_bytes).mix(c->associativity);
+  }
+  f.mix(mc.use_private_l2).mix(std::max(1u, mc.num_cores));
+  return f.value();
+}
+
+ContextPtr build_context(const exp::SimJob& job,
+                         const trace::WorkloadProfile& wl,
+                         const sim::RunGuard* guard) {
+  const sim::MachineConfig& mc = job.machine;
+  const std::shared_ptr<const ReuseProfile> profile =
+      ProfileCache::global().reuse(wl);
+  const ReuseProfile& p = *profile;
+  // CPIexe comes from the real perfect-cache calibration (cached across
+  // cache geometries); the cache behaviour itself never ticks a cycle.
+  const sim::CpiExeResult calib = sim::cached_cpi_exe(mc, wl, guard);
+  LevelModel l1(job.backend, mc.l1, 1, p);
+  const double m1_traffic = l1.fills(p, 0.0);
+  const double m2p_fills =
+      mc.use_private_l2
+          ? LevelModel(job.backend, mc.private_l2, 1, p).fills(p, 0.0)
+          : 0.0;
+  const std::uint32_t cores = std::max(1u, mc.num_cores);
+  const double m2_fills =
+      LevelModel(job.backend, mc.l2, cores, p).fills(p, 0.0);
+  return std::make_shared<const EvalContext>(EvalContext{
+      profile, calib, std::move(l1), m1_traffic, m2p_fills, m2_fills});
+}
+
+/// The context of core `wl` in `job`, built on the first evaluation that
+/// needs it. A cancelled guard throws util::TimeoutError whether the
+/// context is stored, being built by another caller, or missing, and a
+/// cancelled build stores nothing.
+ContextPtr eval_context(const exp::SimJob& job,
+                        const trace::WorkloadProfile& wl,
+                        const sim::RunGuard* guard) {
+  if (guard != nullptr && guard->cancel.load(std::memory_order_relaxed)) {
+    throw util::TimeoutError("analytic evaluation cancelled (job '" +
+                             job.tag + "')");
+  }
+  return contexts()
+      .get_or_build(context_key(job, wl),
+                    [&] { return build_context(job, wl, guard); },
+                    guard != nullptr ? &guard->cancel : nullptr)
+      .value;
+}
 
 /// Synthesizes a counter block whose derived parameters reproduce the
 /// intended (H, CH, MR, purity, CM) and whose Eq. 2 / Eq. 3 identities
@@ -636,9 +745,9 @@ struct LevelShape {
 };
 
 CoreChain evaluate_core(const exp::SimJob& job, const trace::WorkloadProfile& wl,
-                        const ReuseProfile& p, const sim::CpiExeResult& calib) {
+                        const ReuseProfile& p, const EvalContext& ctx) {
   const sim::MachineConfig& mc = job.machine;
-  const std::uint32_t cores = std::max(1u, mc.num_cores);
+  const sim::CpiExeResult& calib = ctx.calib;
   CoreChain out;
 
   // --- fill traffic, top-down (no prefetch correction) ---------------------
@@ -646,23 +755,19 @@ CoreChain evaluate_core(const exp::SimJob& job, const trace::WorkloadProfile& wl
   // prefetch-eliminated demand misses are still fetched from below. Below
   // L1 the burst is already coalesced: every level sees the unique fill
   // stream, so fills-based estimates drive both misses and traffic.
-  const LevelModel l1(job.backend, mc.l1, 1);
   out.a1 = p.mem_ops;
-  const double m1_traffic = l1.fills(p, 0.0);
+  const double m1_traffic = ctx.m1_traffic;
   double upstream_traffic = std::max(m1_traffic, 1.0);
   double upstream_misses = m1_traffic;
   if (mc.use_private_l2) {
     out.a2p = to_count(upstream_traffic);
-    const double m2p =
-        std::min(upstream_misses,
-                 LevelModel(job.backend, mc.private_l2, 1).fills(p, 0.0));
+    const double m2p = std::min(upstream_misses, ctx.m2p_fills);
     out.m2p = std::min<std::uint64_t>(out.a2p, to_count(m2p));
     upstream_traffic = std::max(m2p, 0.0);
     upstream_misses = m2p;
   }
   out.a2 = to_count(std::max(upstream_traffic, 0.0));
-  const double m2 = std::min(
-      upstream_misses, LevelModel(job.backend, mc.l2, cores).fills(p, 0.0));
+  const double m2 = std::min(upstream_misses, ctx.m2_fills);
   out.m2 = std::min<std::uint64_t>(out.a2, to_count(m2));
   out.a3 = out.m2;
 
@@ -768,7 +873,7 @@ CoreChain evaluate_core(const exp::SimJob& job, const trace::WorkloadProfile& wl
       alpha1 = kPrefetchAlpha * std::min(1.0, lead / fill_latency) * mshr_free;
     }
     out.m1 = std::min<std::uint64_t>(
-        out.a1, to_count(l1.demand(p, alpha1, burst_window)));
+        out.a1, to_count(ctx.l1.demand(p, alpha1, burst_window)));
     mr1 = static_cast<double>(out.m1) /
           std::max(1.0, static_cast<double>(out.a1));
 
@@ -889,15 +994,6 @@ CoreChain evaluate_core(const exp::SimJob& job, const trace::WorkloadProfile& wl
   return out;
 }
 
-exp::SimJobResult execute_analytic(const exp::SimJob& job,
-                                   const sim::RunGuard* guard) {
-  if (guard != nullptr && guard->cancel.load(std::memory_order_relaxed)) {
-    throw util::TimeoutError("analytic evaluation cancelled (job '" +
-                             job.tag + "')");
-  }
-  return evaluate_analytic(job, guard);
-}
-
 }  // namespace
 
 exp::SimJobResult evaluate_analytic(const exp::SimJob& job,
@@ -914,20 +1010,19 @@ exp::SimJobResult evaluate_analytic(const exp::SimJob& job,
   run.completed = true;
 
   const std::uint32_t cores = std::max(1u, job.machine.num_cores);
-  ProfileCache& cache = ProfileCache::global();
 
   std::uint64_t l2_acc = 0, l2_miss = 0, dram_acc = 0;
   std::vector<std::uint64_t> l2_core_acc, l2_core_miss;
-  std::uint64_t l2_active_agg = 0;
   camat::CamatMetrics l2_agg, dram_agg;
 
   for (std::uint32_t c = 0; c < cores; ++c) {
     const trace::WorkloadProfile& wl = job.workloads.at(c);
-    const auto profile = cache.reuse(wl);
-    // CPIexe comes from the real perfect-cache calibration (cached across
-    // cache geometries); the cache behaviour itself never ticks a cycle.
-    const sim::CpiExeResult calib = sim::cached_cpi_exe(job.machine, wl, guard);
-    const CoreChain chain = evaluate_core(job, wl, *profile, calib);
+    const ContextPtr ctx = eval_context(job, wl, guard);
+    // A profile ProfileCache has evicted since is looked up again, which
+    // rebuilds one equal to the profile the context was computed against.
+    std::shared_ptr<const ReuseProfile> profile = ctx->profile.lock();
+    if (profile == nullptr) profile = ProfileCache::global().reuse(wl);
+    const CoreChain chain = evaluate_core(job, wl, *profile, *ctx);
 
     run.cores.push_back(chain.stats);
     run.l1.push_back(chain.l1);
@@ -944,7 +1039,6 @@ exp::SimJobResult evaluate_analytic(const exp::SimJob& job,
     dram_acc += chain.a3;
     l2_core_acc.push_back(chain.a2);
     l2_core_miss.push_back(chain.m2);
-    l2_active_agg += chain.l2.active_cycles;
 
     // Aggregate the shared levels counter-wise (per-core slices modelled
     // independently; see header caveats for the multicore approximation).
@@ -966,7 +1060,7 @@ exp::SimJobResult evaluate_analytic(const exp::SimJob& job,
     add(l2_agg, chain.l2);
     add(dram_agg, chain.dram);
 
-    if (job.calibrate) out.calib.push_back(calib);
+    if (job.calibrate) out.calib.push_back(ctx->calib);
   }
 
   run.l2 = l2_agg;
@@ -980,16 +1074,19 @@ exp::SimJobResult evaluate_analytic(const exp::SimJob& job,
   for (const auto& cs : run.cores) {
     run.cycles = std::max<Cycle>(run.cycles, cs.cycles);
   }
-  (void)l2_active_agg;
   return out;
 }
+
+std::uint64_t eval_context_bytes() { return contexts().bytes(); }
+
+std::uint64_t eval_context_builds() { return contexts().builds(); }
 
 void register_analytic_executors() {
   static const bool registered = [] {
     exp::ExperimentEngine::register_backend_executor(kRdhBackend,
-                                                     &execute_analytic);
+                                                     &evaluate_analytic);
     exp::ExperimentEngine::register_backend_executor(kFaBackend,
-                                                     &execute_analytic);
+                                                     &evaluate_analytic);
     return true;
   }();
   (void)registered;

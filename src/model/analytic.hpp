@@ -244,10 +244,26 @@ class ProfileCache {
 /// Evaluates one backend-tagged job ("rdh" or "fa") analytically and
 /// returns a fully-populated result whose counters satisfy the Eq. 2/3
 /// identities exactly. Deterministic; microseconds per call once the
-/// workload's profile and calibration are cached. A non-null `guard`
-/// makes the calibration cancellable (util::TimeoutError).
+/// workload's profile and calibration are cached.
+///
+/// Each core's evaluation context — its profile, CPIexe, L1 bucket
+/// weights and alpha-0 fill passes — is resolved once per (workload,
+/// calibration key, backend, cache geometry, L2 sharers) and shared by
+/// every job with that key, so a sweep over ports, MSHRs or interleave
+/// takes one memo hit per core. A cancelled `guard` throws
+/// util::TimeoutError, including while another caller builds the context.
 [[nodiscard]] exp::SimJobResult evaluate_analytic(
     const exp::SimJob& job, const sim::RunGuard* guard = nullptr);
+
+/// Byte budget of the evaluation-context memo (DESIGN §11). A context is
+/// charged its L1 bucket weights and its fixed records, not its profile,
+/// which ProfileCache owns and budgets.
+inline constexpr std::uint64_t kEvalContextBudgetBytes = 16u << 20;
+/// Bytes the stored evaluation contexts are charged; never above
+/// kEvalContextBudgetBytes.
+[[nodiscard]] std::uint64_t eval_context_bytes();
+/// Evaluation contexts built so far in this process.
+[[nodiscard]] std::uint64_t eval_context_builds();
 
 /// Registers the "rdh" and "fa" executors with the experiment engine.
 /// Idempotent and thread-safe; called by every AnalyticBackend
