@@ -606,6 +606,54 @@ ReplayCase Fuzzer::generate_uneven_finish(std::uint64_t case_seed) const {
   return c;
 }
 
+ReplayCase Fuzzer::generate_replacement_policy(std::uint64_t case_seed) const {
+  util::Rng rng(case_seed * 0xe7037ed1a0b428dbULL + 13);
+  const std::uint32_t block = rng.next_bool(0.5) ? 32 : 64;
+  // Combination k of the 5 policies x 5 associativities.
+  const auto shape = [block](mem::CacheConfig& c, std::uint64_t k,
+                             std::uint64_t sets) {
+    c.replacement = static_cast<mem::ReplacementPolicy>(k % 5);
+    c.associativity = 1u << (k / 5);
+    c.size_bytes = sets * c.associativity * block;
+  };
+
+  sim::MachineConfig m;
+  m.num_cores = static_cast<std::uint32_t>(rng.next_in(1, 4));
+  m.core = random_core(rng);
+  m.l1 = random_l1(rng, block);
+  shape(m.l1, case_seed % 25, 1ull << rng.next_in(1, 3));  // 2..8 sets
+  m.l2 = random_l2(rng, block, "L2");
+  shape(m.l2, (7 * case_seed + 3) % 25, 1ull << rng.next_in(2, 4));  // 4..16
+  m.dram = random_dram(rng);
+  if (rng.next_bool(0.25)) {
+    m.use_private_l2 = true;
+    m.private_l2 = random_l2(rng, block, "L2p");
+    shape(m.private_l2, rng.next_below(25), 1ull << rng.next_in(2, 4));
+  }
+  m.max_cycles = 4'000'000;
+  m.validate();
+
+  // A hot set about half the L2's lines, re-referenced among one-shot
+  // blocks from a working set 2-8x the L2.
+  const std::uint64_t l2_lines = m.l2.size_bytes / block;
+  const std::uint64_t hot = std::max<std::uint64_t>(1, l2_lines / 2);
+  ReplayCase c;
+  c.machine = std::move(m);
+  for (std::uint32_t core = 0; core < c.machine.num_cores; ++core) {
+    const std::uint64_t ws = l2_lines << rng.next_in(1, 3);
+    const double reuse = 0.3 + 0.5 * rng.next_double();
+    std::vector<trace::MicroOp> ops = random_ops(rng, cfg_.trace_len, block);
+    for (trace::MicroOp& op : ops) {
+      if (op.type == trace::OpType::kAlu) continue;
+      const Addr blk = rng.next_bool(reuse) ? rng.next_below(hot)
+                                            : rng.next_below(ws);
+      op.addr = blk * block + rng.next_below(block);
+    }
+    c.ops.push_back(std::move(ops));
+  }
+  return c;
+}
+
 FuzzSummary Fuzzer::run() {
   FuzzSummary summary;
   if (!cfg_.artifact_dir.empty()) {

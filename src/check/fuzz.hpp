@@ -119,6 +119,17 @@ class Fuzzer {
   /// RefSystem keeps ticking them.
   [[nodiscard]] ReplayCase generate_uneven_finish(std::uint64_t case_seed) const;
 
+  /// Deterministically generates a replacement-policy case: small,
+  /// heavily evicting L1s (2-8 sets) and L2s (4-16 sets) whose policy and
+  /// associativity cycle through all five policies x {1, 2, 4, 8, 16} ways.
+  /// The L1 takes combination `case_seed % 25` and the L2 combination
+  /// `(7 * case_seed + 3) % 25`, so any 25 consecutive seeds give each
+  /// level every combination; private L2s draw theirs at random. 1-4 cores
+  /// share the L2 and run traces whose hot blocks are re-referenced among
+  /// many one-shot blocks, so victim choices decide later hits. generate()
+  /// draws at most 4 ways.
+  [[nodiscard]] ReplayCase generate_replacement_policy(std::uint64_t case_seed) const;
+
   /// Runs cfg.cases cases (seeds cfg.seed .. cfg.seed + cases - 1).
   [[nodiscard]] FuzzSummary run();
 

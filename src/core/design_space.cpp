@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "core/diagnosis.hpp"
@@ -37,11 +36,11 @@ double ArchKnobs::hardware_cost() const {
 }
 
 std::string ArchKnobs::label() const {
-  std::ostringstream os;
-  os << "issue=" << issue_width << " iw=" << iw_size << " rob=" << rob_size
-     << " ports=" << l1_ports << " mshr=" << mshr_entries
-     << " l2il=" << l2_interleave;
-  return os.str();
+  return "issue=" + std::to_string(issue_width) +
+         " iw=" + std::to_string(iw_size) + " rob=" + std::to_string(rob_size) +
+         " ports=" + std::to_string(l1_ports) +
+         " mshr=" + std::to_string(mshr_entries) +
+         " l2il=" + std::to_string(l2_interleave);
 }
 
 ArchKnobs ArchKnobs::config_a() { return ArchKnobs{4, 32, 32, 1, 4, 4}; }

@@ -63,10 +63,7 @@ Cache::Cache(CacheConfig cfg, MemoryLevel* below, std::uint64_t id_space)
   set_mask_ = cfg_.num_sets() - 1;
   line_tags_.assign(cfg_.num_sets() * cfg_.associativity, kInvalidTag);
   line_flags_.assign(cfg_.num_sets() * cfg_.associativity, 0);
-  repl_.reserve(cfg_.num_sets());
-  for (std::uint64_t s = 0; s < cfg_.num_sets(); ++s) {
-    repl_.emplace_back(cfg_.replacement, cfg_.associativity);
-  }
+  repl_ = ReplacementTable(cfg_.replacement, cfg_.num_sets(), cfg_.associativity);
   bank_accepts_.assign(cfg_.banks, 0);
   stats_.core_accesses.assign(cfg_.num_cores, 0);
   stats_.core_misses.assign(cfg_.num_cores, 0);
@@ -322,7 +319,7 @@ void Cache::complete_lookup(const LookupEntry& entry, Cycle now) {
   if (entry.is_writeback) {
     if (way != kNoWay) {
       line_flags_[slot] |= kLineDirty;
-      repl_[set_index(req.addr)].touch(way, ++repl_tick_);
+      repl_.touch(set_index(req.addr), way, ++repl_tick_);
       ++stats_.writeback_hits;
     } else {
       // No allocation on writeback miss: forward the dirty data downstream.
@@ -345,7 +342,7 @@ void Cache::complete_lookup(const LookupEntry& entry, Cycle now) {
       schedule_prefetches(block_addr(req.addr), req.core);
     }
     if (req.kind == AccessKind::kWrite) line_flags_[slot] |= kLineDirty;
-    repl_[set_index(req.addr)].touch(way, ++repl_tick_);
+    repl_.touch(set_index(req.addr), way, ++repl_tick_);
     if (probe_ != nullptr) probe_->on_hit(req.id, now);
     if (req.reply_to != nullptr) {
       req.reply_to->on_response(MemResponse{req.id, req.core, req.addr, now});
@@ -437,7 +434,7 @@ bool Cache::try_install_fill(Addr blk, Cycle now) {
     }
   }
   if (way == cfg_.associativity) {
-    way = repl_[set].victim(rng_);
+    way = repl_.victim(set, rng_);
     if ((line_flags_[base + way] & kLineDirty) != 0) {
       if (writeback_q_.size() >= cfg_.writeback_capacity) {
         return false;  // no room to evict; defer the install
@@ -459,7 +456,7 @@ bool Cache::try_install_fill(Addr blk, Cycle now) {
       mshr_.entry(*idx).is_prefetch && mshr_.entry(*idx).targets.empty();
   line_tags_[base + way] = blk;
   line_flags_[base + way] = pure_prefetch ? kLinePrefetched : 0;
-  repl_[set].fill(way, ++repl_tick_);
+  repl_.fill(set, way, ++repl_tick_);
   ++stats_.fills;
 
   mshr_.release_into(*idx, release_scratch_);

@@ -212,7 +212,7 @@ class Cache final : public MemoryLevel, public ResponseSink {
 
   std::vector<Addr> line_tags_;           // num_sets * assoc, row-major by set
   std::vector<std::uint8_t> line_flags_;  // kLineDirty | kLinePrefetched
-  std::vector<ReplacementState> repl_;
+  ReplacementTable repl_;  // sized after cfg_.validate()
   MshrFile mshr_;
   util::Rng rng_;
 

@@ -134,12 +134,16 @@ void Dram::issue_commands(Cycle now) {
 }
 
 void Dram::complete_finished(Cycle now) {
+  // One stable compaction pass: finished requests reply in queue order and
+  // the rest slide down over them, so the queue keeps acceptance order.
   next_done_ = kNoCycle;
-  for (std::size_t i = 0; i < queue_.size();) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
     Pending& p = queue_[i];
     if (!p.in_service || p.done_at > now) {
       if (p.in_service) next_done_ = std::min(next_done_, p.done_at);
-      ++i;
+      if (kept != i) queue_[kept] = p;
+      ++kept;
       continue;
     }
     if (p.req.kind == AccessKind::kRead) {
@@ -156,8 +160,8 @@ void Dram::complete_finished(Cycle now) {
           MemResponse{p.req.id, p.req.core, p.req.addr, now});
       --demand_in_queue_;
     }
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
   }
+  queue_.resize(kept);
 }
 
 void Dram::finalize(Cycle end_cycle) { sample_activity(end_cycle); }

@@ -94,9 +94,10 @@ class Dram final : public MemoryLevel {
   DramConfig cfg_;
   AccessProbe* probe_ = nullptr;  // non-owning
   std::vector<Bank> banks_;
-  // Bounded by queue_capacity and kept in acceptance order (entries are
-  // erased, never reordered), so `accepted` is non-decreasing along it; a
-  // reserved vector keeps it allocation-free and cache-contiguous.
+  // Bounded by queue_capacity and kept in acceptance order (finished
+  // entries are compacted out, never reordered), so `accepted` is
+  // non-decreasing along it; a reserved vector keeps it allocation-free and
+  // cache-contiguous.
   std::vector<Pending> queue_;
   std::uint32_t bank_shift_ = 0;  // log2(interleave_bytes)
   std::uint32_t row_shift_ = 0;   // log2(row_bytes * banks)

@@ -26,53 +26,78 @@ ReplacementPolicy replacement_from_string(const std::string& s) {
   throw util::LpmError("unknown replacement policy: " + s);
 }
 
-ReplacementState::ReplacementState(ReplacementPolicy policy, std::uint32_t ways)
-    : policy_(policy), ways_(ways) {
-  util::require(ways >= 1, "ReplacementState: ways must be >= 1");
-  last_use_.assign(ways, 0);
-  fill_seq_.assign(ways, 0);
-  if (policy_ == ReplacementPolicy::kPlru && plru_applicable()) {
-    plru_bits_.assign(ways - 1, 0);
-  }
-  if (policy_ == ReplacementPolicy::kSrrip) {
-    rrpv_.assign(ways, 3);  // empty ways look like distant re-reference
-  }
-}
-
-bool ReplacementState::plru_applicable() const {
-  return ways_ >= 2 && (ways_ & (ways_ - 1)) == 0;
-}
-
-void ReplacementState::touch(std::uint32_t way, std::uint64_t tick) {
-  util::require(way < ways_, "ReplacementState::touch: bad way");
-  last_use_[way] = tick;
-  if (policy_ == ReplacementPolicy::kPlru && plru_applicable()) {
-    plru_touch(way);
-  }
-  if (policy_ == ReplacementPolicy::kSrrip) {
-    rrpv_[way] = 0;  // re-referenced: predict near reuse
-  }
-}
-
-void ReplacementState::fill(std::uint32_t way, std::uint64_t tick) {
-  util::require(way < ways_, "ReplacementState::fill: bad way");
-  fill_seq_[way] = tick;
-  touch(way, tick);
-  if (policy_ == ReplacementPolicy::kSrrip) {
-    rrpv_[way] = 2;  // inserted with long re-reference prediction: a line
-                     // must prove reuse before it outranks resident ones
+ReplacementTable::ReplacementTable(ReplacementPolicy policy, std::uint64_t sets,
+                                   std::uint32_t ways)
+    : ways_(ways) {
+  util::require(ways >= 1, "ReplacementTable: ways must be >= 1");
+  const std::uint64_t lines = sets * ways;
+  switch (policy) {
+    case ReplacementPolicy::kRandom:
+      layout_ = Layout::kNone;
+      break;
+    case ReplacementPolicy::kFifo:
+      layout_ = Layout::kFillStamp;
+      stamps_.assign(lines, 0);
+      break;
+    case ReplacementPolicy::kSrrip:
+      layout_ = Layout::kRrpv;
+      marks_.assign(lines, 3);  // empty ways look like distant re-reference
+      break;
+    case ReplacementPolicy::kPlru:
+      // A one-way tree has no nodes and always names way 0, as LRU would.
+      if ((ways & (ways - 1)) == 0) {
+        layout_ = Layout::kTree;
+        marks_.assign(sets * (ways - 1), 0);
+        break;
+      }
+      [[fallthrough]];
+    case ReplacementPolicy::kLru:
+      layout_ = Layout::kLastUse;
+      stamps_.assign(lines, 0);
+      break;
   }
 }
 
-void ReplacementState::plru_touch(std::uint32_t way) {
+void ReplacementTable::touch(std::uint64_t set, std::uint32_t way,
+                             std::uint64_t tick) {
+  util::require(way < ways_, "ReplacementTable::touch: bad way");
+  switch (layout_) {
+    case Layout::kLastUse:
+      stamps_[set * ways_ + way] = tick;
+      break;
+    case Layout::kTree:
+      plru_touch(set, way);
+      break;
+    case Layout::kRrpv:
+      marks_[set * ways_ + way] = 0;  // re-referenced: predict near reuse
+      break;
+    case Layout::kFillStamp:  // FIFO ignores uses
+    case Layout::kNone:
+      break;
+  }
+}
+
+void ReplacementTable::fill(std::uint64_t set, std::uint32_t way,
+                            std::uint64_t tick) {
+  touch(set, way, tick);  // checks the way
+  if (layout_ == Layout::kFillStamp) stamps_[set * ways_ + way] = tick;
+  if (layout_ == Layout::kRrpv) {
+    marks_[set * ways_ + way] = 2;  // inserted with long re-reference
+                                    // prediction: a line must prove reuse
+                                    // before it outranks resident ones
+  }
+}
+
+void ReplacementTable::plru_touch(std::uint64_t set, std::uint32_t way) {
   // Walk root->leaf; set each node bit to point *away* from this way.
+  const std::uint64_t root = set * (ways_ - 1);
   std::uint32_t node = 0;
   std::uint32_t lo = 0;
   std::uint32_t hi = ways_;
   while (hi - lo > 1) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
     const bool right = way >= mid;
-    plru_bits_[node] = right ? 0 : 1;  // bit points to the cold side
+    marks_[root + node] = right ? 0 : 1;  // bit points to the cold side
     node = 2 * node + (right ? 2 : 1);
     if (right) {
       lo = mid;
@@ -82,14 +107,15 @@ void ReplacementState::plru_touch(std::uint32_t way) {
   }
 }
 
-std::uint32_t ReplacementState::plru_victim() const {
+std::uint32_t ReplacementTable::plru_victim(std::uint64_t set) const {
+  const std::uint64_t root = set * (ways_ - 1);
   std::uint32_t node = 0;
   std::uint32_t lo = 0;
   std::uint32_t hi = ways_;
   while (hi - lo > 1) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    // touch() stores 1 when the cold half is the right one.
-    const bool right = plru_bits_[node] == 1;
+    // plru_touch() stores 1 when the cold half is the right one.
+    const bool right = marks_[root + node] == 1;
     node = 2 * node + (right ? 2 : 1);
     if (right) {
       lo = mid;
@@ -100,33 +126,35 @@ std::uint32_t ReplacementState::plru_victim() const {
   return lo;
 }
 
-std::uint32_t ReplacementState::srrip_victim() const {
-  // Find a distant-re-reference way; age everyone until one appears.
+std::uint32_t ReplacementTable::srrip_victim(std::uint64_t set) {
+  // Find a distant-re-reference way; age the set until one appears.
+  std::uint8_t* rrpv = marks_.data() + set * ways_;
   for (;;) {
     for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (rrpv_[w] >= 3) return w;
+      if (rrpv[w] >= 3) return w;
     }
-    for (auto& r : rrpv_) ++r;
+    for (std::uint32_t w = 0; w < ways_; ++w) ++rrpv[w];
   }
 }
 
-std::uint32_t ReplacementState::victim(util::Rng& rng) const {
-  switch (policy_) {
-    case ReplacementPolicy::kRandom:
+std::uint32_t ReplacementTable::oldest(std::uint64_t set) const {
+  // First minimum: ties break toward the lowest way.
+  const auto first = stamps_.begin() + static_cast<std::ptrdiff_t>(set * ways_);
+  const auto it = std::min_element(first, first + ways_);
+  return static_cast<std::uint32_t>(it - first);
+}
+
+std::uint32_t ReplacementTable::victim(std::uint64_t set, util::Rng& rng) {
+  switch (layout_) {
+    case Layout::kNone:
       return static_cast<std::uint32_t>(rng.next_below(ways_));
-    case ReplacementPolicy::kFifo: {
-      const auto it = std::min_element(fill_seq_.begin(), fill_seq_.end());
-      return static_cast<std::uint32_t>(it - fill_seq_.begin());
-    }
-    case ReplacementPolicy::kSrrip:
-      return srrip_victim();
-    case ReplacementPolicy::kPlru:
-      if (plru_applicable()) return plru_victim();
-      [[fallthrough]];
-    case ReplacementPolicy::kLru: {
-      const auto it = std::min_element(last_use_.begin(), last_use_.end());
-      return static_cast<std::uint32_t>(it - last_use_.begin());
-    }
+    case Layout::kTree:
+      return plru_victim(set);
+    case Layout::kRrpv:
+      return srrip_victim(set);
+    case Layout::kLastUse:
+    case Layout::kFillStamp:
+      return oldest(set);
   }
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "util/flat_json.hpp"
 
+#include <charconv>
 #include <cmath>
 
 #include "util/table.hpp"
@@ -18,9 +19,11 @@ void JsonWriter::value(double v) {
     body_ += "null";
     return;
   }
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  body_ += buf;
+  // std::to_chars in general format with precision 9 is printf's "%.9g".
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 9).ptr;
+  body_.append(buf, end);
 }
 
 void JsonWriter::value(std::uint64_t v) { body_ += std::to_string(v); }

@@ -1,16 +1,28 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <iomanip>
 #include <sstream>
 
 namespace lpm::util {
 
 std::string fmt(double v, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << v;
-  return os.str();
+  // std::to_chars in fixed format writes printf's "%.*f" in the C locale,
+  // which is what `os << std::fixed << std::setprecision(precision) << v`
+  // writes, without building a stream per call.
+  char buf[128];
+  if (const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                           std::chars_format::fixed, precision);
+      ec == std::errc{}) {
+    return std::string(buf, end);
+  }
+  // Huge magnitudes or precisions: sign, 309 integer digits, point, decimals.
+  std::string out(312 + static_cast<std::size_t>(std::max(precision, 6)), '\0');
+  const auto end = std::to_chars(out.data(), out.data() + out.size(), v,
+                                 std::chars_format::fixed, precision).ptr;
+  out.resize(static_cast<std::size_t>(end - out.data()));
+  return out;
 }
 
 std::string fmt(std::uint64_t v) { return std::to_string(v); }

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "check/diff.hpp"
 #include "check/fuzz.hpp"
@@ -127,6 +129,41 @@ TEST(DiffOracle, UnevenFinishCasesAgree) {
   EXPECT_GT(private_l2_cases, 0);
   // The short cores really finish far ahead of the long ones.
   EXPECT_GE(far_apart, 30) << far_apart;
+}
+
+TEST(DiffOracle, ReplacementPolicyCasesAgree) {
+  // The seeded sweep draws 1-, 2- and 4-way caches only; the paper's L2 is
+  // 8-way and nuca16()'s shared LLC 16-way. Here 50 consecutive seeds give
+  // the L1 and the shared L2 every policy x {1, 2, 4, 8, 16} ways twice,
+  // on small caches that evict on most misses. RefCache's RefReplacement
+  // must name the same victim every time.
+  FuzzConfig cfg;
+  cfg.trace_len = 1000;
+  Fuzzer fuzzer(cfg);
+  std::set<std::pair<int, std::uint32_t>> l1_evicting;
+  std::set<std::pair<int, std::uint32_t>> l2_evicting;
+  int multi_core = 0;
+  for (std::uint64_t seed = 9200; seed < 9250; ++seed) {
+    const ReplayCase c = fuzzer.generate_replacement_policy(seed);
+    const sim::SystemResult opt = run_optimized(c);
+    const std::string d = describe_divergence(opt, run_reference(c));
+    EXPECT_TRUE(d.empty()) << "seed " << seed << ": " << d;
+    EXPECT_TRUE(opt.completed) << "seed " << seed;
+    const mem::CacheConfig& l1 = c.machine.l1;
+    const mem::CacheConfig& l2 = c.machine.l2;
+    if (opt.l1_cache.front().evictions > 0) {
+      l1_evicting.emplace(static_cast<int>(l1.replacement), l1.associativity);
+    }
+    if (opt.l2_cache.evictions > 0) {
+      l2_evicting.emplace(static_cast<int>(l2.replacement), l2.associativity);
+    }
+    if (c.machine.num_cores > 1) ++multi_core;
+  }
+  // Every combination really chose victims, at both levels.
+  EXPECT_EQ(l1_evicting.size(), 25u);
+  EXPECT_EQ(l2_evicting.size(), 25u);
+  EXPECT_GT(multi_core, 0);
+  EXPECT_LT(multi_core, 50);
 }
 
 TEST(DiffOracle, GenerateIsDeterministic) {

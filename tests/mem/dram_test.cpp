@@ -238,5 +238,46 @@ TEST(Dram, StarvedRequestGoesFirstOnceItsBankFrees) {
   }
 }
 
+class OrderSink final : public ResponseSink {
+ public:
+  void on_response(const MemResponse& rsp) override { replies.push_back(rsp); }
+  std::vector<MemResponse> replies;
+};
+
+TEST(Dram, RequestsFinishingTogetherReplyInQueueOrder) {
+  // Four banks, four commands per cycle: requests to distinct closed banks
+  // issue together and finish in the same cycle. One waits behind a row
+  // conflict in the middle of the queue, so the finished ones around it
+  // leave the queue while it stays. Replies follow acceptance order (not
+  // id or bank order), and the survivor still completes.
+  Harness h(four_bank_dram(4));
+  OrderSink sink;
+  const Addr stripe = 1024 * 4;  // row_bytes * banks: next row, same bank
+  const auto read = [&](RequestId id, Addr addr) {
+    MemRequest r = h.read(id, addr);
+    r.reply_to = &sink;
+    return r;
+  };
+  ASSERT_TRUE(h.dram.try_access(read(40, 64 * 3)));       // bank 3
+  ASSERT_TRUE(h.dram.try_access(read(10, 64 * 1)));       // bank 1
+  ASSERT_TRUE(h.dram.try_access(read(50, stripe + 64)));  // bank 1, conflict
+  ASSERT_TRUE(h.dram.try_access(read(30, 0)));            // bank 0
+  ASSERT_TRUE(h.dram.try_access(read(20, 64 * 2)));       // bank 2
+  h.run_until_idle();
+
+  ASSERT_EQ(sink.replies.size(), 5u);
+  const std::vector<RequestId> order = {40, 10, 30, 20, 50};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(sink.replies[i].id, order[i]) << i;
+  }
+  // Closed rows, issued at cycle 0: tRCD + tCL + tBURST + frontend = 29.
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(sink.replies[i].completed, 29u) << i;
+  }
+  EXPECT_GT(sink.replies[4].completed, 29u);
+  EXPECT_EQ(h.dram.stats().reads, 5u);
+  EXPECT_FALSE(h.dram.busy());
+}
+
 }  // namespace
 }  // namespace lpm::mem

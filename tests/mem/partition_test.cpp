@@ -167,16 +167,16 @@ TEST(Srrip, ScanResistance) {
 }
 
 TEST(Srrip, VictimAgesUntilDistant) {
-  ReplacementState st(ReplacementPolicy::kSrrip, 4);
+  ReplacementTable st(ReplacementPolicy::kSrrip, 1, 4);
   util::Rng rng(1);
-  st.fill(0, 1);
-  st.fill(1, 2);
-  st.fill(2, 3);
-  st.fill(3, 4);
-  st.touch(0, 5);  // way 0: rrpv 0, others 2
+  st.fill(0, 0, 1);
+  st.fill(0, 1, 2);
+  st.fill(0, 2, 3);
+  st.fill(0, 3, 4);
+  st.touch(0, 0, 5);  // way 0: rrpv 0, others 2
   // Victim must be one of the non-reused ways, never way 0.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_NE(st.victim(rng), 0u);
+    EXPECT_NE(st.victim(0, rng), 0u);
   }
 }
 
