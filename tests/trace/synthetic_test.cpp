@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "trace/spec_like.hpp"
 #include "util/error.hpp"
 
 namespace lpm::trace {
@@ -194,6 +196,50 @@ TEST(SyntheticTrace, BurstPhasesAreMoreMemoryIntense) {
   ASSERT_GT(calm_total, 0u);
   EXPECT_GT(static_cast<double>(burst_mem) / burst_total, 0.8);
   EXPECT_LT(static_cast<double>(calm_mem) / calm_total, 0.2);
+}
+
+/// FNV-1a 64 over `bytes` little-endian bytes of `v`, folded into `h`.
+void fnv_mix(std::uint64_t& h, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// Folds every field of every op `profile` generates into `h`, pulled
+/// through fill() in chunks that do not divide the length.
+void digest_stream(std::uint64_t& h, const WorkloadProfile& profile) {
+  SyntheticTrace t(profile);
+  std::vector<MicroOp> buf(3000);
+  std::uint64_t total = 0;
+  for (std::size_t got; (got = t.fill(buf.data(), buf.size())) > 0;) {
+    for (std::size_t i = 0; i < got; ++i) {
+      const MicroOp& op = buf[i];
+      fnv_mix(h, static_cast<std::uint64_t>(op.type), 1);
+      fnv_mix(h, op.addr, 8);
+      fnv_mix(h, op.dep_dist, 4);
+      fnv_mix(h, op.dep_dist2, 4);
+      fnv_mix(h, op.exec_latency, 1);
+    }
+    total += got;
+  }
+  EXPECT_EQ(total, profile.length) << profile.name;
+}
+
+// Pins the synthetic op stream bit for bit: every recorded trace, every
+// fingerprint-keyed result and lpmbench's expected answers derive from
+// these ops, so a generator change that moves any of them shows here.
+TEST(SyntheticTrace, StreamDigestIsPinned) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const SpecBenchmark b : all_spec_benchmarks()) {
+    for (const std::uint64_t length : {20000u, 100000u}) {
+      for (const std::uint64_t seed : {1u, 2026u}) {
+        digest_stream(h, spec_profile(b, length, seed));
+      }
+    }
+  }
+  digest_stream(h, burst_profile(500, 0.5));
+  EXPECT_EQ(h, 0xacb1041a2b1909a2ULL);
 }
 
 TEST(WorkloadProfile, ValidationCatchesBadFields) {
