@@ -254,7 +254,31 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
     report.wall_seconds_analytic = walls[1];
   }
 
-  // Phase 4: trace ingestion through the LPM2 reader. Cold: evict the file
+  // Phase 4a: trace synthesis. make_trace + fill() over every SPEC-like
+  // profile, so the Zipf table builds count too. The pass takes a few tens
+  // of milliseconds: report the median of three timings.
+  if (opts.synth_length >= 1) {
+    std::vector<trace::MicroOp> chunk(trace::kIoBatchOps);
+    std::array<double, 3> walls{};
+    for (double& wall : walls) {
+      std::uint64_t ops = 0;
+      const auto start = Clock::now();
+      for (const trace::SpecBenchmark b : trace::all_spec_benchmarks()) {
+        const trace::TraceSourcePtr source =
+            trace::make_trace(trace::spec_profile(b, opts.synth_length, 31));
+        while (const std::size_t got =
+                   source->fill(chunk.data(), chunk.size())) {
+          ops += got;
+        }
+      }
+      wall = seconds_since(start);
+      report.synth_ops = ops;
+    }
+    std::sort(walls.begin(), walls.end());
+    report.wall_seconds_synth = walls[1];
+  }
+
+  // Phase 4b: trace ingestion through the LPM2 reader. Cold: evict the file
   // from the page cache, then drain it, so every chunk read goes to the
   // device. Warm: a fresh reader over the now-hot file. Both passes drain
   // to exhaustion, so checksum verification is inside the timed region.
@@ -303,6 +327,8 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
   report.analytic_configs_per_sec =
       rate(static_cast<double>(report.analytic_configs),
            report.wall_seconds_analytic);
+  report.trace_synth_ops_per_sec = rate(static_cast<double>(report.synth_ops),
+                                        report.wall_seconds_synth);
   report.trace_cold_ops_per_sec = rate(static_cast<double>(report.trace_ops),
                                        report.wall_seconds_trace_cold);
   report.trace_warm_ops_per_sec = rate(static_cast<double>(report.trace_ops),
@@ -337,6 +363,9 @@ std::string to_json(const PerfReport& r) {
              .fixed("wall_seconds_trace_warm", r.wall_seconds_trace_warm, 6)
              .fixed("trace_cold_ops_per_sec", r.trace_cold_ops_per_sec, 1)
              .fixed("trace_warm_ops_per_sec", r.trace_warm_ops_per_sec, 1)
+             .num_u64("synth_ops", r.synth_ops)
+             .fixed("wall_seconds_synth", r.wall_seconds_synth, 6)
+             .fixed("trace_synth_ops_per_sec", r.trace_synth_ops_per_sec, 1)
              .finish() +
          "\n";
 }
@@ -396,6 +425,12 @@ PerfReport parse_report(const std::string& json_text) {
       json.get_number("trace_cold_ops_per_sec").value_or(0.0);
   r.trace_warm_ops_per_sec =
       json.get_number("trace_warm_ops_per_sec").value_or(0.0);
+  // Optional — absent before the synthesis phase; 0 = not measured.
+  r.synth_ops =
+      static_cast<std::uint64_t>(json.get_number("synth_ops").value_or(0.0));
+  r.wall_seconds_synth = json.get_number("wall_seconds_synth").value_or(0.0);
+  r.trace_synth_ops_per_sec =
+      json.get_number("trace_synth_ops_per_sec").value_or(0.0);
   return r;
 }
 
@@ -443,6 +478,10 @@ BaselineCheck check_against_baseline(const PerfReport& current,
   if (baseline.analytic_configs_per_sec > 0.0) {
     gate("analytic_configs_per_sec", current.analytic_configs_per_sec,
          baseline.analytic_configs_per_sec);
+  }
+  if (baseline.trace_synth_ops_per_sec > 0.0) {
+    gate("trace_synth_ops_per_sec", current.trace_synth_ops_per_sec,
+         baseline.trace_synth_ops_per_sec);
   }
   if (baseline.trace_cold_ops_per_sec > 0.0) {
     gate("trace_cold_ops_per_sec", current.trace_cold_ops_per_sec,

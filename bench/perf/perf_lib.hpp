@@ -34,6 +34,11 @@
 //     median counts. The headline claim this gate protects:
 //     analytic screening stays orders of magnitude faster than cycle
 //     simulation.
+//   * trace_synth_ops_per_sec — synthetic micro-ops per second through
+//     make_trace + fill() over the 16 SPEC-like profiles, Zipf table
+//     builds included: the generation cost every read-ahead helper,
+//     calibration, reuse-profile build and LPM2 recording pays. The pass
+//     is timed three times and the median counts.
 //   * trace_cold_ops_per_sec / trace_warm_ops_per_sec — recorded-trace
 //     ingestion rate through the LPM2 reader (src/trace/lpm2.hpp): cold is
 //     a full drain after evicting the file from the page cache, warm a
@@ -86,6 +91,9 @@ struct PerfOptions {
   /// Distinct configurations in the analytic-screening phase; each one
   /// runs on every SPEC-like profile.
   unsigned analytic_configs = 64;
+  /// Micro-ops per SPEC-like profile in the trace-synthesis phase (0
+  /// disables the phase).
+  std::uint64_t synth_length = 100'000;
   /// Micro-ops in the trace-ingestion phase (0 disables the phase). When
   /// `trace_file` is empty the phase records this many ops of the bench
   /// workload to a temporary LPM2 file first.
@@ -104,12 +112,14 @@ struct PerfReport {
   std::uint64_t corun_cycles = 0;  ///< simulated cycles, 16-core co-run phase
   std::uint64_t jobs = 0;          ///< jobs executed, engine phase
   std::uint64_t analytic_configs = 0;  ///< config x profile evaluations
+  std::uint64_t synth_ops = 0;  ///< ops generated per pass, synthesis phase
   std::uint64_t trace_ops = 0;  ///< ops ingested per pass, trace phase
   double wall_seconds_simulate = 0.0;
   double wall_seconds_membound = 0.0;
   double wall_seconds_corun = 0.0;
   double wall_seconds_engine = 0.0;
   double wall_seconds_analytic = 0.0;
+  double wall_seconds_synth = 0.0;
   double wall_seconds_trace_cold = 0.0;
   double wall_seconds_trace_warm = 0.0;
   double sim_cycles_per_sec = 0.0;
@@ -118,6 +128,7 @@ struct PerfReport {
   double sim_corun_cycles_per_sec = 0.0;
   double engine_jobs_per_sec = 0.0;
   double analytic_configs_per_sec = 0.0;
+  double trace_synth_ops_per_sec = 0.0;
   /// Cold pass: pages evicted (posix_fadvise DONTNEED) before the drain.
   double trace_cold_ops_per_sec = 0.0;
   /// Warm pass: a fresh reader over the same file, page cache hot.
@@ -149,7 +160,8 @@ struct BaselineCheck {
 /// m < baseline.m * (1 - tolerance). tolerance 0.30 absorbs CI-runner
 /// noise; exceeding the baseline never fails. Metrics added after the
 /// first baseline (sim_membound_cycles_per_sec, sim_corun_cycles_per_sec,
-/// analytic_configs_per_sec, the trace ingestion rates) are gated only when
+/// analytic_configs_per_sec, the trace synthesis and ingestion rates) are
+/// gated only when
 /// the baseline carries them (> 0), so older baselines keep working.
 [[nodiscard]] BaselineCheck check_against_baseline(const PerfReport& current,
                                                    const PerfReport& baseline,

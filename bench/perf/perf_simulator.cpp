@@ -6,12 +6,25 @@
 //                      [tolerance=0.30] [length=400000] [jobs=8192] \
 //                      [submitters=4] [threads=0] [analytic=64] \
 //                      [trace_ops=2000000] [trace_file=...]
+//
+// Any other argument (a positional one such as --help, or an unknown key)
+// prints this usage and exits 2 before anything is run or written.
 #include <cstdio>
 #include <fstream>
 
 #include "perf_lib.hpp"
 #include "util/config.hpp"
 #include "util/error.hpp"
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: perf_simulator [out=BENCH_simulator.json] [baseline=...]\n"
+    "                      [tolerance=0.30] [length=400000] [jobs=8192]\n"
+    "                      [submitters=4] [threads=0] [analytic=64]\n"
+    "                      [trace_ops=2000000] [trace_file=...]\n";
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace lpm;
@@ -33,6 +46,10 @@ int main(int argc, char** argv) {
         args.get_uint_or("analytic", opts.analytic_configs));
     opts.trace_ops = args.get_uint_or("trace_ops", opts.trace_ops);
     opts.trace_file = args.get_or("trace_file", "");
+    if (!args.positional().empty() || !args.unused_keys().empty()) {
+      std::fputs(kUsage, stderr);
+      return 2;
+    }
 
     const perf::PerfReport report = perf::run_perf_suite(opts);
     const std::string json = perf::to_json(report);
@@ -56,6 +73,7 @@ int main(int argc, char** argv) {
     std::printf("corun cycles/sec    : %.3e\n", report.sim_corun_cycles_per_sec);
     std::printf("engine jobs/sec     : %.3f\n", report.engine_jobs_per_sec);
     std::printf("analytic configs/sec: %.1f\n", report.analytic_configs_per_sec);
+    std::printf("trace synth ops/sec : %.3e\n", report.trace_synth_ops_per_sec);
     std::printf("trace cold ops/sec  : %.3e\n", report.trace_cold_ops_per_sec);
     std::printf("trace warm ops/sec  : %.3e\n", report.trace_warm_ops_per_sec);
 

@@ -7,8 +7,15 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
+#include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <thread>
+
+#include "trace/helper_thread.hpp"
 
 namespace lpm::trace {
 
@@ -65,6 +72,8 @@ std::size_t pread_full(int fd, unsigned char* dst, std::size_t size,
 
 /// Streams LPM2 records to a file: a placeholder header, then record
 /// batches hashed as they are written, then count and checksum patched in.
+/// A writer destroyed before finish() returns removes its file when that is
+/// a regular file, so a failed recording leaves no partial file behind.
 class Lpm2Writer {
  public:
   explicit Lpm2Writer(const std::string& path)
@@ -75,6 +84,16 @@ class Lpm2Writer {
     put_u32(&header_[24], kLpm2RecordBytes);
     out_.write(reinterpret_cast<const char*>(header_.data()), header_.size());
   }
+  ~Lpm2Writer() {
+    if (finished_) return;
+    out_.close();
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(path_, ec)) {
+      std::filesystem::remove(path_, ec);
+    }
+  }
+  Lpm2Writer(const Lpm2Writer&) = delete;
+  Lpm2Writer& operator=(const Lpm2Writer&) = delete;
 
   void write(const unsigned char* records, std::size_t count) {
     const std::size_t bytes = count * kLpm2RecordBytes;
@@ -94,6 +113,7 @@ class Lpm2Writer {
     out_.write(reinterpret_cast<const char*>(header_.data()), header_.size());
     out_.flush();
     if (!out_.good()) fail("trace: header patch failed", path_);
+    finished_ = true;
     return digest;
   }
 
@@ -103,6 +123,119 @@ class Lpm2Writer {
   std::array<unsigned char, kLpm2HeaderBytes> header_{};
   util::Checksum64 checksum_;
   std::uint64_t count_ = 0;
+  bool finished_ = false;
+};
+
+/// Overlaps a recording's synthesis with its writing: the caller fills one
+/// of two op batches while one helper thread encodes, hashes and writes the
+/// other through an Lpm2Writer. Batches are written in the order they are
+/// submitted, so the file is the one a serial writer produces, byte for
+/// byte.
+///
+/// The helper encodes kEncodeOps records at a time, so next to the two op
+/// batches there is one small record buffer, not a whole encoded batch.
+/// A helper failure is rethrown from the caller's next batch() or drain();
+/// the destructor lets the helper finish what was submitted and joins it,
+/// whether or not the caller is unwinding.
+class WritePipeline {
+ public:
+  static constexpr std::size_t kEncodeOps = 512;
+
+  explicit WritePipeline(Lpm2Writer& out)
+      : out_(out), records_(kEncodeOps * kLpm2RecordBytes) {
+    for (auto& batch : ops_) batch.resize(kIoBatchOps);
+    helper_ = start_helper_thread([this] { drain_batches(); });
+  }
+  ~WritePipeline() { close(); }
+  WritePipeline(const WritePipeline&) = delete;
+  WritePipeline& operator=(const WritePipeline&) = delete;
+
+  /// The caller's next batch of kIoBatchOps ops, once the helper has
+  /// written what it held before.
+  MicroOp* batch() {
+    std::unique_lock<std::mutex> lock(mu_);
+    space_cv_.wait(lock, [this] { return queued_ < ops_.size() || error_; });
+    if (error_) std::rethrow_exception(error_);
+    return ops_[caller_slot_].data();
+  }
+
+  /// Hands the first `count` ops of the current batch to the helper.
+  void submit(std::size_t count) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      len_[caller_slot_] = count;
+      ++queued_;
+    }
+    work_cv_.notify_one();
+    caller_slot_ = (caller_slot_ + 1) % ops_.size();
+  }
+
+  /// Waits until every submitted batch is written and stops the helper.
+  /// Rethrows the helper's failure.
+  void drain() {
+    close();
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  /// Helper thread body: writes submitted batches in order until closed.
+  void drain_batches() {
+    for (std::size_t slot = 0;; slot = (slot + 1) % ops_.size()) {
+      std::size_t len = 0;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        work_cv_.wait(lock, [this] { return queued_ > 0 || closed_; });
+        if (queued_ == 0) return;
+        len = len_[slot];
+      }
+      try {
+        const MicroOp* ops = ops_[slot].data();
+        for (std::size_t done = 0; done < len;) {
+          const std::size_t n = std::min(kEncodeOps, len - done);
+          for (std::size_t i = 0; i < n; ++i) {
+            encode_record(ops[done + i],
+                          records_.data() + i * kLpm2RecordBytes);
+          }
+          out_.write(records_.data(), n);
+          done += n;
+        }
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        error_ = std::current_exception();
+        space_cv_.notify_one();
+        return;
+      }
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        --queued_;
+      }
+      space_cv_.notify_one();
+    }
+  }
+
+  void close() {
+    if (!helper_.joinable()) return;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    work_cv_.notify_one();
+    helper_.join();
+  }
+
+  Lpm2Writer& out_;
+  std::array<std::vector<MicroOp>, 2> ops_;
+  std::vector<unsigned char> records_;  ///< kEncodeOps records; helper only
+  std::size_t caller_slot_ = 0;         ///< caller only
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;   ///< a batch was queued, or closed
+  std::condition_variable space_cv_;  ///< a batch was written, or failed
+  std::array<std::size_t, 2> len_{};  ///< ops in each queued batch
+  std::size_t queued_ = 0;            ///< batches submitted, not yet written
+  bool closed_ = false;
+  std::exception_ptr error_;
+  std::thread helper_;
 };
 
 }  // namespace
@@ -166,20 +299,19 @@ MicroOp decode_record(const unsigned char* src) {
 
 std::uint64_t record_trace_v2(TraceSource& source, const std::string& path) {
   Lpm2Writer out(path);
-  std::vector<MicroOp> ops(kIoBatchOps);
-  std::vector<unsigned char> buf(kIoBatchOps * kLpm2RecordBytes);
-  for (;;) {
-    const std::size_t got = source.fill(ops.data(), ops.size());
-    if (got == 0) break;
-    if (got > ops.size()) {
-      throw util::SimError("record_trace_v2: source '" + source.name() +
-                           "' returned more ops than requested");
+  {
+    WritePipeline pipeline(out);
+    for (;;) {
+      const std::size_t got = source.fill(pipeline.batch(), kIoBatchOps);
+      if (got > kIoBatchOps) {
+        throw util::SimError("record_trace_v2: source '" + source.name() +
+                             "' returned more ops than requested");
+      }
+      if (got == 0) break;
+      pipeline.submit(got);
+      if (got < kIoBatchOps) break;  // short fill = source exhausted
     }
-    for (std::size_t i = 0; i < got; ++i) {
-      encode_record(ops[i], buf.data() + i * kLpm2RecordBytes);
-    }
-    out.write(buf.data(), got);
-    if (got < ops.size()) break;  // short fill = source exhausted
+    pipeline.drain();
   }
   return out.finish();
 }

@@ -66,16 +66,21 @@ void encode_record(const MicroOp& op, unsigned char* dst);
 [[nodiscard]] MicroOp decode_record(const unsigned char* src);
 
 /// Writes every op of `source` (current position to exhaustion) to `path`
-/// in LPM2 format, streaming: resident cost is one fixed write buffer, not
-/// the trace. Returns the content checksum of the recorded stream. Throws
-/// util::IoError on I/O failure.
+/// in LPM2 format, streaming: resident cost is two op batches and one small
+/// record buffer, not the trace. One helper thread encodes, hashes and
+/// writes each batch while the caller's thread fills the next from
+/// `source`; the bytes are those of a serial write. Returns the content
+/// checksum of the recorded stream. Throws util::IoError on I/O failure
+/// and rethrows whatever `source` throws; either way the helper is joined
+/// and the partial file removed before the exception leaves.
 std::uint64_t record_trace_v2(TraceSource& source, const std::string& path);
 
 /// Copies the records of a v1 "LPMT" file at `lpmt_path` into a new LPM2
 /// file at `out_path`, checking the v1 header and every type byte. The
 /// record layouts are identical, so the result has the content checksum a
 /// direct LPM2 recording of the same stream would have. Returns that
-/// checksum. Throws util::IoError on a bad v1 header or I/O failure.
+/// checksum. Throws util::IoError on a bad v1 header or I/O failure, and
+/// removes the partial output file.
 std::uint64_t convert_lpmt_trace(const std::string& lpmt_path,
                                  const std::string& out_path);
 

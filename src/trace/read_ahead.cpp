@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
+#include "trace/helper_thread.hpp"
 #include "util/error.hpp"
 
 namespace lpm::trace {
@@ -44,7 +40,9 @@ std::size_t ReadAhead::fill(MicroOp* dst, std::size_t n) {
 }
 
 bool ReadAhead::next_block() {
-  if (!helper_.joinable()) start_helper();
+  if (!helper_.joinable()) {
+    helper_ = start_helper_thread([this] { produce(); });
+  }
   std::unique_lock<std::mutex> lock(mu_);
   if (holding_) {
     holding_ = false;
@@ -107,26 +105,6 @@ void ReadAhead::produce() {
     if (wake_consumer) data_cv_.notify_one();
     if (last) return;
   }
-}
-
-void ReadAhead::start_helper() {
-  helper_ = std::thread(&ReadAhead::produce, this);
-#ifdef __linux__
-  // Keep the helper off the consumer's CPU. A thread woken by another
-  // tends to run on its waker's CPU, and where the scheduler does not
-  // balance load (a cpuset with sched_load_balance=0) nothing moves it
-  // away: the helper then time-shares the consumer's CPU and hides
-  // nothing. Best effort: with one allowed CPU, or if a call fails, the
-  // helper runs wherever it lands.
-  cpu_set_t cpus;
-  const int self = sched_getcpu();
-  if (self >= 0 &&
-      pthread_getaffinity_np(pthread_self(), sizeof cpus, &cpus) == 0 &&
-      CPU_ISSET(self, &cpus) && CPU_COUNT(&cpus) > 1) {
-    CPU_CLR(self, &cpus);
-    pthread_setaffinity_np(helper_.native_handle(), sizeof cpus, &cpus);
-  }
-#endif
 }
 
 void ReadAhead::stop() {

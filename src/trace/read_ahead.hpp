@@ -63,8 +63,6 @@ class ReadAhead final : public TraceSource {
   /// one, waiting if the ring is empty. Returns false at end of stream;
   /// rethrows the inner source's exception once its blocks are consumed.
   bool next_block();
-  /// Starts the helper on a CPU other than the caller's.
-  void start_helper();
   /// Stops and joins the helper (no-op when it is not running).
   void stop();
 

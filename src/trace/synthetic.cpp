@@ -106,8 +106,17 @@ Addr SyntheticTrace::sample_address(double seq_fraction) {
   if (rng_.next_bool(seq_fraction)) {
     const std::size_t s =
         profile_.num_streams == 1 ? 0 : rng_.next_below(profile_.num_streams);
-    const Addr addr = stream_pos_[s];
-    stream_pos_[s] = (stream_pos_[s] + profile_.stride_bytes) % profile_.working_set_bytes;
+    Addr& pos = stream_pos_[s];
+    const Addr addr = pos;
+    if (profile_.stride_bytes <= profile_.working_set_bytes) {
+      // pos < working set and stride <= working set: one subtraction is
+      // the remainder (a sum that overflows 64 bits is already below the
+      // working set, as it is under %).
+      pos += profile_.stride_bytes;
+      if (pos >= profile_.working_set_bytes) pos -= profile_.working_set_bytes;
+    } else {
+      pos = (pos + profile_.stride_bytes) % profile_.working_set_bytes;
+    }
     return profile_.addr_base + addr;
   }
   const std::uint64_t block = block_sampler_.sample(rng_);

@@ -1,15 +1,13 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
 namespace lpm::util {
 
 namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
 
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -33,19 +31,7 @@ void Rng::reseed(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
+std::uint64_t Rng::next_below_rejection(std::uint64_t bound) {
   require(bound > 0, "Rng::next_below: bound must be positive");
   // Lemire-style rejection: accept unless in the biased tail.
   const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
@@ -64,17 +50,6 @@ std::uint64_t Rng::next_in(std::uint64_t lo, std::uint64_t hi) {
     return next_u64();
   }
   return lo + next_below(span + 1);
-}
-
-double Rng::next_double() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 std::uint64_t Rng::next_geometric(double p) {
@@ -106,6 +81,7 @@ Rng Rng::fork(std::uint64_t tag) {
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
   require(n >= 1, "ZipfSampler: n must be >= 1");
+  require(n <= UINT32_MAX, "ZipfSampler: n must be below 2^32");
   require(s >= 0.0, "ZipfSampler: skew must be non-negative");
   cdf_.resize(n);
   double acc = 0.0;
@@ -117,22 +93,17 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
     c /= acc;
   }
   cdf_.back() = 1.0;  // guard against FP round-down
-}
 
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  // First index whose CDF value exceeds u.
-  std::size_t lo = 0;
-  std::size_t hi = cdf_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] <= u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  const std::size_t slices = std::min(kMaxGuideSlices, std::bit_ceil(n));
+  guide_scale_ = static_cast<double>(slices);
+  guide_.resize(slices + 1);
+  std::uint32_t i = 0;
+  for (std::size_t j = 0; j < slices; ++j) {
+    const double edge = static_cast<double>(j) / guide_scale_;  // exact
+    while (cdf_[i] <= edge) ++i;  // stops: cdf_.back() == 1 > edge
+    guide_[j] = i;
   }
-  return lo;
+  guide_[slices] = static_cast<std::uint32_t>(n - 1);
 }
 
 DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {

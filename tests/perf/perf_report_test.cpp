@@ -22,6 +22,7 @@ PerfOptions tiny_options() {
   opts.engine_threads = 1;
   opts.analytic_configs = 4;
   opts.trace_ops = 5000;
+  opts.synth_length = 1000;
   return opts;
 }
 
@@ -40,7 +41,8 @@ TEST(PerfReport, EmitsRequiredSchema) {
         "sim_corun_cycles_per_sec", "engine_jobs_per_sec",
         "analytic_configs_per_sec", "trace_ops", "wall_seconds_trace_cold",
         "wall_seconds_trace_warm", "trace_cold_ops_per_sec",
-        "trace_warm_ops_per_sec"}) {
+        "trace_warm_ops_per_sec", "synth_ops", "wall_seconds_synth",
+        "trace_synth_ops_per_sec"}) {
     const auto value = parsed.get_number(key);
     ASSERT_TRUE(value.has_value()) << "missing key " << key;
     EXPECT_GE(*value, 0.0) << key;
@@ -67,6 +69,9 @@ TEST(PerfReport, EmitsRequiredSchema) {
   EXPECT_EQ(report.trace_ops, 5000u);
   EXPECT_GT(report.trace_cold_ops_per_sec, 0.0);
   EXPECT_GT(report.trace_warm_ops_per_sec, 0.0);
+  // The synthesis phase generated every op of the 16 profiles.
+  EXPECT_EQ(report.synth_ops, 16u * 1000u);
+  EXPECT_GT(report.trace_synth_ops_per_sec, 0.0);
 }
 
 TEST(PerfReport, JsonRoundTrips) {
@@ -95,6 +100,9 @@ TEST(PerfReport, JsonRoundTrips) {
   r.wall_seconds_trace_warm = 0.25;
   r.trace_cold_ops_per_sec = 8192.0;
   r.trace_warm_ops_per_sec = 16384.0;
+  r.synth_ops = 1600;
+  r.wall_seconds_synth = 0.125;
+  r.trace_synth_ops_per_sec = 12800.0;
 
   const PerfReport back = parse_report(to_json(r));
   EXPECT_EQ(back.bench, r.bench);
@@ -117,6 +125,9 @@ TEST(PerfReport, JsonRoundTrips) {
   EXPECT_EQ(back.trace_ops, r.trace_ops);
   EXPECT_DOUBLE_EQ(back.trace_cold_ops_per_sec, r.trace_cold_ops_per_sec);
   EXPECT_DOUBLE_EQ(back.trace_warm_ops_per_sec, r.trace_warm_ops_per_sec);
+  EXPECT_EQ(back.synth_ops, r.synth_ops);
+  EXPECT_DOUBLE_EQ(back.wall_seconds_synth, r.wall_seconds_synth);
+  EXPECT_DOUBLE_EQ(back.trace_synth_ops_per_sec, r.trace_synth_ops_per_sec);
 }
 
 // BENCH_simulator.json is compared against committed baselines and kept
@@ -147,6 +158,9 @@ TEST(PerfReport, JsonBytesArePinned) {
   r.wall_seconds_trace_warm = 0.25;
   r.trace_cold_ops_per_sec = 8192.0;
   r.trace_warm_ops_per_sec = 16384.0;
+  r.synth_ops = 1600;
+  r.wall_seconds_synth = 0.125;
+  r.trace_synth_ops_per_sec = 12800.25;
   EXPECT_EQ(to_json(r),
             "{\"bench\":\"lpm_convergence\",\"cycles\":123,\"instructions\":456,"
             "\"jobs\":7,\"analytic_configs\":64,"
@@ -164,7 +178,9 @@ TEST(PerfReport, JsonBytesArePinned) {
             "\"wall_seconds_trace_cold\":0.500000,"
             "\"wall_seconds_trace_warm\":0.250000,"
             "\"trace_cold_ops_per_sec\":8192.0,"
-            "\"trace_warm_ops_per_sec\":16384.0}\n");
+            "\"trace_warm_ops_per_sec\":16384.0,\"synth_ops\":1600,"
+            "\"wall_seconds_synth\":0.125000,"
+            "\"trace_synth_ops_per_sec\":12800.2}\n");
 }
 
 TEST(PerfReport, LegacyReportsWithoutAnalyticKeysStillParse) {
@@ -185,6 +201,8 @@ TEST(PerfReport, LegacyReportsWithoutAnalyticKeysStillParse) {
   EXPECT_EQ(baseline.membound_cycles, 0u);
   EXPECT_DOUBLE_EQ(baseline.sim_membound_cycles_per_sec, 0.0);
   EXPECT_DOUBLE_EQ(baseline.sim_corun_cycles_per_sec, 0.0);
+  EXPECT_EQ(baseline.synth_ops, 0u);
+  EXPECT_DOUBLE_EQ(baseline.trace_synth_ops_per_sec, 0.0);
 
   PerfReport current = baseline;
   current.analytic_configs_per_sec = 0.0;  // even "no analytic phase" passes
@@ -209,6 +227,7 @@ TEST(PerfBaseline, GateFailsOnlyBelowTolerance) {
   baseline.analytic_configs_per_sec = 500.0;
   baseline.trace_cold_ops_per_sec = 100.0;
   baseline.trace_warm_ops_per_sec = 200.0;
+  baseline.trace_synth_ops_per_sec = 300.0;
 
   PerfReport current = baseline;
   EXPECT_TRUE(check_against_baseline(current, baseline, 0.30).ok);
@@ -229,6 +248,18 @@ TEST(PerfBaseline, GateFailsOnlyBelowTolerance) {
   }
   current.trace_cold_ops_per_sec = baseline.trace_cold_ops_per_sec;
   current.trace_warm_ops_per_sec = baseline.trace_warm_ops_per_sec;
+
+  // So is the synthesis rate: 69% of baseline fails.
+  current.trace_synth_ops_per_sec = 207.0;
+  {
+    const BaselineCheck failed =
+        check_against_baseline(current, baseline, 0.30);
+    EXPECT_FALSE(failed.ok);
+    ASSERT_EQ(failed.failures.size(), 1u);
+    EXPECT_NE(failed.failures[0].find("trace_synth_ops_per_sec"),
+              std::string::npos);
+  }
+  current.trace_synth_ops_per_sec = baseline.trace_synth_ops_per_sec;
 
   // The memory-bound rate is gated like the others once the baseline has
   // it: 69% of baseline fails, 71% passes.
@@ -292,12 +323,13 @@ TEST(PerfBaseline, CommittedBaselineParses) {
   EXPECT_GT(baseline.sim_cycles_per_sec, 0.0);
   EXPECT_GT(baseline.instructions_per_sec, 0.0);
   EXPECT_GT(baseline.engine_jobs_per_sec, 0.0);
-  // The committed baseline carries the memory-bound, analytic and
-  // ingestion gates.
+  // The committed baseline carries the memory-bound, analytic, synthesis
+  // and ingestion gates.
   EXPECT_GT(baseline.sim_membound_cycles_per_sec, 0.0);
   EXPECT_GT(baseline.analytic_configs_per_sec, 0.0);
   EXPECT_GT(baseline.trace_cold_ops_per_sec, 0.0);
   EXPECT_GT(baseline.trace_warm_ops_per_sec, 0.0);
+  EXPECT_GT(baseline.trace_synth_ops_per_sec, 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -49,6 +50,31 @@ TEST(Rng, NextBelowOneAlwaysZero) {
 TEST(Rng, NextBelowZeroThrows) {
   Rng r(3);
   EXPECT_THROW(r.next_below(0), LpmError);
+}
+
+// next_below's power-of-two path must return the rejection loop's value
+// and leave the stream where the loop leaves it.
+TEST(Rng, PowerOfTwoNextBelowMatchesRejectionPath) {
+  const auto rejection = [](Rng& r, std::uint64_t bound) {
+    const std::uint64_t threshold = (~bound + 1) % bound;
+    for (;;) {
+      const std::uint64_t v = r.next_u64();
+      if (v >= threshold) return v % bound;
+    }
+  };
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{8},
+        std::uint64_t{1} << 32, std::uint64_t{1} << 63}) {
+    for (const std::uint64_t seed : {1u, 2026u, 99991u}) {
+      Rng fast(seed);
+      Rng slow(seed);
+      for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(fast.next_below(bound), rejection(slow, bound))
+            << "bound " << bound << " seed " << seed << " draw " << i;
+      }
+      EXPECT_EQ(fast.next_u64(), slow.next_u64()) << "bound " << bound;
+    }
+  }
 }
 
 TEST(Rng, NextInInclusiveRange) {
@@ -183,6 +209,63 @@ TEST(ZipfSampler, SingleElement) {
   Rng r(41);
   ZipfSampler z(1, 2.0);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(z.sample(r), 0u);
+}
+
+/// The first index whose CDF value exceeds u: the full binary search the
+/// guide table replaces.
+std::size_t full_search(const std::vector<double>& cdf, double u) {
+  std::size_t lo = 0;
+  std::size_t hi = cdf.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] <= u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+// Probes every CDF value and its neighbours, every slice edge a guide of
+// up to kMaxGuideSlices slices can have, and random draws, at sizes below,
+// at and above the guide cap.
+TEST(ZipfSampler, GuideTableMatchesFullBinarySearch) {
+  for (const std::size_t n : {1u, 2u, 3u, 1000u, 8192u, 8193u, 262144u}) {
+    for (const double s : {0.0, 0.05, 0.9, 1.1}) {
+      const ZipfSampler z(n, s);
+      const std::vector<double>& cdf = z.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      ASSERT_EQ(cdf.back(), 1.0);
+      std::size_t mismatches = 0;
+      const auto probe = [&](double u) {
+        if (u < 0.0 || u >= 1.0) return;
+        if (z.index_of(u) != full_search(cdf, u)) ++mismatches;
+      };
+      for (const double c : cdf) {
+        probe(c);
+        probe(std::nextafter(c, 0.0));
+        probe(std::nextafter(c, 1.0));
+      }
+      constexpr std::size_t kEdges = ZipfSampler::kMaxGuideSlices;
+      for (std::size_t j = 0; j < kEdges; ++j) {
+        const double edge = static_cast<double>(j) / kEdges;
+        probe(edge);
+        probe(std::nextafter(edge, 0.0));
+        probe(std::nextafter(edge, 1.0));
+      }
+      probe(std::nextafter(1.0, 0.0));
+      Rng fast(n * 31 + static_cast<std::uint64_t>(s * 100));
+      Rng slow = fast;
+      for (int i = 0; i < 100000; ++i) {
+        if (z.sample(fast) != full_search(cdf, slow.next_double())) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(fast.next_u64(), slow.next_u64());
+      EXPECT_EQ(mismatches, 0u) << "n " << n << " s " << s;
+    }
+  }
 }
 
 TEST(ZipfSampler, InvalidArgsThrow) {
