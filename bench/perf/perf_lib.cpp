@@ -177,7 +177,7 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
                                       : std::max(hw == 0 ? 1u : hw, 4u);
     exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
                                      .threads(pool_threads)
-                                     .cache(false)
+                                     .cache_bytes(0)
                                      .build());
 
     const unsigned submitters = opts.engine_submitters;
@@ -220,7 +220,7 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
     model::register_analytic_executors();
     exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
                                      .threads(opts.engine_threads)
-                                     .cache(false)
+                                     .cache_bytes(0)
                                      .build());
 
     std::vector<exp::SimJob> jobs;

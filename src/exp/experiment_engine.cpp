@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <type_traits>
 
 #include "exp/result_sink.hpp"
 #include "obs/trace.hpp"
@@ -94,7 +95,29 @@ struct BackendRegistry {
   }
 };
 
+/// Heap bytes a vector keeps alive, counting each CacheStats' own vectors.
+template <class T>
+std::uint64_t capacity_bytes(const std::vector<T>& v) {
+  std::uint64_t bytes = v.capacity() * sizeof(T);
+  if constexpr (std::is_same_v<T, mem::CacheStats>) {
+    for (const T& s : v) {
+      bytes += capacity_bytes(s.core_accesses) + capacity_bytes(s.core_misses);
+    }
+  }
+  return bytes;
+}
+
 }  // namespace
+
+std::uint64_t result_bytes(const SimJobResult& result) {
+  const sim::SystemResult& run = result.run;
+  return sizeof(SimJobResult) + capacity_bytes(result.calib) +
+         capacity_bytes(run.cores) + capacity_bytes(run.l1) +
+         capacity_bytes(run.l1_cache) + capacity_bytes(run.l2_private) +
+         capacity_bytes(run.l2_private_cache) +
+         capacity_bytes(run.l2_cache.core_accesses) +
+         capacity_bytes(run.l2_cache.core_misses);
+}
 
 void ExperimentEngine::register_backend_executor(const std::string& name,
                                                  BackendExecutor executor) {
@@ -206,13 +229,14 @@ ExperimentEngine::ExperimentEngine() : ExperimentEngine(Options{}) {}
 
 ExperimentEngine::ExperimentEngine(Options opts)
     : threads_(resolve_threads(opts.threads)),
-      cache_enabled_(opts.cache_enabled),
       max_retries_(opts.max_retries),
       retry_backoff_base_ms_(opts.retry_backoff_base_ms),
       backoff_seed_(opts.backoff_seed),
       job_timeout_ms_(opts.job_timeout_ms),
       default_policy_(opts.policy),
       fault_plan_(std::move(opts.fault_plan)),
+      cache_(opts.cache_bytes,
+             [](const SimResultPtr& r) { return result_bytes(*r); }),
       sink_(opts.sink) {
   // Resolve registry handles (and thereby touch the global registry +
   // trace session) before any worker exists: the $LPM_METRICS/$LPM_TRACE
@@ -229,6 +253,8 @@ ExperimentEngine::ExperimentEngine(Options opts)
       reg.counter("exp.jobs.retries"),
       reg.counter("exp.jobs.timeouts"),
       reg.counter("exp.jobs.faults_injected"),
+      reg.counter("exp.cache.evictions"),
+      reg.gauge("exp.cache.bytes"),
       reg.histogram("exp.job.queue_wait_ms",
                     obs::MetricsRegistry::latency_ms_bounds()),
       reg.histogram("exp.job.run_ms",
@@ -672,15 +698,12 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
       ctx.groups[dedup_group[slot]].dups.push_back(i);
       continue;
     }
-    if (cache_enabled_) {
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
-      if (const auto it = cache_.find(fp); it != cache_.end()) {
-        outcomes[i].result = it->second;
-        outcomes[i].from_cache = true;
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        obs_.cache_hits.inc();
-        continue;
-      }
+    if (std::optional<SimResultPtr> hit = cache_.get(fp)) {
+      outcomes[i].result = std::move(*hit);
+      outcomes[i].from_cache = true;
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      obs_.cache_hits.inc();
+      continue;
     }
     dedup_fp[slot] = fp;
     dedup_group[slot] = static_cast<std::uint32_t>(ctx.groups.size());
@@ -747,6 +770,7 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
     // of a mutex plus a string-keyed map lookup.
     const std::string* evals_backend = nullptr;
     obs::MetricsRegistry::Counter evals;
+    std::size_t evicted = 0;
     for (std::uint32_t gi = 0; gi < n_groups; ++gi) {
       const BatchCtx::Group& g = ctx.groups[gi];
       SimJobOutcome& out = ctx.slots[gi].out;
@@ -756,10 +780,7 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
           evals_backend = &g.job->backend;
         }
         evals.inc();
-        if (cache_enabled_) {
-          const std::lock_guard<std::mutex> lock(cache_mutex_);
-          cache_.emplace(g.fp, out.result);
-        }
+        evicted += cache_.put(g.fp, out.result);
         // Duplicates within the batch were served by the one execution.
         for (const std::size_t k : g.dups) {
           outcomes[k] = out;
@@ -774,6 +795,8 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
       }
       outcomes[g.first] = std::move(out);
     }
+    obs_.cache_evictions.add(evicted);
+    obs_.cache_bytes.set(static_cast<double>(cache_.bytes()));
   }
 
   // Sink bookkeeping happens on the submitting thread, in submission
@@ -790,16 +813,6 @@ std::vector<SimJobOutcome> ExperimentEngine::run_batch_impl(
     }
   }
   return outcomes;
-}
-
-std::size_t ExperimentEngine::cache_size() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_.size();
-}
-
-void ExperimentEngine::clear_cache() {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  cache_.clear();
 }
 
 void ExperimentEngine::set_sink(ResultSink* sink) {

@@ -11,18 +11,18 @@
 //  * a fixed-size worker pool runs independent sim::System instances
 //    concurrently (each System is fully self-contained, so the parallelism
 //    is embarrassing once construction is job-local);
-//  * a memoizing cache keyed by a stable fingerprint of
-//    (MachineConfig, workloads, calibrate) means no point is ever simulated
-//    twice in a process — the LPM threshold loop and the benches get
-//    repeated evaluations for free;
+//  * a byte-budgeted result cache (util::Memo) keyed by a stable job
+//    fingerprint serves repeated points while they fit its budget — the
+//    LPM threshold loop and the benches get repeated evaluations for free,
+//    and an evicted point is simply simulated again;
 //  * an optional ResultSink receives one structured (CSV / JSON lines)
 //    record per job, replacing ad-hoc printf tables for machine-readable
 //    output.
 //
 // Determinism: simulations are seeded and share no mutable state, results
-// are returned in submission order, and cache/sink bookkeeping happens on
-// the submitting thread — so an engine with N workers is bit-identical to
-// a serial run (asserted by tests/exp/experiment_engine_test.cpp).
+// are returned in submission order, and cache lookups, inserts (so also
+// evictions) and sink records happen on the submitting thread in order —
+// so N workers are bit-identical to serial (tests/exp/experiment_engine_test).
 //
 // Fault tolerance: a job failure is data, not control flow. Every job in a
 // batch produces a SimJobOutcome — result or a typed (ErrorCode, message)
@@ -56,11 +56,10 @@
 // Thread safety: run(), run_batch() and run_batch_outcomes() are blocking
 // and may be called from any thread, including concurrently (each batch
 // carries its own completion state); they must NOT be called from inside a
-// worker task (the pool would deadlock waiting on itself). set_sink() and
-// clear_cache() are safe from any thread. The counters
-// (simulations_executed() etc.) and cache_size() are safe from any thread
-// at any time. Options and the engine itself must outlive all in-flight
-// batches; destruction joins the pool.
+// worker task (the pool would deadlock waiting on itself). set_sink(), the
+// counters (simulations_executed() etc.), cache_size() and cache_bytes()
+// are safe from any thread at any time. Options and the engine itself must
+// outlive all in-flight batches; destruction joins the pool.
 #pragma once
 
 #include <atomic>
@@ -83,6 +82,7 @@
 #include "sim/system.hpp"
 #include "trace/workload_profile.hpp"
 #include "util/error.hpp"
+#include "util/memo.hpp"
 
 namespace lpm::exp {
 
@@ -102,6 +102,10 @@ inline constexpr const char* kCycleBackend = "cycle";
 /// count for every base value, never UB, and never wraps back to a tiny
 /// delay under extreme inputs.
 inline constexpr std::uint64_t kMaxRetryBackoffMs = 3'600'000;
+
+/// Default result-cache budget: a one-core result costs about 1.1 KB, and
+/// no lpmbench repetition (`screen`: ~10 MB) or paper bench evicts.
+inline constexpr std::uint64_t kDefaultCacheBytes = 256ull << 20;
 
 /// One experiment point: what to simulate and what to collect.
 struct SimJob {
@@ -154,6 +158,9 @@ struct SimJobResult {
 /// Results are shared immutable objects: a cache hit returns the *same*
 /// object as the run that produced it.
 using SimResultPtr = std::shared_ptr<const SimJobResult>;
+
+/// The result cache's cost: sizeof(SimJobResult) plus each vector's capacity.
+[[nodiscard]] std::uint64_t result_bytes(const SimJobResult& result);
 
 /// What a batch does after one of its jobs fails.
 enum class FailurePolicy {
@@ -223,8 +230,9 @@ class ExperimentEngine {
     /// Worker threads. 0 = auto: $LPM_THREADS if set, else
     /// std::thread::hardware_concurrency(). 1 = fully serial (no pool).
     unsigned threads = 0;
-    /// Disable to force every submission to simulate (benchmarking only).
-    bool cache_enabled = true;
+    /// Result-cache budget (LRU, see result_bytes()). 0 stores nothing:
+    /// every submission simulates (in-batch duplicates still run once).
+    std::uint64_t cache_bytes = kDefaultCacheBytes;
     /// Optional structured-record sink (non-owning; may be nullptr).
     ResultSink* sink = nullptr;
     /// Re-executions allowed after a retryable failure (sim/io/timeout;
@@ -296,7 +304,7 @@ class ExperimentEngine {
   /// counted: the counts sum to the job groups the pool executed. Empty for
   /// serial engines.
   [[nodiscard]] std::vector<std::uint64_t> worker_task_counts() const;
-  /// Simulations actually executed (== distinct points seen).
+  /// Simulations executed: one per distinct point, again after eviction.
   [[nodiscard]] std::uint64_t simulations_executed() const {
     return simulations_executed_.load(std::memory_order_relaxed);
   }
@@ -317,13 +325,13 @@ class ExperimentEngine {
   [[nodiscard]] double busy_seconds() const {
     return 1e-9 * static_cast<double>(busy_nanos_.load(std::memory_order_relaxed));
   }
-  [[nodiscard]] std::size_t cache_size() const;
-  void clear_cache();
+  [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
+  [[nodiscard]] std::uint64_t cache_bytes() const { return cache_.bytes(); }
   void set_sink(ResultSink* sink);
 
   /// Process-wide engine shared by all consumers that do not bring their
-  /// own: one cache means e.g. a bench and the LPM walk never re-simulate
-  /// each other's points. Thread count from $LPM_THREADS; if $LPM_RESULTS
+  /// own: one cache means e.g. a bench and the LPM walk reuse each other's
+  /// points. Thread count from $LPM_THREADS; if $LPM_RESULTS
   /// is set, every executed job is appended there (.csv or .jsonl).
   /// Fault-tolerance knobs from $LPM_MAX_RETRIES, $LPM_JOB_TIMEOUT_MS and
   /// $LPM_FAULT_SPEC.
@@ -386,7 +394,6 @@ class ExperimentEngine {
   void watchdog_loop();
 
   unsigned threads_ = 1;
-  bool cache_enabled_ = true;
   unsigned max_retries_ = 0;
   std::uint64_t retry_backoff_base_ms_ = 0;
   std::uint64_t backoff_seed_ = 0;
@@ -394,8 +401,8 @@ class ExperimentEngine {
   FailurePolicy default_policy_ = FailurePolicy::kFailFast;
   FaultPlan fault_plan_;
 
-  mutable std::mutex cache_mutex_;
-  std::unordered_map<std::uint64_t, SimResultPtr> cache_;
+  /// Used only on submitting threads, in submission order.
+  util::Memo<std::uint64_t, SimResultPtr> cache_;
 
   std::mutex sink_mutex_;
   ResultSink* sink_ = nullptr;
@@ -411,6 +418,8 @@ class ExperimentEngine {
     obs::MetricsRegistry::Counter retries;
     obs::MetricsRegistry::Counter timeouts;
     obs::MetricsRegistry::Counter faults_injected;
+    obs::MetricsRegistry::Counter cache_evictions;
+    obs::MetricsRegistry::Gauge cache_bytes;
     obs::MetricsRegistry::Histogram queue_wait_ms;
     obs::MetricsRegistry::Histogram run_ms;
     obs::MetricsRegistry::Histogram batch_size;
@@ -470,8 +479,8 @@ class ExperimentEngine::Options::Builder {
     opts_.threads = n;
     return *this;
   }
-  Builder& cache(bool enabled) {
-    opts_.cache_enabled = enabled;
+  Builder& cache_bytes(std::uint64_t bytes) {
+    opts_.cache_bytes = bytes;
     return *this;
   }
   Builder& sink(ResultSink* sink) {

@@ -13,7 +13,7 @@ std::unique_ptr<exp::ExperimentEngine> make_engine(const EngineOptions& opts) {
   return std::make_unique<exp::ExperimentEngine>(
       exp::ExperimentEngine::Options::builder()
           .threads(opts.threads)
-          .cache(opts.cache_enabled)
+          .cache_bytes(opts.cache_enabled ? exp::kDefaultCacheBytes : 0)
           .build());
 }
 

@@ -61,7 +61,7 @@ struct EngineOptions {
   /// Worker threads. 0 = auto ($LPM_THREADS, else hardware_concurrency);
   /// 1 = fully serial.
   unsigned threads = 0;
-  /// Memoizing result cache; disable only for benchmarking.
+  /// Result cache at exp::kDefaultCacheBytes; false stores nothing.
   bool cache_enabled = true;
 };
 

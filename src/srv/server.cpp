@@ -60,6 +60,29 @@ std::string spec_json_line(const JobSpec& spec) {
   return out.finish();
 }
 
+/// The body fields of one ok engine outcome, shared by simulate's done
+/// frame and each sweep point frame.
+std::string outcome_fragment(const exp::SimJob& job,
+                             const exp::SimJobOutcome& outcome) {
+  const exp::ResultRecord rec =
+      exp::ResultRecord::make(job, *outcome.result, outcome.from_cache);
+  JsonWriter out;
+  out.boolean("ok", true)
+      .str("fingerprint", rec.fingerprint)
+      .str("backend", rec.backend)
+      .num_u64("cycles", rec.cycles)
+      .num_u64("cores", rec.cores)
+      .num_u64("instructions", rec.instructions)
+      .num("ipc", rec.ipc)
+      .num("mr1", rec.mr1)
+      .num("mr2", rec.mr2)
+      .num("camat1", rec.camat1)
+      .num("camat2", rec.camat2)
+      .num("cpi_exe", rec.cpi_exe)
+      .num("duration_ms", rec.duration_ms);
+  return out.body();
+}
+
 }  // namespace
 
 bool valid_name(const std::string& name) {
@@ -101,10 +124,6 @@ Server::Server(Options opts)
                                      opts_.degrade_watermark,
                                      opts_.degrade_backend,
                                      opts_.retry_after_ms}),
-      memo_(opts_.memo_bytes,
-            [](const std::string& body) -> std::uint64_t {
-              return body.size();
-            }),
       conns_accepted_(obs::MetricsRegistry::global().counter(
           "srv.connections.accepted")),
       tcp_conns_accepted_(obs::MetricsRegistry::global().counter(
@@ -124,16 +143,12 @@ Server::Server(Options opts)
       cache_hits_(obs::MetricsRegistry::global().counter("srv.cache.hits")),
       cache_misses_(
           obs::MetricsRegistry::global().counter("srv.cache.misses")),
-      cache_evictions_(
-          obs::MetricsRegistry::global().counter("srv.cache.evictions")),
-      cache_bytes_(obs::MetricsRegistry::global().gauge("srv.cache.bytes")),
       tcp_port_(obs::MetricsRegistry::global().gauge("srv.tcp.port")),
       queue_wait_ms_(obs::MetricsRegistry::global().histogram(
           "srv.job.queue_wait_ms", obs::MetricsRegistry::latency_ms_bounds())),
       service_ms_(obs::MetricsRegistry::global().histogram(
           "srv.job.service_ms", obs::MetricsRegistry::latency_ms_bounds())) {
   util::require(opts_.workers > 0, "Server: workers must be > 0");
-  cache_bytes_.set(0.0);
   // Analytic backends must exist before any degraded or rdh/fa job runs.
   model::register_analytic_executors();
   util::require(
@@ -144,7 +159,7 @@ Server::Server(Options opts)
       exp::ExperimentEngine::Options::builder()
           // Serial engine = executor threads are the pool; see server.hpp.
           .threads(1)
-          .cache(false)  // memo_ is the one server cache
+          .cache_bytes(opts_.memo_bytes)
           .max_retries(opts_.max_retries)
           .retry_backoff_base_ms(5)
           .job_timeout_ms(opts_.job_timeout_ms)
@@ -414,8 +429,8 @@ bool Server::handle_frame(const ConnPtr& conn, const std::string& payload) {
     JsonWriter out;
     out.str("op", "stats")
         .num_u64("queue_depth", queue_.depth())
-        .num_u64("memo_entries", memo_.size())
-        .num_u64("memo_bytes", memo_.bytes())
+        .num_u64("memo_entries", engine_->cache_size())
+        .num_u64("memo_bytes", engine_->cache_bytes())
         .num_u64("simulations_executed", engine_->simulations_executed())
         .num_u64("jobs_failed_engine", engine_->jobs_failed());
     send_frame(conn, out.finish());
@@ -616,29 +631,6 @@ void Server::executor_loop() {
   }
 }
 
-std::string Server::outcome_fragment(const exp::SimJob& job,
-                                     const exp::SimJobOutcome& outcome) {
-  const exp::ResultRecord rec =
-      exp::ResultRecord::make(job, *outcome.result, outcome.from_cache);
-  JsonWriter out;
-  out.boolean("ok", true)
-      .str("fingerprint", rec.fingerprint)
-      .str("backend", rec.backend)
-      .num_u64("cycles", rec.cycles)
-      .num_u64("cores", rec.cores)
-      .num_u64("instructions", rec.instructions)
-      .num("ipc", rec.ipc)
-      .num("mr1", rec.mr1)
-      .num("mr2", rec.mr2)
-      .num("camat1", rec.camat1)
-      .num("camat2", rec.camat2)
-      .num("cpi_exe", rec.cpi_exe)
-      .num("duration_ms", rec.duration_ms);
-  cache_evictions_.add(memo_.put(job.fingerprint(), out.body()));
-  cache_bytes_.set(static_cast<double>(memo_.bytes()));
-  return out.body();
-}
-
 void Server::execute_job(QueuedJob job) {
   const Clock::time_point started = Clock::now();
   std::vector<std::string> frames;
@@ -669,49 +661,27 @@ void Server::execute_job(QueuedJob job) {
       frames.push_back(out.finish());
     } else {
       const std::vector<exp::SimJob> points = job.spec.expand(job.key);
-      // Memo pass first: only misses reach the engine, as one kCollect
-      // batch so a failed point never cancels its siblings.
-      std::vector<std::optional<std::string>> fragments(points.size());
-      std::vector<exp::SimJob> missing;
-      std::vector<std::size_t> missing_index;
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        fragments[i] = memo_.get(points[i].fingerprint());
-        (fragments[i] ? cache_hits_ : cache_misses_).inc();
-        if (!fragments[i]) {
-          missing.push_back(points[i]);
-          missing_index.push_back(i);
-        }
-      }
-      std::vector<exp::SimJobOutcome> outcomes;
-      if (!missing.empty()) {
-        outcomes = engine_->run_batch_outcomes(
-            missing, exp::FailurePolicy::kCollect);
-      }
-      std::vector<std::string> errors(points.size());
-      for (std::size_t m = 0; m < outcomes.size(); ++m) {
-        const std::size_t i = missing_index[m];
-        if (outcomes[m].ok()) {
-          fragments[i] = outcome_fragment(missing[m], outcomes[m]);
-        } else {
-          errors[i] = std::string(error_code_name(outcomes[m].error)) + ": " +
-                      outcomes[m].error_message;
-        }
+      // One kCollect batch, so a failed point never cancels its siblings;
+      // the engine's result cache serves the points it already holds, each
+      // with the duration of the run that produced it.
+      const std::vector<exp::SimJobOutcome> outcomes =
+          engine_->run_batch_outcomes(points, exp::FailurePolicy::kCollect);
+      for (const exp::SimJobOutcome& o : outcomes) {
+        (o.from_cache ? cache_hits_ : cache_misses_).inc();
       }
 
       if (job.spec.kind == "simulate") {
-        if (fragments[0]) {
+        const exp::SimJobOutcome& o = outcomes[0];
+        if (o.ok()) {
           JsonWriter out;
           out.str("op", "done")
               .str("id", job.id)
               .boolean("degraded", job.degraded)
-              .raw_body(*fragments[0]);
+              .raw_body(outcome_fragment(points[0], o));
           frames.push_back(out.finish());
         } else {
-          const std::string& msg = errors[0];
-          const std::size_t colon = msg.find(':');
-          frames.push_back(error_frame(
-              job.id, colon == std::string::npos ? "sim" : msg.substr(0, colon),
-              colon == std::string::npos ? msg : msg.substr(colon + 2)));
+          frames.push_back(error_frame(job.id, error_code_name(o.error),
+                                       o.error_message));
           failed = true;
         }
       } else {  // sweep: one point frame per value, then one done frame
@@ -723,11 +693,14 @@ void Server::execute_job(QueuedJob job) {
               .num_u64("seq", i)
               .num_u64("of", points.size())
               .boolean("degraded", job.degraded);
-          if (fragments[i]) {
-            out.raw_body(*fragments[i]);
+          if (outcomes[i].ok()) {
+            out.raw_body(outcome_fragment(points[i], outcomes[i]));
             ++ok_points;
           } else {
-            out.boolean("ok", false).str("error", errors[i]);
+            out.boolean("ok", false)
+                .str("error",
+                     std::string(error_code_name(outcomes[i].error)) + ": " +
+                         outcomes[i].error_message);
           }
           frames.push_back(out.finish());
         }

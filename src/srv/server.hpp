@@ -12,9 +12,9 @@
 // each job inline on the calling thread, and run_batch_outcomes() is safe
 // to call concurrently, so the executor threads *are* the worker pool —
 // no double-layered queueing, and the engine watchdog still bounds every
-// execution. The engine's own memo cache is disabled (it never evicts);
-// the server's util::Memo of rendered result fragments, keyed by job
-// fingerprint and bounded by `memo_bytes`, is the only cache.
+// execution. The engine's result cache, bounded by `memo_bytes`, is the
+// only cache; a cached result carries the duration of the run that made
+// it, so a rendered body does not depend on whether the cache served it.
 //
 // Exactly-once delivery (with a journal configured):
 //   execute → journal result frames → journal done → deliver frames.
@@ -67,7 +67,6 @@
 #include "srv/admission.hpp"
 #include "srv/job_journal.hpp"
 #include "srv/wire.hpp"
-#include "util/memo.hpp"
 
 namespace lpm::srv {
 
@@ -181,10 +180,6 @@ class Server {
   /// Runs one admitted job to its recorded frames (execution, rendering,
   /// journaling) and delivers them. Never throws.
   void execute_job(QueuedJob job);
-  /// Renders one engine outcome into a body fragment and stores it in the
-  /// memo (the lookup that missed was counted before execution).
-  std::string outcome_fragment(const exp::SimJob& job,
-                               const exp::SimJobOutcome& outcome);
   /// Journals frames + done for `key`, stores them, then delivers.
   /// `failed` picks which completion counter the job lands in.
   void finish_job(const std::string& key, const std::string& client,
@@ -204,8 +199,6 @@ class Server {
 
   Options opts_;
   AdmissionQueue queue_;
-  /// Rendered result fragments by job fingerprint; 0 bytes disables.
-  util::Memo<std::uint64_t, std::string> memo_;
   std::unique_ptr<exp::ExperimentEngine> engine_;
   std::unique_ptr<JobJournal> journal_;
   std::size_t recovered_pending_ = 0;
@@ -240,8 +233,6 @@ class Server {
   obs::MetricsRegistry::Counter jobs_recovered_;
   obs::MetricsRegistry::Counter cache_hits_;
   obs::MetricsRegistry::Counter cache_misses_;
-  obs::MetricsRegistry::Counter cache_evictions_;
-  obs::MetricsRegistry::Gauge cache_bytes_;
   obs::MetricsRegistry::Gauge tcp_port_;
   obs::MetricsRegistry::Histogram queue_wait_ms_;
   obs::MetricsRegistry::Histogram service_ms_;

@@ -1,6 +1,6 @@
-// Memo: the one byte-budgeted, single-flight memo cache. CPIexe
-// calibrations, reuse profiles, rdh miss-probability tables and lpmd's
-// rendered results all live in one (DESIGN §11).
+// Memo: the one byte-budgeted, single-flight memo cache. CPIexe calibrations,
+// reuse profiles, rdh miss tables, analytic evaluation contexts and the
+// experiment engine's results (lpmd's too) all live in one (DESIGN §11).
 //
 // Budget: a stored entry costs cost(value) + kEntryOverhead bytes. Storing
 // evicts least-recently-used entries until the new one fits; an entry

@@ -66,7 +66,7 @@ TEST(OptionsBuilder, ValidatesThreadCount) {
 TEST(OptionsBuilder, CarriesEveryFieldThrough) {
   const auto opts = exp::ExperimentEngine::Options::builder()
                         .threads(2)
-                        .cache(false)
+                        .cache_bytes(0)
                         .max_retries(3)
                         .retry_backoff_base_ms(7)
                         .backoff_seed(99)
@@ -74,7 +74,7 @@ TEST(OptionsBuilder, CarriesEveryFieldThrough) {
                         .policy(exp::FailurePolicy::kCollect)
                         .build();
   EXPECT_EQ(opts.threads, 2u);
-  EXPECT_FALSE(opts.cache_enabled);
+  EXPECT_EQ(opts.cache_bytes, 0u);
   EXPECT_EQ(opts.max_retries, 3u);
   EXPECT_EQ(opts.retry_backoff_base_ms, 7u);
   EXPECT_EQ(opts.backoff_seed, 99u);
@@ -89,12 +89,12 @@ TEST(EngineConcurrency, DeterministicAcrossQueueCapacities) {
   register_null_backend();
   exp::ExperimentEngine serial(exp::ExperimentEngine::Options::builder()
                                    .threads(1)
-                                   .cache(false)
+                                   .cache_bytes(0)
                                    .build());
   for (const unsigned pool : {2u, 8u}) {
     exp::ExperimentEngine pooled(exp::ExperimentEngine::Options::builder()
                                      .threads(pool)
-                                     .cache(false)
+                                     .cache_bytes(0)
                                      .build());
     std::uint64_t submitted = 0;
     for (const unsigned batch : {1u, 7u, 64u, 4096u}) {
@@ -126,7 +126,7 @@ TEST(EngineConcurrency, ConcurrentSubmittersShareOnePool) {
   register_null_backend();
   exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
                                    .threads(4)
-                                   .cache(false)
+                                   .cache_bytes(0)
                                    .build());
   constexpr unsigned kSubmitters = 4;
   constexpr unsigned kJobsEach = 48;
@@ -178,7 +178,7 @@ TEST(EngineConcurrency, SinkRecordsInSubmissionOrderDespiteOutOfOrderRuns) {
   const auto jobs = null_jobs(16, "conc-sleeper");
   exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
                                    .threads(4)
-                                   .cache(false)
+                                   .cache_bytes(0)
                                    .sink(&sink)
                                    .build());
   const auto results = engine.run_batch(jobs);
@@ -203,7 +203,7 @@ TEST(EngineConcurrency, QueueMetricsAndTaskCountsStayCoherent) {
   register_null_backend();
   exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
                                    .threads(2)
-                                   .cache(false)
+                                   .cache_bytes(0)
                                    .build());
   const auto jobs = null_jobs(128, "conc-null");
   (void)engine.run_batch(jobs);

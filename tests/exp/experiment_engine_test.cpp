@@ -10,9 +10,11 @@
 #include <vector>
 
 #include "exp/result_sink.hpp"
+#include "obs/metrics.hpp"
 #include "trace/spec_like.hpp"
 #include "util/error.hpp"
 #include "util/fingerprint.hpp"
+#include "util/memo.hpp"
 
 namespace lpm {
 namespace {
@@ -127,28 +129,72 @@ std::vector<exp::SimJob> test_jobs() {
   return jobs;
 }
 
-TEST(ExperimentEngine, PooledEngineBitIdenticalToSerial) {
-  exp::ExperimentEngine::Options serial_opts;
-  serial_opts.threads = 1;
-  exp::ExperimentEngine serial(serial_opts);
+/// Bytes the engine's result cache charges for storing `r`.
+std::uint64_t entry_bytes(const exp::SimJobResult& r) {
+  return exp::result_bytes(r) +
+         util::Memo<std::uint64_t, exp::SimResultPtr>::kEntryOverhead;
+}
 
-  exp::ExperimentEngine::Options pooled_opts;
-  pooled_opts.threads = 4;
-  exp::ExperimentEngine pooled(pooled_opts);
-  ASSERT_EQ(pooled.threads(), 4u);
+std::uint64_t cache_evictions() {
+  return obs::MetricsRegistry::global().snapshot().counter_or_zero(
+      "exp.cache.evictions");
+}
 
-  const auto jobs = test_jobs();
-  const auto serial_results = serial.run_batch(jobs);
-  const auto pooled_results = pooled.run_batch(jobs);
-  ASSERT_EQ(serial_results.size(), jobs.size());
-  ASSERT_EQ(pooled_results.size(), jobs.size());
+/// Runs `jobs` three times (as given, again, then reversed) on a serial
+/// and a 4-worker engine with result-cache budget `budget`, and checks that
+/// both return the same outcomes and keep the same cache. Returns the
+/// serial engine's first-round results.
+std::vector<exp::SimResultPtr> expect_pooled_matches_serial(
+    const std::vector<exp::SimJob>& jobs, std::uint64_t budget) {
+  using Options = exp::ExperimentEngine::Options;
+  exp::ExperimentEngine serial(
+      Options::builder().threads(1).cache_bytes(budget).build());
+  exp::ExperimentEngine pooled(
+      Options::builder().threads(4).cache_bytes(budget).build());
+  EXPECT_EQ(pooled.threads(), 4u);
 
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(serial_results[i]->fingerprint, pooled_results[i]->fingerprint);
-    EXPECT_EQ(digest(*serial_results[i]), digest(*pooled_results[i]))
-        << "job " << i << " (" << jobs[i].tag
-        << ") differs between threads=1 and threads=4";
+  const std::vector<exp::SimJob> reversed(jobs.rbegin(), jobs.rend());
+  std::vector<exp::SimResultPtr> first_round;
+  for (const auto* round : {&jobs, &jobs, &reversed}) {
+    const auto serial_out = serial.run_batch_outcomes(*round);
+    const auto pooled_out = pooled.run_batch_outcomes(*round);
+    EXPECT_EQ(serial_out.size(), round->size());
+    EXPECT_EQ(pooled_out.size(), round->size());
+    for (std::size_t i = 0; i < round->size(); ++i) {
+      const auto& s = serial_out[i];
+      const auto& p = pooled_out[i];
+      EXPECT_TRUE(s.ok() && p.ok()) << (*round)[i].tag;
+      if (!s.ok() || !p.ok()) continue;
+      EXPECT_EQ(s.result->fingerprint, p.result->fingerprint);
+      EXPECT_EQ(s.from_cache, p.from_cache) << (*round)[i].tag;
+      EXPECT_EQ(s.attempts, p.attempts) << (*round)[i].tag;
+      EXPECT_EQ(digest(*s.result), digest(*p.result))
+          << "job " << i << " (" << (*round)[i].tag
+          << ") differs between threads=1 and threads=4, budget " << budget;
+    }
+    EXPECT_EQ(serial.cache_hits(), pooled.cache_hits()) << "budget " << budget;
+    EXPECT_EQ(serial.cache_size(), pooled.cache_size()) << "budget " << budget;
+    EXPECT_EQ(serial.cache_bytes(), pooled.cache_bytes());
+    EXPECT_LE(serial.cache_bytes(), budget);
+    if (first_round.empty()) {
+      for (const auto& o : serial_out) first_round.push_back(o.result);
+    }
   }
+  EXPECT_EQ(serial.simulations_executed(), pooled.simulations_executed());
+  return first_round;
+}
+
+TEST(ExperimentEngine, PooledEngineBitIdenticalToSerial) {
+  const auto jobs = test_jobs();
+  const auto results =
+      expect_pooled_matches_serial(jobs, exp::kDefaultCacheBytes);
+  ASSERT_EQ(results.size(), jobs.size());
+
+  // Room for about three results: later rounds evict and re-simulate, and
+  // the evictions must not depend on the pool.
+  const std::uint64_t evictions_before = cache_evictions();
+  (void)expect_pooled_matches_serial(jobs, 3 * entry_bytes(*results[0]));
+  EXPECT_GT(cache_evictions(), evictions_before) << "the budget must evict";
 }
 
 TEST(ExperimentEngine, CacheHitReturnsSameResultObject) {
@@ -172,10 +218,30 @@ TEST(ExperimentEngine, CacheHitReturnsSameResultObject) {
   EXPECT_EQ(engine.run(retagged).get(), first.get());
   EXPECT_EQ(engine.cache_hits(), 2u);
 
-  engine.clear_cache();
-  EXPECT_EQ(engine.cache_size(), 0u);
-  EXPECT_NE(engine.run(job).get(), first.get());
-  EXPECT_EQ(engine.simulations_executed(), 2u);
+  // A result the cache never stored (budget 0) is simulated again and
+  // comes back as a new object.
+  using Options = exp::ExperimentEngine::Options;
+  exp::ExperimentEngine uncached(
+      Options::builder().threads(1).cache_bytes(0).build());
+  const auto once = uncached.run(job);
+  EXPECT_NE(uncached.run(job).get(), once.get());
+  EXPECT_EQ(uncached.simulations_executed(), 2u);
+  EXPECT_EQ(uncached.cache_hits(), 0u);
+  EXPECT_EQ(uncached.cache_size(), 0u);
+
+  // So is one the cache has evicted: a budget with room for one result
+  // drops it once another is stored.
+  const std::uint64_t one = entry_bytes(*first);
+  exp::ExperimentEngine tiny(
+      Options::builder().threads(1).cache_bytes(one + one / 2).build());
+  const std::uint64_t evictions_before = cache_evictions();
+  const auto kept = tiny.run(job);
+  (void)tiny.run(test_jobs()[1]);
+  EXPECT_EQ(tiny.cache_size(), 1u);
+  EXPECT_EQ(cache_evictions(), evictions_before + 1);
+  EXPECT_NE(tiny.run(job).get(), kept.get());
+  EXPECT_EQ(tiny.simulations_executed(), 3u);
+  EXPECT_EQ(tiny.cache_hits(), 0u);
 }
 
 TEST(ExperimentEngine, BackendIsPartOfTheCacheKey) {

@@ -97,7 +97,7 @@ TEST(WatchdogRace, HungJobIsCancelledAndSingleCounted) {
   const auto jobs = distinct_jobs(5);
   exp::ExperimentEngine::Options opts;
   opts.threads = 1;
-  opts.cache_enabled = false;
+  opts.cache_bytes = 0;
   opts.max_retries = 0;
   opts.job_timeout_ms = 50;
   opts.policy = exp::FailurePolicy::kCollect;
@@ -133,7 +133,7 @@ TEST(WatchdogRace, CancellationRacingCompletionIsSingleCounted) {
     const auto jobs = distinct_jobs(8, 60'000);
     exp::ExperimentEngine::Options opts;
     opts.threads = 4;
-    opts.cache_enabled = false;
+    opts.cache_bytes = 0;
     opts.max_retries = 0;
     opts.job_timeout_ms = 1 + round;  // ~the natural runtime of one job
     opts.policy = exp::FailurePolicy::kCollect;

@@ -113,7 +113,7 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
   const std::vector<std::string> counters = {
       "exp.jobs.submitted", "exp.jobs.executed", "exp.jobs.cache_hits",
       "exp.jobs.failed", "exp.jobs.retries", "exp.jobs.timeouts",
-      "exp.jobs.faults_injected",
+      "exp.jobs.faults_injected", "exp.cache.evictions",
       "sim.runs", "sim.cycles", "sim.instructions", "sim.calibrations",
       "sim.calibration_cache_hits", "trace.readahead.waits",
       "sim.cache.accesses.l1", "sim.cache.hits.l1", "sim.cache.misses.l1",
@@ -130,6 +130,9 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
   for (const auto& name : counters) {
     EXPECT_TRUE(snap.counters.contains(name)) << "missing counter: " << name;
   }
+
+  EXPECT_TRUE(snap.gauges.contains("exp.cache.bytes"))
+      << "missing gauge: exp.cache.bytes";
 
   const std::vector<std::string> histograms = {
       "exp.job.queue_wait_ms", "exp.job.run_ms", "exp.batch.size",
@@ -202,12 +205,12 @@ TEST(MetricCatalogue, ServerNamesAreEmitted) {
       "srv.jobs.accepted", "srv.jobs.degraded", "srv.jobs.retry_after",
       "srv.jobs.shed", "srv.jobs.completed", "srv.jobs.failed",
       "srv.jobs.deadline_expired", "srv.jobs.recovered",
-      "srv.cache.hits", "srv.cache.misses", "srv.cache.evictions",
+      "srv.cache.hits", "srv.cache.misses",
   };
   for (const auto& name : counters) {
     EXPECT_TRUE(snap.counters.contains(name)) << "missing counter: " << name;
   }
-  for (const auto& name : {"srv.queue.depth", "srv.cache.bytes"}) {
+  for (const auto& name : {"srv.queue.depth"}) {
     EXPECT_TRUE(snap.gauges.contains(name)) << "missing gauge: " << name;
   }
   for (const auto& name : {"srv.job.queue_wait_ms", "srv.job.service_ms"}) {

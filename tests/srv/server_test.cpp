@@ -222,6 +222,37 @@ TEST_F(ServerTest, MemoCountsOneLookupPerExecutedPoint) {
   server.stop();
 }
 
+TEST_F(ServerTest, RepeatedWalkIsServedFromTheEngineCache) {
+  Server server(base_options("walk_twice"));
+  server.start();
+  Client client(server.options().endpoint, "t1");
+  client.connect();
+  auto spec = quick_spec();
+  spec.kind = "walk";
+  const auto executed = [] {
+    return obs::MetricsRegistry::global().snapshot().counter_or_zero(
+        "exp.jobs.executed");
+  };
+  ASSERT_TRUE(client.submit("w1", spec));
+  const util::FlatJson first = drain_until_terminal(client, "w1").back();
+  ASSERT_EQ(first.get_string("op").value_or(""), "done");
+  const std::uint64_t executed_before = executed();
+  ASSERT_TRUE(client.submit("w2", spec));
+  const util::FlatJson second = drain_until_terminal(client, "w2").back();
+  ASSERT_EQ(second.get_string("op").value_or(""), "done");
+  EXPECT_EQ(executed(), executed_before)
+      << "the second walk must find every point in the engine cache";
+  // The done frames differ only in their id.
+  ASSERT_EQ(first.keys(), second.keys());
+  for (const std::string& key : first.keys()) {
+    if (key == "id") continue;
+    EXPECT_EQ(first.get_string(key), second.get_string(key)) << key;
+    EXPECT_EQ(first.get_number(key), second.get_number(key)) << key;
+    EXPECT_EQ(first.get_bool(key), second.get_bool(key)) << key;
+  }
+  server.stop();
+}
+
 TEST_F(ServerTest, AttachUnknownJobIsTypedError) {
   Server server(base_options("attach_unknown"));
   server.start();
