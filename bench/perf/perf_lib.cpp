@@ -175,10 +175,8 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
     const unsigned pool_threads = opts.engine_threads > 0
                                       ? opts.engine_threads
                                       : std::max(hw == 0 ? 1u : hw, 4u);
-    exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
-                                     .threads(pool_threads)
-                                     .cache_bytes(0)
-                                     .build());
+    exp::ExperimentEngine engine(exp::ExperimentEngine::Options{
+        .threads = pool_threads, .cache_bytes = 0});
 
     const unsigned submitters = opts.engine_submitters;
     std::vector<std::vector<exp::SimJob>> slices(submitters);
@@ -218,10 +216,8 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
   // every configuration afterwards is closed-form.
   if (opts.analytic_configs >= 1) {
     model::register_analytic_executors();
-    exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
-                                     .threads(opts.engine_threads)
-                                     .cache_bytes(0)
-                                     .build());
+    exp::ExperimentEngine engine(exp::ExperimentEngine::Options{
+        .threads = opts.engine_threads, .cache_bytes = 0});
 
     std::vector<exp::SimJob> jobs;
     std::vector<exp::SimJob> warm;

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const sim::MachineConfig machine = sim::MachineConfig::builder().build();
+  const sim::MachineConfig machine = sim::MachineConfig::single_core_default();
   const SimulationReport report = simulate(machine, spec);
   const core::AppMeasurement& m = report.app();
 

@@ -1,7 +1,7 @@
 // Quickstart: build a machine, run a workload, and read the C-AMAT / LPM
 // metrics off it - the five-minute tour of the public API. Everything here
-// comes through the single facade header lpm.hpp: the machine from
-// MachineConfig::builder(), the workload from TraceSpec, the run (with its
+// comes through the single facade header lpm.hpp: the machine from a
+// MachineConfig preset, the workload from TraceSpec, the run (with its
 // calibration and LPM measurement) from lpm::simulate().
 //
 //   $ ./quickstart [workload=403.gcc] [length=100000]
@@ -25,13 +25,11 @@ int main(int argc, char** argv) {
   }
 
   // 2. Describe the machine: one out-of-order core, private L1, shared L2,
-  //    DRAM. The builder starts from the single-core default and validates
-  //    the finished config at build().
-  const sim::MachineConfig machine =
-      sim::MachineConfig::builder()
-          .with_core([](cpu::CoreConfig& c) { c.issue_width = 4; })
-          .with_l1([](mem::CacheConfig& c) { c.mshr_entries = 8; })
-          .build();
+  //    DRAM. Start from the single-core preset and write the fields that
+  //    differ; simulate() validates the machine before it runs.
+  sim::MachineConfig machine = sim::MachineConfig::single_core_default();
+  machine.core.issue_width = 4;
+  machine.l1.mshr_entries = 8;
 
   // 3. Simulate: calibration (perfect-cache CPIexe run) plus the real run,
   //    served through the shared experiment engine.

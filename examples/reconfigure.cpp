@@ -34,10 +34,9 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  exp::ExperimentEngine engine(
-      exp::ExperimentEngine::Options::builder()
-          .threads(static_cast<unsigned>(threads))
-          .build());
+  // The engine constructor refuses more than exp::kMaxThreads workers.
+  exp::ExperimentEngine engine(exp::ExperimentEngine::Options{
+      .threads = static_cast<unsigned>(threads)});
 
   core::DesignSpaceExplorer explorer(
       sim::MachineConfig::single_core_default(), workload,

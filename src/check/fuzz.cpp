@@ -13,22 +13,12 @@
 #include "model/analytic.hpp"
 #include "trace/lpm2.hpp"
 #include "trace/synthetic.hpp"
+#include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace lpm::check {
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  util::require(end != raw && *end == '\0',
-                std::string(name) + ": expected an unsigned integer, got \"" +
-                    raw + "\"");
-  return v;
-}
 
 // --- random machine synthesis ----------------------------------------------
 
@@ -259,10 +249,11 @@ std::string check_cache_stats(const std::string& layer,
 
 FuzzConfig FuzzConfig::from_env() {
   FuzzConfig cfg;
-  cfg.seed = env_u64("LPM_CHECK_SEED", cfg.seed);
-  cfg.cases = env_u64("LPM_CHECK_CASES", cfg.cases);
+  cfg.seed = util::env_u64("LPM_CHECK_SEED", cfg.seed);
+  cfg.cases = util::env_u64("LPM_CHECK_CASES", cfg.cases);
   cfg.check_trace_roundtrip =
-      env_u64("LPM_CHECK_ROUNDTRIP", cfg.check_trace_roundtrip ? 1 : 0) != 0;
+      util::env_u64("LPM_CHECK_ROUNDTRIP", cfg.check_trace_roundtrip ? 1 : 0) !=
+      0;
   if (const char* dir = std::getenv("LPM_CHECK_ARTIFACTS");
       dir != nullptr && *dir != '\0') {
     cfg.artifact_dir = dir;

@@ -160,7 +160,7 @@ class DesignSpaceExplorer final : public LpmTunable {
 /// Screen-then-confirm over an explicit candidate set: rank all candidates
 /// with a cheap analytic backend, then re-evaluate only the surviving
 /// frontier cycle-accurately. The sweep analogue of
-/// LpmAlgorithm::run_two_stage for when the configurations of interest are
+/// lpm::run_lpm_walk_screened for when the configurations of interest are
 /// enumerable up front (ablation grids, Table-I style comparisons).
 struct SweepOptions {
   /// Analytic backend ranking the full candidate set.

@@ -133,14 +133,4 @@ LpmOutcome LpmAlgorithm::run(LpmTunable& system) const {
   return out;
 }
 
-LpmTwoStageOutcome LpmAlgorithm::run_two_stage(LpmTunable& screen,
-                                               LpmTunable& confirm) const {
-  OBS_SPAN("lpm.run_two_stage", "lpm");
-  obs::MetricsRegistry::global().counter("lpm.two_stage_walks").inc();
-  LpmTwoStageOutcome out;
-  out.screen = run(screen);
-  out.confirm = run(confirm);
-  return out;
-}
-
 }  // namespace lpm::core

@@ -79,16 +79,6 @@ struct LpmOutcome {
   bool exhausted = false;  ///< optimizer ran out of actions before converging
 };
 
-/// What run_two_stage produces: the cheap screening walk and the
-/// authoritative confirmation walk. The confirmation walk alone decides the
-/// final configuration — the screening stage only warms caches / narrows
-/// the frontier — so `confirm` is exactly what a single-fidelity walk over
-/// the confirm tunable would have produced.
-struct LpmTwoStageOutcome {
-  LpmOutcome screen;
-  LpmOutcome confirm;
-};
-
 class LpmAlgorithm {
  public:
   explicit LpmAlgorithm(LpmAlgorithmConfig cfg);
@@ -98,17 +88,6 @@ class LpmAlgorithm {
 
   /// Runs the optimization loop to convergence or exhaustion.
   LpmOutcome run(LpmTunable& system) const;
-
-  /// Multi-fidelity screen-then-confirm: run the walk over `screen` (a
-  /// cheap, typically analytic tunable) first, then over `confirm` (the
-  /// cycle-accurate tunable). Every decision of the confirm walk is made
-  /// from its own measurements, so its outcome is identical to running
-  /// run(confirm) alone; callers wire the screening trajectory into the
-  /// confirm tunable as prefetch hints (see DesignSpaceExplorer::
-  /// set_prefetch_hints) to convert the screening knowledge into batched,
-  /// cache-warming simulations rather than into decisions.
-  LpmTwoStageOutcome run_two_stage(LpmTunable& screen,
-                                   LpmTunable& confirm) const;
 
   [[nodiscard]] const LpmAlgorithmConfig& config() const { return cfg_; }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <type_traits>
 
@@ -10,6 +12,7 @@
 #include "sim/calibration.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/synthetic.hpp"
+#include "util/config.hpp"
 #include "util/fingerprint.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -18,27 +21,28 @@ namespace lpm::exp {
 
 namespace {
 
+/// util::env_u64, except that a malformed value warns and yields `dflt`:
+/// the engine's environment knobs never stop a run.
+std::uint64_t env_u64_or_warn(const char* name, std::uint64_t dflt,
+                              std::uint64_t max = UINT64_MAX) {
+  try {
+    return util::env_u64(name, dflt, max);
+  } catch (const util::ConfigError& e) {
+    util::log_warn() << "ignoring " << e.what();
+    return dflt;
+  }
+}
+
 unsigned resolve_threads(unsigned requested) {
-  if (requested > 0) return std::min(requested, 256u);
-  if (const char* env = std::getenv("LPM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<unsigned>(std::min<long>(v, 256));
-    util::log_warn() << "ignoring invalid LPM_THREADS='" << env << "'";
+  util::require(requested <= kMaxThreads,
+                "ExperimentEngine: threads must be <= 256 (0 = auto)");
+  if (requested > 0) return requested;
+  const std::uint64_t env = env_u64_or_warn("LPM_THREADS", 0);
+  if (env > 0) {
+    return static_cast<unsigned>(std::min<std::uint64_t>(env, kMaxThreads));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-std::uint64_t env_u64_or(const char* name, std::uint64_t dflt) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return dflt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == nullptr || *end != '\0') {
-    util::log_warn() << "ignoring invalid " << name << "='" << env << "'";
-    return dflt;
-  }
-  return v;
 }
 
 /// Error classification for arbitrary exceptions escaping a job.
@@ -219,21 +223,13 @@ struct BatchCtx {
   bool done = false;
 };
 
-ExperimentEngine::Options ExperimentEngine::Options::Builder::build() const {
-  util::require(opts_.threads <= 256,
-                "EngineOptions: threads must be <= 256 (0 = auto)");
-  return opts_;
-}
-
 ExperimentEngine::ExperimentEngine() : ExperimentEngine(Options{}) {}
 
 ExperimentEngine::ExperimentEngine(Options opts)
     : threads_(resolve_threads(opts.threads)),
       max_retries_(opts.max_retries),
       retry_backoff_base_ms_(opts.retry_backoff_base_ms),
-      backoff_seed_(opts.backoff_seed),
       job_timeout_ms_(opts.job_timeout_ms),
-      default_policy_(opts.policy),
       fault_plan_(std::move(opts.fault_plan)),
       cache_(opts.cache_bytes,
              [](const SimResultPtr& r) { return result_bytes(*r); }),
@@ -533,8 +529,8 @@ SimJobOutcome ExperimentEngine::execute_with_retry(const SimJob& job,
       session->instant_event("exp.retry", "exp", session->now_us(),
                              {{"attempt", static_cast<double>(attempt)}});
     }
-    const std::uint64_t delay =
-        retry_backoff_ms(backoff_seed_, fingerprint, attempt, retry_backoff_base_ms_);
+    const std::uint64_t delay = retry_backoff_ms(
+        kRetryBackoffSeed, fingerprint, attempt, retry_backoff_base_ms_);
     util::log_warn() << "job '" << job.tag << "' attempt " << attempt
                      << " failed (" << util::error_code_name(out.error)
                      << "): " << out.error_message << " — retrying in " << delay
@@ -566,11 +562,6 @@ std::vector<SimResultPtr> ExperimentEngine::run_batch(
   }
   for (auto& outcome : outcomes) results.push_back(std::move(outcome.result));
   return results;
-}
-
-std::vector<SimJobOutcome> ExperimentEngine::run_batch_outcomes(
-    const std::vector<SimJob>& jobs) {
-  return run_batch_impl(jobs, default_policy_);
 }
 
 std::vector<SimJobOutcome> ExperimentEngine::run_batch_outcomes(
@@ -834,15 +825,14 @@ ExperimentEngine& ExperimentEngine::shared() {
       return nullptr;
     }
   }();
-  static ExperimentEngine engine{[] {
-    return Options::builder()
-        .sink(sink.get())
-        .max_retries(static_cast<unsigned>(env_u64_or("LPM_MAX_RETRIES", 0)))
-        .retry_backoff_base_ms(env_u64_or("LPM_RETRY_BACKOFF_MS", 10))
-        .job_timeout_ms(env_u64_or("LPM_JOB_TIMEOUT_MS", 0))
-        .fault_plan(FaultPlan::from_env())
-        .build();
-  }()};
+  static ExperimentEngine engine{Options{
+      .sink = sink.get(),
+      .max_retries = static_cast<unsigned>(
+          env_u64_or_warn("LPM_MAX_RETRIES", 0, UINT_MAX)),
+      .retry_backoff_base_ms = env_u64_or_warn("LPM_RETRY_BACKOFF_MS", 10),
+      .job_timeout_ms = env_u64_or_warn("LPM_JOB_TIMEOUT_MS", 0),
+      .fault_plan = FaultPlan::from_env(),
+  }};
   return engine;
 }
 

@@ -103,6 +103,14 @@ inline constexpr const char* kCycleBackend = "cycle";
 /// delay under extreme inputs.
 inline constexpr std::uint64_t kMaxRetryBackoffMs = 3'600'000;
 
+/// Seed of every engine's jittered retry backoff; fixed so retry schedules
+/// are reproducible run to run.
+inline constexpr std::uint64_t kRetryBackoffSeed = 0x5eedbacc0ffULL;
+
+/// Ceiling on an engine's worker threads (Options::threads and
+/// $LPM_THREADS).
+inline constexpr unsigned kMaxThreads = 256;
+
 /// Default result-cache budget: a one-core result costs about 1.1 KB, and
 /// no lpmbench repetition (`screen`: ~10 MB) or paper bench evicts.
 inline constexpr std::uint64_t kDefaultCacheBytes = 256ull << 20;
@@ -219,15 +227,12 @@ struct TaskItem {
 
 class ExperimentEngine {
  public:
-  /// Engine construction knobs.
-  ///
-  /// Prefer `Options::builder()` over filling the bare struct: the builder
-  /// validates at build() (the thread ceiling) so an inconsistent engine
-  /// configuration never reaches the constructor — the same idiom as
-  /// sim::MachineConfig::builder(), and the documented house style since
-  /// DESIGN.md deprecated bare-struct init for both.
+  /// Engine construction knobs: a plain value, written with designated
+  /// initializers (`Options{.threads = 1, .cache_bytes = 0}`) and checked
+  /// by the ExperimentEngine constructor.
   struct Options {
-    /// Worker threads. 0 = auto: $LPM_THREADS if set, else
+    /// Worker threads, at most kMaxThreads (the constructor throws
+    /// util::ConfigError above it). 0 = auto: $LPM_THREADS if set, else
     /// std::thread::hardware_concurrency(). 1 = fully serial (no pool).
     unsigned threads = 0;
     /// Result-cache budget (LRU, see result_bytes()). 0 stores nothing:
@@ -239,31 +244,22 @@ class ExperimentEngine {
     /// config errors never retry). 0 = fail on first error.
     unsigned max_retries = 0;
     /// Base backoff before retry k: base << (k-1) plus deterministic
-    /// jitter in [0, base] from (backoff_seed, fingerprint, attempt) —
+    /// jitter in [0, base] from (kRetryBackoffSeed, fingerprint, attempt) —
     /// see retry_backoff_ms(). 0 = retry immediately.
     std::uint64_t retry_backoff_base_ms = 0;
-    /// Seed for the jittered backoff; fixed so retry schedules are
-    /// reproducible run-to-run.
-    std::uint64_t backoff_seed = 0x5eedbacc0ffULL;
     /// Wall-clock budget per job execution; 0 = no watchdog. Over-budget
     /// jobs are cancelled cooperatively (sim::RunGuard) and come back as
     /// util::ErrorCode::kTimeout.
     std::uint64_t job_timeout_ms = 0;
-    /// Default policy for run_batch_outcomes(jobs) without a policy.
-    FailurePolicy policy = FailurePolicy::kFailFast;
     /// Deterministic fault injection (see fault_plan.hpp); empty = none.
-    FaultPlan fault_plan;
+    FaultPlan fault_plan{};
 
     class Builder;
-    /// Fluent construction from the defaults; build() validates and throws
-    /// util::ConfigError on any inconsistency. Preferred over mutating the
-    /// bare struct (see DESIGN.md).
     [[nodiscard]] static Builder builder();
-    /// Same, but starting from an existing Options value.
-    [[nodiscard]] static Builder builder(Options base);
   };
 
   ExperimentEngine();
+  /// Throws util::ConfigError when opts.threads exceeds kMaxThreads.
   explicit ExperimentEngine(Options opts);
   ~ExperimentEngine();
   ExperimentEngine(const ExperimentEngine&) = delete;
@@ -281,9 +277,8 @@ class ExperimentEngine {
   std::vector<SimResultPtr> run_batch(const std::vector<SimJob>& jobs);
 
   /// Like run_batch, but failures become data: one SimJobOutcome per job,
-  /// in submission order, never throwing for job-level errors. Without
-  /// `policy`, the engine's Options::policy applies.
-  std::vector<SimJobOutcome> run_batch_outcomes(const std::vector<SimJob>& jobs);
+  /// in submission order, never throwing for job-level errors. `policy`
+  /// decides whether one failure cancels the jobs not yet started.
   std::vector<SimJobOutcome> run_batch_outcomes(const std::vector<SimJob>& jobs,
                                                 FailurePolicy policy);
 
@@ -396,9 +391,7 @@ class ExperimentEngine {
   unsigned threads_ = 1;
   unsigned max_retries_ = 0;
   std::uint64_t retry_backoff_base_ms_ = 0;
-  std::uint64_t backoff_seed_ = 0;
   std::uint64_t job_timeout_ms_ = 0;
-  FailurePolicy default_policy_ = FailurePolicy::kFailFast;
   FaultPlan fault_plan_;
 
   /// Used only on submitting threads, in submission order.
@@ -464,55 +457,19 @@ class ExperimentEngine {
   std::thread watchdog_;
 };
 
-/// Builder for ExperimentEngine::Options (the validate-at-build idiom of
-/// sim::MachineConfig::Builder). Every knob has a fluent setter; build()
-/// validates the combination and throws util::ConfigError on any
-/// inconsistency, so a bad engine configuration fails at the call site
-/// that wrote it, not inside the constructor of a worker pool.
+/// Fluent Options for lpmbench's engine sessions (threads and sink); every
+/// other caller writes an Options value directly.
 class ExperimentEngine::Options::Builder {
  public:
-  Builder() = default;
-  explicit Builder(Options base) : opts_(std::move(base)) {}
-
-  /// 0 = auto ($LPM_THREADS, else hardware_concurrency); 1 = serial.
   Builder& threads(unsigned n) {
     opts_.threads = n;
-    return *this;
-  }
-  Builder& cache_bytes(std::uint64_t bytes) {
-    opts_.cache_bytes = bytes;
     return *this;
   }
   Builder& sink(ResultSink* sink) {
     opts_.sink = sink;
     return *this;
   }
-  Builder& max_retries(unsigned n) {
-    opts_.max_retries = n;
-    return *this;
-  }
-  Builder& retry_backoff_base_ms(std::uint64_t ms) {
-    opts_.retry_backoff_base_ms = ms;
-    return *this;
-  }
-  Builder& backoff_seed(std::uint64_t seed) {
-    opts_.backoff_seed = seed;
-    return *this;
-  }
-  Builder& job_timeout_ms(std::uint64_t ms) {
-    opts_.job_timeout_ms = ms;
-    return *this;
-  }
-  Builder& policy(FailurePolicy policy) {
-    opts_.policy = policy;
-    return *this;
-  }
-  Builder& fault_plan(FaultPlan plan) {
-    opts_.fault_plan = std::move(plan);
-    return *this;
-  }
-  /// Validates and returns the finished Options: threads <= 256.
-  [[nodiscard]] Options build() const;
+  [[nodiscard]] Options build() const { return opts_; }
 
  private:
   Options opts_;
@@ -520,10 +477,6 @@ class ExperimentEngine::Options::Builder {
 
 inline ExperimentEngine::Options::Builder ExperimentEngine::Options::builder() {
   return Builder{};
-}
-inline ExperimentEngine::Options::Builder ExperimentEngine::Options::builder(
-    Options base) {
-  return Builder{std::move(base)};
 }
 
 }  // namespace lpm::exp

@@ -1,5 +1,8 @@
 #include "lpm.hpp"
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+
 namespace lpm {
 
 const core::AppMeasurement& SimulationReport::app(std::size_t idx) const {
@@ -7,14 +10,6 @@ const core::AppMeasurement& SimulationReport::app(std::size_t idx) const {
                 "SimulationReport: no such app measurement (was the spec "
                 "simulated with calibrate = false?)");
   return apps[idx];
-}
-
-std::unique_ptr<exp::ExperimentEngine> make_engine(const EngineOptions& opts) {
-  return std::make_unique<exp::ExperimentEngine>(
-      exp::ExperimentEngine::Options::builder()
-          .threads(opts.threads)
-          .cache_bytes(opts.cache_enabled ? exp::kDefaultCacheBytes : 0)
-          .build());
 }
 
 SimulationReport simulate(const sim::MachineConfig& machine,
@@ -52,6 +47,7 @@ ScreenedWalkReport run_lpm_walk_screened(const sim::MachineConfig& base,
   util::require(screen_backend != exp::kCycleBackend,
                 "run_lpm_walk_screened: the screen backend must be analytic "
                 "(rdh or fa); a cycle screen would just walk twice");
+  OBS_SPAN("lpm.two_stage_walk", "lpm");
 
   core::DesignSpaceExplorer screen(base, workload, levels, start,
                                    cfg.delta_percent, engine, screen_backend);
@@ -70,6 +66,7 @@ ScreenedWalkReport run_lpm_walk_screened(const sim::MachineConfig& base,
   report.final_config = confirm.current();
   report.screen_configs = screen.configs_evaluated();
   report.confirm_configs = confirm.configs_evaluated();
+  obs::MetricsRegistry::global().counter("lpm.two_stage_walks").inc();
   return report;
 }
 

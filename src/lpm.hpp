@@ -15,6 +15,11 @@
 //   * lpm::run_lpm_walk_screened(...) — the multi-fidelity walk: screen
 //     the design space analytically, confirm cycle-accurately.
 //
+// Machines and engines are plain values: start from a preset
+// (sim::MachineConfig::single_core_default(), nuca16(), ...) and write the
+// fields that differ, or fill exp::ExperimentEngine::Options with
+// designated initializers. The code that consumes them validates them.
+//
 // Subsystem headers remain includable directly for code that lives inside
 // the repo (tests, benches), but examples demonstrate the facade only.
 #pragma once
@@ -51,25 +56,6 @@ namespace lpm {
 /// What to run on the machine (lives in src/model so every ModelBackend
 /// shares one description; re-exported here under its historical name).
 using TraceSpec = model::TraceSpec;
-
-/// Concurrency knobs of an experiment engine, facade-shaped: the subset of
-/// exp::ExperimentEngine::Options a consumer of lpm.hpp reasonably sets,
-/// with the fault-tolerance internals left to their defaults. Build a real
-/// engine from it with make_engine() and hand the result to
-/// run_lpm_walk_screened() (or any API taking an engine pointer).
-struct EngineOptions {
-  /// Worker threads. 0 = auto ($LPM_THREADS, else hardware_concurrency);
-  /// 1 = fully serial.
-  unsigned threads = 0;
-  /// Result cache at exp::kDefaultCacheBytes; false stores nothing.
-  bool cache_enabled = true;
-};
-
-/// Builds an engine from facade options, validating through
-/// exp::ExperimentEngine::Options::builder() (throws util::ConfigError on
-/// an invalid value, e.g. more than 256 threads).
-[[nodiscard]] std::unique_ptr<exp::ExperimentEngine> make_engine(
-    const EngineOptions& opts = {});
 
 /// Everything simulate() produces: the raw run, the per-core calibrations,
 /// and the derived LPM measurements.

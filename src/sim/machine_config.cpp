@@ -17,11 +17,6 @@ void MachineConfig::validate() const {
   require(max_cycles >= 1, "MachineConfig: max_cycles must be >= 1");
 }
 
-MachineConfig MachineConfig::Builder::build() const {
-  cfg_.validate();
-  return cfg_;
-}
-
 MachineConfig MachineConfig::single_core_default() {
   MachineConfig m;
   m.num_cores = 1;

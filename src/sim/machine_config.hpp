@@ -11,6 +11,10 @@
 
 namespace lpm::sim {
 
+/// A plain value: start from a preset below and write the fields that
+/// differ. The code that consumes a machine (sim::System's constructor,
+/// exp::SimJob::validate) checks it with validate(), so an invalid machine
+/// never runs.
 struct MachineConfig {
   std::uint32_t num_cores = 1;
   cpu::CoreConfig core;        ///< template applied to every core
@@ -41,91 +45,6 @@ struct MachineConfig {
   /// LLC + DRAM), demonstrating the model's extension to deeper
   /// hierarchies.
   [[nodiscard]] static MachineConfig three_level_default();
-
-  class Builder;
-  /// Fluent construction starting from single_core_default(); the finished
-  /// config is validated once, at build(). Preferred over mutating the bare
-  /// struct field by field (which defers every mistake to System
-  /// construction) — see DESIGN.md.
-  [[nodiscard]] static Builder builder();
-  /// Same, but starting from an existing config (e.g. nuca16()).
-  [[nodiscard]] static Builder builder(MachineConfig base);
 };
-
-/// Builder for MachineConfig. Whole sub-configs can be replaced (`l1(cfg)`)
-/// or tweaked in place (`with_l1([](auto& c) { c.mshr_entries = 8; })`);
-/// build() validates the result and throws util::ConfigError on any
-/// inconsistency, so an invalid machine never escapes construction.
-class MachineConfig::Builder {
- public:
-  Builder() = default;
-  explicit Builder(MachineConfig base) : cfg_(std::move(base)) {}
-
-  Builder& cores(std::uint32_t n) {
-    cfg_.num_cores = n;
-    return *this;
-  }
-  Builder& core(cpu::CoreConfig c) {
-    cfg_.core = std::move(c);
-    return *this;
-  }
-  Builder& l1(mem::CacheConfig c) {
-    cfg_.l1 = std::move(c);
-    return *this;
-  }
-  Builder& l2(mem::CacheConfig c) {
-    cfg_.l2 = std::move(c);
-    return *this;
-  }
-  Builder& private_l2(mem::CacheConfig c) {
-    cfg_.use_private_l2 = true;
-    cfg_.private_l2 = std::move(c);
-    return *this;
-  }
-  Builder& dram(mem::DramConfig c) {
-    cfg_.dram = std::move(c);
-    return *this;
-  }
-  Builder& l1_sizes(std::vector<std::uint64_t> per_core) {
-    cfg_.l1_size_per_core = std::move(per_core);
-    return *this;
-  }
-  Builder& max_cycles(std::uint64_t n) {
-    cfg_.max_cycles = n;
-    return *this;
-  }
-
-  template <typename Fn>
-  Builder& with_core(Fn&& fn) {
-    fn(cfg_.core);
-    return *this;
-  }
-  template <typename Fn>
-  Builder& with_l1(Fn&& fn) {
-    fn(cfg_.l1);
-    return *this;
-  }
-  template <typename Fn>
-  Builder& with_l2(Fn&& fn) {
-    fn(cfg_.l2);
-    return *this;
-  }
-  template <typename Fn>
-  Builder& with_dram(Fn&& fn) {
-    fn(cfg_.dram);
-    return *this;
-  }
-
-  /// Validates and returns the finished config.
-  [[nodiscard]] MachineConfig build() const;
-
- private:
-  MachineConfig cfg_ = MachineConfig::single_core_default();
-};
-
-inline MachineConfig::Builder MachineConfig::builder() { return Builder{}; }
-inline MachineConfig::Builder MachineConfig::builder(MachineConfig base) {
-  return Builder{std::move(base)};
-}
 
 }  // namespace lpm::sim

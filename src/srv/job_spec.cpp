@@ -163,22 +163,16 @@ JobSpec JobSpec::decode(const util::FlatJson& json) {
 }
 
 sim::MachineConfig JobSpec::machine_config() const {
-  sim::MachineConfig base = sim::MachineConfig::single_core_default();
-  if (machine == "three_level") base = sim::MachineConfig::three_level_default();
-  if (machine == "nuca16") base = sim::MachineConfig::nuca16();
-  auto b = sim::MachineConfig::builder(std::move(base));
-  if (cores != 0) b.cores(cores);
-  if (l1_kb != 0 || l1_assoc != 0 || mshr != 0) {
-    b.with_l1([&](mem::CacheConfig& c) {
-      if (l1_kb != 0) c.size_bytes = l1_kb * 1024;
-      if (l1_assoc != 0) c.associativity = l1_assoc;
-      if (mshr != 0) c.mshr_entries = mshr;
-    });
-  }
-  if (l2_kb != 0) {
-    b.with_l2([&](mem::CacheConfig& c) { c.size_bytes = l2_kb * 1024; });
-  }
-  return b.build();
+  sim::MachineConfig m = sim::MachineConfig::single_core_default();
+  if (machine == "three_level") m = sim::MachineConfig::three_level_default();
+  if (machine == "nuca16") m = sim::MachineConfig::nuca16();
+  if (cores != 0) m.num_cores = cores;
+  if (l1_kb != 0) m.l1.size_bytes = l1_kb * 1024;
+  if (l1_assoc != 0) m.l1.associativity = l1_assoc;
+  if (mshr != 0) m.l1.mshr_entries = mshr;
+  if (l2_kb != 0) m.l2.size_bytes = l2_kb * 1024;
+  m.validate();
+  return m;
 }
 
 std::vector<exp::SimJob> JobSpec::expand(const std::string& tag) const {
@@ -218,18 +212,17 @@ std::vector<exp::SimJob> JobSpec::expand(const std::string& tag) const {
 
   std::vector<exp::SimJob> jobs;
   for (const std::uint64_t v : parse_values(sweep_values)) {
-    auto b = sim::MachineConfig::builder(cfg);
+    sim::MachineConfig m = cfg;
     if (sweep_knob == "l1_kb") {
-      b.with_l1([&](mem::CacheConfig& c) { c.size_bytes = v * 1024; });
+      m.l1.size_bytes = v * 1024;
     } else if (sweep_knob == "l2_kb") {
-      b.with_l2([&](mem::CacheConfig& c) { c.size_bytes = v * 1024; });
+      m.l2.size_bytes = v * 1024;
     } else {
-      b.with_l1([&](mem::CacheConfig& c) {
-        c.mshr_entries = static_cast<std::uint32_t>(v);
-      });
+      m.l1.mshr_entries = static_cast<std::uint32_t>(v);
     }
-    jobs.push_back(
-        make_job(b.build(), tag + "/" + sweep_knob + "=" + std::to_string(v)));
+    // make_job's SimJob::validate checks the machine.
+    jobs.push_back(make_job(std::move(m), tag + "/" + sweep_knob + "=" +
+                                              std::to_string(v)));
   }
   return jobs;
 }

@@ -1,5 +1,6 @@
 #include "srv/server.hpp"
 
+#include <climits>
 #include <cstdlib>
 #include <unistd.h>
 
@@ -7,6 +8,7 @@
 #include "exp/result_sink.hpp"
 #include "lpm.hpp"
 #include "model/backend.hpp"
+#include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/fingerprint.hpp"
 #include "util/log.hpp"
@@ -20,18 +22,6 @@ using Clock = std::chrono::steady_clock;
 std::string env_str(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return (v != nullptr && *v != '\0') ? std::string(v) : fallback;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') {
-    throw util::ConfigError(std::string("$") + name + ": bad number '" + v +
-                            "'");
-  }
-  return static_cast<std::uint64_t>(parsed);
 }
 
 Clock::rep now_rep() { return Clock::now().time_since_epoch().count(); }
@@ -99,22 +89,24 @@ Server::Options Server::Options::from_env() {
   Options opts;
   opts.endpoint = env_str("LPMD_ENDPOINT", opts.endpoint);
   opts.journal_path = env_str("LPMD_JOURNAL", opts.journal_path);
-  opts.workers =
-      static_cast<unsigned>(env_u64("LPMD_WORKERS", opts.workers));
-  opts.queue_max =
-      static_cast<std::size_t>(env_u64("LPMD_QUEUE_MAX", opts.queue_max));
+  opts.workers = static_cast<unsigned>(
+      util::env_u64("LPMD_WORKERS", opts.workers, UINT_MAX));
+  opts.queue_max = static_cast<std::size_t>(
+      util::env_u64("LPMD_QUEUE_MAX", opts.queue_max));
   opts.per_client_max = static_cast<std::size_t>(
-      env_u64("LPMD_PER_CLIENT_MAX", opts.per_client_max));
+      util::env_u64("LPMD_PER_CLIENT_MAX", opts.per_client_max));
   opts.degrade_watermark = static_cast<std::size_t>(
-      env_u64("LPMD_DEGRADE_WATERMARK", opts.degrade_watermark));
+      util::env_u64("LPMD_DEGRADE_WATERMARK", opts.degrade_watermark));
   opts.degrade_backend = env_str("LPMD_DEGRADE_BACKEND", opts.degrade_backend);
-  opts.retry_after_ms = env_u64("LPMD_RETRY_AFTER_MS", opts.retry_after_ms);
-  opts.memo_bytes = env_u64("LPMD_MEMO_BYTES", opts.memo_bytes);
-  opts.job_timeout_ms = env_u64("LPMD_JOB_TIMEOUT_MS", opts.job_timeout_ms);
-  opts.max_retries =
-      static_cast<unsigned>(env_u64("LPMD_MAX_RETRIES", opts.max_retries));
+  opts.retry_after_ms =
+      util::env_u64("LPMD_RETRY_AFTER_MS", opts.retry_after_ms);
+  opts.memo_bytes = util::env_u64("LPMD_MEMO_BYTES", opts.memo_bytes);
+  opts.job_timeout_ms =
+      util::env_u64("LPMD_JOB_TIMEOUT_MS", opts.job_timeout_ms);
+  opts.max_retries = static_cast<unsigned>(
+      util::env_u64("LPMD_MAX_RETRIES", opts.max_retries, UINT_MAX));
   opts.idle_timeout_ms =
-      env_u64("LPMD_IDLE_TIMEOUT_MS", opts.idle_timeout_ms);
+      util::env_u64("LPMD_IDLE_TIMEOUT_MS", opts.idle_timeout_ms);
   return opts;
 }
 
@@ -148,7 +140,8 @@ Server::Server(Options opts)
           "srv.job.queue_wait_ms", obs::MetricsRegistry::latency_ms_bounds())),
       service_ms_(obs::MetricsRegistry::global().histogram(
           "srv.job.service_ms", obs::MetricsRegistry::latency_ms_bounds())) {
-  util::require(opts_.workers > 0, "Server: workers must be > 0");
+  util::require(opts_.workers > 0 && opts_.workers <= exp::kMaxThreads,
+                "Server: workers must be in [1, 256]");
   // Analytic backends must exist before any degraded or rdh/fa job runs.
   model::register_analytic_executors();
   util::require(
@@ -156,16 +149,15 @@ Server::Server(Options opts)
       "Server: degrade_backend is not a registered backend");
 
   engine_ = std::make_unique<exp::ExperimentEngine>(
-      exp::ExperimentEngine::Options::builder()
+      exp::ExperimentEngine::Options{
           // Serial engine = executor threads are the pool; see server.hpp.
-          .threads(1)
-          .cache_bytes(opts_.memo_bytes)
-          .max_retries(opts_.max_retries)
-          .retry_backoff_base_ms(5)
-          .job_timeout_ms(opts_.job_timeout_ms)
-          .policy(exp::FailurePolicy::kCollect)
-          .fault_plan(exp::FaultPlan::from_env())
-          .build());
+          .threads = 1,
+          .cache_bytes = opts_.memo_bytes,
+          .max_retries = opts_.max_retries,
+          .retry_backoff_base_ms = 5,
+          .job_timeout_ms = opts_.job_timeout_ms,
+          .fault_plan = exp::FaultPlan::from_env(),
+      });
 }
 
 Server::~Server() { stop(); }

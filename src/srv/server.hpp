@@ -83,6 +83,7 @@ class Server {
     std::string endpoint = "/tmp/lpmd.sock";
     /// Crash-recovery journal; empty disables (jobs die with the process).
     std::string journal_path;
+    /// Executor threads, 1 to exp::kMaxThreads (the constructor checks).
     unsigned workers = 2;
     std::size_t queue_max = 256;
     std::size_t per_client_max = 32;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -123,6 +126,25 @@ bool KvConfig::get_bool_or(const std::string& key, bool dflt) const {
   if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
   throw LpmError("KvConfig: key '" + key + "' is not a boolean: " + *v);
+}
+
+std::uint64_t env_u64(const char* name, std::uint64_t dflt, std::uint64_t max) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return dflt;
+  // strtoull alone would accept a sign ("-1" wraps to 2^64-1) and leading
+  // space, so every character must be a digit.
+  const bool digits = std::strspn(raw, "0123456789") == std::strlen(raw);
+  errno = 0;
+  const unsigned long long v = digits ? std::strtoull(raw, nullptr, 10) : 0;
+  if (!digits || errno == ERANGE || v > max) {
+    const std::string bound =
+        max == std::numeric_limits<std::uint64_t>::max()
+            ? ""
+            : " <= " + std::to_string(max);
+    throw ConfigError("$" + std::string(name) + ": want an unsigned integer" +
+                      bound + ", got '" + raw + "'");
+  }
+  return v;
 }
 
 std::vector<std::string> KvConfig::unused_keys() const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -48,5 +49,13 @@ class KvConfig {
   std::vector<std::string> positional_;
   mutable std::map<std::string, bool> touched_;
 };
+
+/// Reads environment variable `name` as an unsigned decimal number; unset
+/// or empty yields `dflt`. A sign, any other non-digit, a value that
+/// overflows 64 bits or one above `max` throws util::ConfigError naming the
+/// variable. The caller decides whether that stops the program.
+[[nodiscard]] std::uint64_t env_u64(
+    const char* name, std::uint64_t dflt,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 }  // namespace lpm::util

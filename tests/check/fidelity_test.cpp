@@ -32,7 +32,7 @@ class FidelityHarnessTest : public ::testing::Test {
   static const FidelityReport& report() {
     static const FidelityReport r = [] {
       exp::ExperimentEngine engine(
-          exp::ExperimentEngine::Options::builder().threads(4).build());
+          exp::ExperimentEngine::Options{.threads = 4});
       FidelityConfig cfg;
       cfg.engine = &engine;
       return run_fidelity_harness(cfg);

@@ -157,7 +157,7 @@ TEST(DesignSpaceExplorer, WalkIsIndependentOfTheThreadCount) {
   // serial walk exactly: decisions, trajectory and simulated set.
   const auto walk = [](unsigned threads) {
     exp::ExperimentEngine engine(
-        exp::ExperimentEngine::Options::builder().threads(threads).build());
+        exp::ExperimentEngine::Options{.threads = threads});
     DesignSpaceExplorer ex(sim::MachineConfig::single_core_default(),
                            bwaves(60000), KnobLevels::standard(),
                            ArchKnobs::config_a(), kCoarseGrainedDelta, &engine);

@@ -28,7 +28,7 @@ namespace {
 
 exp::ExperimentEngine make_engine(unsigned threads) {
   return exp::ExperimentEngine(
-      exp::ExperimentEngine::Options::builder().threads(threads).build());
+      exp::ExperimentEngine::Options{.threads = threads});
 }
 
 TEST(CalibrationOverlap, PooledWalkEqualsTheSerialWalk) {
@@ -89,7 +89,9 @@ TEST(CalibrationOverlap, FailedCalibrationReportsTheSameErrorAtAnyThreadCount) {
   const auto outcome = [&job](unsigned threads) {
     exp::ExperimentEngine engine = make_engine(threads);
     const std::uint64_t runs_before = sim::calibration_runs();
-    exp::SimJobOutcome out = engine.run_batch_outcomes({job}).front();
+    exp::SimJobOutcome out =
+        engine.run_batch_outcomes({job}, exp::FailurePolicy::kFailFast)
+            .front();
     EXPECT_EQ(sim::calibration_runs(), runs_before) << "threads=" << threads;
     EXPECT_EQ(engine.cache_size(), 0u) << "threads=" << threads;
     return out;

@@ -1,8 +1,7 @@
-// The engine's pooled core behind the Options builder: builder
-// validation, bit-exact determinism across batch sizes and pool sizes,
-// concurrent submitters sharing one queue, task-count accounting, and the
-// submission-order contract of the ResultSink under out-of-order
-// completion.
+// The engine's pooled core: the thread ceiling, bit-exact determinism
+// across batch sizes and pool sizes, concurrent submitters sharing one
+// queue, task-count accounting, and the submission-order contract of the
+// ResultSink under out-of-order completion.
 //
 // Everything here must pass on a single-core runner: a pool larger than
 // the CPU count only oversubscribes, it never changes a result.
@@ -56,30 +55,27 @@ void register_null_backend() {
       });
 }
 
-TEST(OptionsBuilder, ValidatesThreadCount) {
+TEST(EngineOptions, ConstructorEnforcesThreadCeiling) {
+  // One behaviour for one input: the constructor throws above the ceiling
+  // instead of clamping, and no worker thread is started for the refusal.
   using Options = exp::ExperimentEngine::Options;
-  EXPECT_THROW((void)Options::builder().threads(257).build(),
+  EXPECT_THROW(exp::ExperimentEngine(Options{.threads = exp::kMaxThreads + 1}),
                util::ConfigError);
-  EXPECT_NO_THROW((void)Options::builder().threads(256).build());
+  EXPECT_THROW(exp::ExperimentEngine(Options{.threads = 1000}),
+               util::ConfigError);
+  const exp::ExperimentEngine at_ceiling(
+      Options{.threads = exp::kMaxThreads, .cache_bytes = 0});
+  EXPECT_EQ(at_ceiling.threads(), exp::kMaxThreads);
 }
 
 TEST(OptionsBuilder, CarriesEveryFieldThrough) {
-  const auto opts = exp::ExperimentEngine::Options::builder()
-                        .threads(2)
-                        .cache_bytes(0)
-                        .max_retries(3)
-                        .retry_backoff_base_ms(7)
-                        .backoff_seed(99)
-                        .job_timeout_ms(1234)
-                        .policy(exp::FailurePolicy::kCollect)
-                        .build();
+  std::ostringstream rows;
+  exp::ResultSink sink(rows, exp::ResultSink::Format::kCsv);
+  const auto opts =
+      exp::ExperimentEngine::Options::builder().threads(2).sink(&sink).build();
   EXPECT_EQ(opts.threads, 2u);
-  EXPECT_EQ(opts.cache_bytes, 0u);
-  EXPECT_EQ(opts.max_retries, 3u);
-  EXPECT_EQ(opts.retry_backoff_base_ms, 7u);
-  EXPECT_EQ(opts.backoff_seed, 99u);
-  EXPECT_EQ(opts.job_timeout_ms, 1234u);
-  EXPECT_EQ(opts.policy, exp::FailurePolicy::kCollect);
+  EXPECT_EQ(opts.sink, &sink);
+  EXPECT_EQ(opts.cache_bytes, exp::kDefaultCacheBytes);
 }
 
 TEST(EngineConcurrency, DeterministicAcrossQueueCapacities) {
@@ -87,15 +83,11 @@ TEST(EngineConcurrency, DeterministicAcrossQueueCapacities) {
   // a one-group batch (notify_one), batches smaller than, comparable to and
   // far larger than the pool, over pools of 2 and 8 workers.
   register_null_backend();
-  exp::ExperimentEngine serial(exp::ExperimentEngine::Options::builder()
-                                   .threads(1)
-                                   .cache_bytes(0)
-                                   .build());
+  exp::ExperimentEngine serial(
+      exp::ExperimentEngine::Options{.threads = 1, .cache_bytes = 0});
   for (const unsigned pool : {2u, 8u}) {
-    exp::ExperimentEngine pooled(exp::ExperimentEngine::Options::builder()
-                                     .threads(pool)
-                                     .cache_bytes(0)
-                                     .build());
+    exp::ExperimentEngine pooled(
+        exp::ExperimentEngine::Options{.threads = pool, .cache_bytes = 0});
     std::uint64_t submitted = 0;
     for (const unsigned batch : {1u, 7u, 64u, 4096u}) {
       const auto jobs = null_jobs(batch, "conc-null");
@@ -124,10 +116,8 @@ TEST(EngineConcurrency, ConcurrentSubmittersShareOnePool) {
   // groups interleave in the one queue. Each submitter must get its own
   // slice back in its own order.
   register_null_backend();
-  exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
-                                   .threads(4)
-                                   .cache_bytes(0)
-                                   .build());
+  exp::ExperimentEngine engine(
+      exp::ExperimentEngine::Options{.threads = 4, .cache_bytes = 0});
   constexpr unsigned kSubmitters = 4;
   constexpr unsigned kJobsEach = 48;
   std::vector<std::vector<exp::SimJob>> slices(kSubmitters);
@@ -176,11 +166,8 @@ TEST(EngineConcurrency, SinkRecordsInSubmissionOrderDespiteOutOfOrderRuns) {
   std::ostringstream rows;
   exp::ResultSink sink(rows, exp::ResultSink::Format::kJsonLines);
   const auto jobs = null_jobs(16, "conc-sleeper");
-  exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
-                                   .threads(4)
-                                   .cache_bytes(0)
-                                   .sink(&sink)
-                                   .build());
+  exp::ExperimentEngine engine(exp::ExperimentEngine::Options{
+      .threads = 4, .cache_bytes = 0, .sink = &sink});
   const auto results = engine.run_batch(jobs);
   ASSERT_EQ(results.size(), jobs.size());
 
@@ -201,10 +188,8 @@ TEST(EngineConcurrency, SinkRecordsInSubmissionOrderDespiteOutOfOrderRuns) {
 
 TEST(EngineConcurrency, QueueMetricsAndTaskCountsStayCoherent) {
   register_null_backend();
-  exp::ExperimentEngine engine(exp::ExperimentEngine::Options::builder()
-                                   .threads(2)
-                                   .cache_bytes(0)
-                                   .build());
+  exp::ExperimentEngine engine(
+      exp::ExperimentEngine::Options{.threads = 2, .cache_bytes = 0});
   const auto jobs = null_jobs(128, "conc-null");
   (void)engine.run_batch(jobs);
   // Task counts sum to the batch size: every group ran on exactly one
@@ -216,7 +201,7 @@ TEST(EngineConcurrency, QueueMetricsAndTaskCountsStayCoherent) {
   EXPECT_EQ(engine.simulations_executed(), jobs.size());
   // A serial engine has no pool and therefore no shards.
   exp::ExperimentEngine serial(
-      exp::ExperimentEngine::Options::builder().threads(1).build());
+      exp::ExperimentEngine::Options{.threads = 1});
   EXPECT_TRUE(serial.worker_task_counts().empty());
 }
 

@@ -147,17 +147,17 @@ std::uint64_t cache_evictions() {
 std::vector<exp::SimResultPtr> expect_pooled_matches_serial(
     const std::vector<exp::SimJob>& jobs, std::uint64_t budget) {
   using Options = exp::ExperimentEngine::Options;
-  exp::ExperimentEngine serial(
-      Options::builder().threads(1).cache_bytes(budget).build());
-  exp::ExperimentEngine pooled(
-      Options::builder().threads(4).cache_bytes(budget).build());
+  exp::ExperimentEngine serial(Options{.threads = 1, .cache_bytes = budget});
+  exp::ExperimentEngine pooled(Options{.threads = 4, .cache_bytes = budget});
   EXPECT_EQ(pooled.threads(), 4u);
 
   const std::vector<exp::SimJob> reversed(jobs.rbegin(), jobs.rend());
   std::vector<exp::SimResultPtr> first_round;
   for (const auto* round : {&jobs, &jobs, &reversed}) {
-    const auto serial_out = serial.run_batch_outcomes(*round);
-    const auto pooled_out = pooled.run_batch_outcomes(*round);
+    const auto serial_out =
+        serial.run_batch_outcomes(*round, exp::FailurePolicy::kFailFast);
+    const auto pooled_out =
+        pooled.run_batch_outcomes(*round, exp::FailurePolicy::kFailFast);
     EXPECT_EQ(serial_out.size(), round->size());
     EXPECT_EQ(pooled_out.size(), round->size());
     for (std::size_t i = 0; i < round->size(); ++i) {
@@ -221,8 +221,7 @@ TEST(ExperimentEngine, CacheHitReturnsSameResultObject) {
   // A result the cache never stored (budget 0) is simulated again and
   // comes back as a new object.
   using Options = exp::ExperimentEngine::Options;
-  exp::ExperimentEngine uncached(
-      Options::builder().threads(1).cache_bytes(0).build());
+  exp::ExperimentEngine uncached(Options{.threads = 1, .cache_bytes = 0});
   const auto once = uncached.run(job);
   EXPECT_NE(uncached.run(job).get(), once.get());
   EXPECT_EQ(uncached.simulations_executed(), 2u);
@@ -233,7 +232,7 @@ TEST(ExperimentEngine, CacheHitReturnsSameResultObject) {
   // drops it once another is stored.
   const std::uint64_t one = entry_bytes(*first);
   exp::ExperimentEngine tiny(
-      Options::builder().threads(1).cache_bytes(one + one / 2).build());
+      Options{.threads = 1, .cache_bytes = one + one / 2});
   const std::uint64_t evictions_before = cache_evictions();
   const auto kept = tiny.run(job);
   (void)tiny.run(test_jobs()[1]);

@@ -100,11 +100,11 @@ TEST(WatchdogRace, HungJobIsCancelledAndSingleCounted) {
   opts.cache_bytes = 0;
   opts.max_retries = 0;
   opts.job_timeout_ms = 50;
-  opts.policy = exp::FailurePolicy::kCollect;
   opts.fault_plan = exp::FaultPlan::parse("hang@3");
   exp::ExperimentEngine engine(opts);
 
-  const auto outcomes = engine.run_batch_outcomes(jobs);
+  const auto outcomes =
+      engine.run_batch_outcomes(jobs, exp::FailurePolicy::kCollect);
   ASSERT_EQ(outcomes.size(), jobs.size());
   std::size_t ok = 0, timed_out = 0;
   for (const auto& o : outcomes) {
@@ -136,10 +136,10 @@ TEST(WatchdogRace, CancellationRacingCompletionIsSingleCounted) {
     opts.cache_bytes = 0;
     opts.max_retries = 0;
     opts.job_timeout_ms = 1 + round;  // ~the natural runtime of one job
-    opts.policy = exp::FailurePolicy::kCollect;
     exp::ExperimentEngine engine(opts);
 
-    const auto outcomes = engine.run_batch_outcomes(jobs);
+    const auto outcomes =
+        engine.run_batch_outcomes(jobs, exp::FailurePolicy::kCollect);
     ASSERT_EQ(outcomes.size(), jobs.size());
     std::size_t ok = 0, timed_out = 0;
     for (const auto& o : outcomes) {

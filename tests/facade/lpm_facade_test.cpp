@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 
 namespace lpm {
 namespace {
@@ -115,42 +116,34 @@ class ToyTunable final : public core::LpmTunable {
   double lpmr1_ = 1.2;
 };
 
-TEST(Facade, EngineOptionsBuildARealEngine) {
-  // The facade's EngineOptions is the public way to size an engine; it
-  // must round-trip through the exp builder, validation included.
-  EngineOptions opts;
-  opts.threads = 2;
-  opts.cache_enabled = true;
-  const auto engine = make_engine(opts);
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->threads(), 2u);
-  // Defaults build too.
-  EXPECT_NE(make_engine(), nullptr);
-}
+// Machines and engine options are plain values: designated initializers
+// and field writes must stay valid for every caller.
+static_assert(std::is_aggregate_v<sim::MachineConfig>);
+static_assert(std::is_aggregate_v<exp::ExperimentEngine::Options>);
 
-TEST(Facade, MakeEngineValidatesOptions) {
-  EngineOptions too_many;
-  too_many.threads = 257;  // the pool ceiling is 256
-  EXPECT_THROW((void)make_engine(too_many), util::ConfigError);
+TEST(Facade, EngineOptionsBuildARealEngine) {
+  const exp::ExperimentEngine engine(
+      exp::ExperimentEngine::Options{.threads = 2});
+  EXPECT_EQ(engine.threads(), 2u);
+  // Defaults build too.
+  const exp::ExperimentEngine defaults;
+  EXPECT_GE(defaults.threads(), 1u);
 }
 
 TEST(Facade, MadeEngineIsDeterministicAndCaches) {
-  EngineOptions opts;
-  opts.threads = 2;
-  const auto pooled = make_engine(opts);
-  opts.threads = 1;
-  const auto serial = make_engine(opts);
+  exp::ExperimentEngine pooled(exp::ExperimentEngine::Options{.threads = 2});
+  exp::ExperimentEngine serial(exp::ExperimentEngine::Options{.threads = 1});
 
   exp::SimJob job;
   job.machine = small_machine();
   job.workloads = {trace::spec_profile(trace::SpecBenchmark::kMcf, 5000, 3)};
   job.tag = "facade-engine";
 
-  const auto a = pooled->run(job);
-  const auto b = serial->run(job);
+  const auto a = pooled.run(job);
+  const auto b = serial.run(job);
   EXPECT_EQ(a->run, b->run) << "pooled and serial engines must agree";
-  EXPECT_EQ(pooled->run(job).get(), a.get()) << "second run is a cache hit";
-  EXPECT_EQ(pooled->cache_hits(), 1u);
+  EXPECT_EQ(pooled.run(job).get(), a.get()) << "second run is a cache hit";
+  EXPECT_EQ(pooled.cache_hits(), 1u);
 }
 
 TEST(Facade, LpmWalkConvergesOnAToyTunable) {

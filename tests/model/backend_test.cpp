@@ -249,7 +249,7 @@ TEST(BackendFactory, NamesAndUnknownName) {
 
 TEST(BackendSeam, EvaluateTagsFidelityAndSatisfiesLayerShape) {
   exp::ExperimentEngine engine(
-      exp::ExperimentEngine::Options::builder().threads(2).build());
+      exp::ExperimentEngine::Options{.threads = 2});
   const auto machine = sim::MachineConfig::single_core_default();
   const auto spec = TraceSpec::profile(small_workload());
 
@@ -281,7 +281,7 @@ TEST(BackendSeam, EvaluateTagsFidelityAndSatisfiesLayerShape) {
 
 TEST(BackendSeam, AnalyticAndCycleAreDistinctCacheEntries) {
   exp::ExperimentEngine engine(
-      exp::ExperimentEngine::Options::builder().threads(1).build());
+      exp::ExperimentEngine::Options{.threads = 1});
   const auto machine = sim::MachineConfig::single_core_default();
   const auto spec = TraceSpec::profile(small_workload());
 

@@ -1,83 +1,42 @@
 // The multi-fidelity contract: screening never changes the answer.
 //
-// run_two_stage's confirm walk decides from its own measurements only, so
-// its outcome must be bit-identical to running the confirm tunable alone;
 // run_lpm_walk_screened must land on the same final configuration as a
 // cycle-only walk of the same space, for every one of the 16 SPEC-analogue
-// profiles; and screen_then_confirm_sweep must rank with the analytic
-// backend but decide with the cycle backend.
+// profiles, and counts itself once in lpm.two_stage_walks;
+// screen_then_confirm_sweep must rank with the analytic backend but decide
+// with the cycle backend.
 #include <gtest/gtest.h>
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "core/design_space.hpp"
 #include "core/lpm_algorithm.hpp"
 #include "exp/experiment_engine.hpp"
 #include "lpm.hpp"
+#include "obs/metrics.hpp"
 #include "trace/spec_like.hpp"
 #include "util/error.hpp"
 
 namespace lpm {
 namespace {
 
-/// A deterministic toy tunable: LPMR1 walks down a fixed ladder, one rung
-/// per optimize_l1(). Lets the two-stage test compare walks structurally.
-class LadderTunable final : public core::LpmTunable {
- public:
-  explicit LadderTunable(std::vector<double> ladder)
-      : ladder_(std::move(ladder)) {}
-
-  core::LpmObservation measure() override {
-    core::LpmObservation obs;
-    obs.lpmr.lpmr1 = ladder_[idx_];
-    obs.lpmr.lpmr2 = 1.0;
-    obs.lpmr.lpmr3 = 1.0;
-    obs.t1 = 2.0;
-    obs.t2 = 2.0;
-    obs.config_label = "rung-" + std::to_string(idx_);
-    return obs;
-  }
-  bool optimize_l1() override {
-    if (idx_ + 1 >= ladder_.size()) return false;
-    ++idx_;
-    return true;
-  }
-  bool optimize_l2() override { return false; }
-  bool reduce_overprovision() override { return false; }
-
-  [[nodiscard]] std::size_t rung() const { return idx_; }
-
- private:
-  std::vector<double> ladder_;
-  std::size_t idx_ = 0;
-};
-
-TEST(TwoStageWalk, ConfirmOutcomeIsIndependentOfScreen) {
-  const std::vector<double> confirm_ladder = {5.0, 3.2, 1.4};
-  // A deliberately different (and differently-sized) screening ladder: the
-  // screen stage must not leak into the confirm decisions.
-  LadderTunable screen({9.0, 6.0, 4.0, 2.5, 1.1});
-  LadderTunable confirm(confirm_ladder);
-
+TEST(ScreenedWalk, CountsOneTwoStageWalkPerCall) {
+  // lpm.two_stage_walks counts the screened walks lpmd and the facade run.
+  exp::ExperimentEngine engine(exp::ExperimentEngine::Options{.threads = 1});
   core::LpmAlgorithmConfig cfg;
-  const core::LpmAlgorithm algorithm(cfg);
-  const auto two_stage = algorithm.run_two_stage(screen, confirm);
-
-  LadderTunable solo(confirm_ladder);
-  const auto solo_outcome = algorithm.run(solo);
-
-  EXPECT_TRUE(two_stage.screen.converged);
-  EXPECT_TRUE(two_stage.confirm.converged);
-  ASSERT_EQ(two_stage.confirm.steps.size(), solo_outcome.steps.size());
-  for (std::size_t i = 0; i < solo_outcome.steps.size(); ++i) {
-    EXPECT_EQ(two_stage.confirm.steps[i].action, solo_outcome.steps[i].action);
-    EXPECT_DOUBLE_EQ(two_stage.confirm.steps[i].observation.lpmr.lpmr1,
-                     solo_outcome.steps[i].observation.lpmr.lpmr1);
-  }
-  EXPECT_EQ(confirm.rung(), solo.rung());
-  EXPECT_DOUBLE_EQ(two_stage.confirm.final_observation.lpmr.lpmr1,
-                   solo_outcome.final_observation.lpmr.lpmr1);
+  cfg.delta_percent = core::kCoarseGrainedDelta;
+  const auto walks = [] {
+    return obs::MetricsRegistry::global().snapshot().counter_or_zero(
+        "lpm.two_stage_walks");
+  };
+  const std::uint64_t before = walks();
+  (void)lpm::run_lpm_walk_screened(
+      sim::MachineConfig::single_core_default(),
+      trace::spec_profile(trace::SpecBenchmark::kBzip2, 2000, 3),
+      core::KnobLevels::standard(), core::ArchKnobs{}, cfg,
+      model::kRdhBackend, &engine);
+  EXPECT_EQ(walks(), before + 1);
 }
 
 TEST(ScreenedWalk, RejectsCycleAsScreenBackend) {
@@ -98,8 +57,7 @@ TEST(ScreenedWalk, RejectsCycleAsScreenBackend) {
 // walk picks — screening only warms caches and narrows the frontier, it
 // never steers.
 TEST(ScreenedWalk, MatchesCycleOnlyFinalConfigOnAllProfiles) {
-  exp::ExperimentEngine engine(
-      exp::ExperimentEngine::Options::builder().threads(4).build());
+  exp::ExperimentEngine engine(exp::ExperimentEngine::Options{.threads = 4});
 
   const auto base = sim::MachineConfig::single_core_default();
   const auto levels = core::KnobLevels::standard();
@@ -129,8 +87,7 @@ TEST(ScreenedWalk, MatchesCycleOnlyFinalConfigOnAllProfiles) {
 }
 
 TEST(ScreenedSweep, RanksAnalyticallyDecidesCycleAccurately) {
-  exp::ExperimentEngine engine(
-      exp::ExperimentEngine::Options::builder().threads(4).build());
+  exp::ExperimentEngine engine(exp::ExperimentEngine::Options{.threads = 4});
   const auto base = sim::MachineConfig::single_core_default();
   const auto wl = trace::spec_profile(trace::SpecBenchmark::kBwaves, 5000, 3);
 

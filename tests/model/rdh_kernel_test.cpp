@@ -227,8 +227,8 @@ TEST(RdhBatch, PooledEngineEqualsSerialJobForJob) {
     }
   }
   using Options = exp::ExperimentEngine::Options;
-  exp::ExperimentEngine pooled(Options::builder().threads(4).cache_bytes(0).build());
-  exp::ExperimentEngine serial(Options::builder().threads(1).cache_bytes(0).build());
+  exp::ExperimentEngine pooled(Options{.threads = 4, .cache_bytes = 0});
+  exp::ExperimentEngine serial(Options{.threads = 1, .cache_bytes = 0});
   const auto got = pooled.run_batch(jobs);
   const auto want = serial.run_batch(jobs);
   ASSERT_EQ(got.size(), jobs.size());

@@ -13,6 +13,7 @@
 #include "core/design_space.hpp"
 #include "core/lpm_algorithm.hpp"
 #include "exp/experiment_engine.hpp"
+#include "lpm.hpp"
 #include "model/analytic.hpp"
 #include "obs/metrics.hpp"
 #include "srv/client.hpp"
@@ -53,7 +54,7 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
   // exercises sim.calibrations; the repeat and the analytic points below
   // share that calibration (sim.calibration_cache_hits).
   exp::ExperimentEngine engine(
-      exp::ExperimentEngine::Options::builder().threads(2).build());
+      exp::ExperimentEngine::Options{.threads = 2});
   const auto workload =
       trace::spec_profile(trace::SpecBenchmark::kGcc, 20000, 11);
 
@@ -102,10 +103,14 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
   const auto outcome = algorithm.run(tunable);
   ASSERT_TRUE(outcome.converged);
 
-  // A screen + confirm pair of the same toy tunable (lpm.two_stage_walks).
-  TwoStepTunable screen_tunable, confirm_tunable;
-  const auto two_stage = algorithm.run_two_stage(screen_tunable, confirm_tunable);
-  ASSERT_TRUE(two_stage.confirm.converged);
+  // One small screened walk (lpm.two_stage_walks).
+  core::LpmAlgorithmConfig coarse;
+  coarse.delta_percent = core::kCoarseGrainedDelta;
+  const auto screened = run_lpm_walk_screened(
+      two_level, trace::spec_profile(trace::SpecBenchmark::kBzip2, 2000, 3),
+      core::KnobLevels::standard(), core::ArchKnobs{}, coarse,
+      model::kRdhBackend, &engine);
+  ASSERT_GT(screened.confirm_configs, 0u);
 
   const auto snap = obs::MetricsRegistry::global().snapshot();
 

@@ -162,6 +162,12 @@ TEST(JobSpec, MachineOverridesApply) {
   EXPECT_EQ(cfg.l1.associativity, 2u);
   EXPECT_EQ(cfg.l1.mshr_entries, 4u);
   EXPECT_EQ(cfg.l2.size_bytes, 128u * 1024);
+
+  // An inconsistent machine fails here, before any job is built from it:
+  // nuca16 sizes sixteen private L1s.
+  spec.machine = "nuca16";
+  spec.cores = 4;
+  EXPECT_THROW((void)spec.machine_config(), util::ConfigError);
 }
 
 TEST(JobSpec, ExpandSimulateIsOneJob) {

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,6 +70,24 @@ class ServerTest : public testing::Test {
     return frames;
   }
 };
+
+TEST(ServerOptions, WorkerCountIsBounded) {
+  // A sign or a value beyond 32 bits is refused instead of wrapping into
+  // billions of executor threads. Nothing here calls start(), so no
+  // executor thread is created.
+  for (const char* bad : {"-1", "+2", "4294967297", "2x"}) {
+    ::setenv("LPMD_WORKERS", bad, 1);
+    EXPECT_THROW((void)Server::Options::from_env(), util::ConfigError) << bad;
+  }
+  ::setenv("LPMD_WORKERS", "257", 1);
+  Server::Options opts = Server::Options::from_env();
+  ::unsetenv("LPMD_WORKERS");
+  EXPECT_EQ(opts.workers, 257u);
+  // The constructor holds the engine's thread ceiling.
+  EXPECT_THROW({ Server over(opts); }, util::ConfigError);
+  opts.workers = exp::kMaxThreads;
+  EXPECT_NO_THROW({ Server at_ceiling(opts); });
+}
 
 TEST_F(ServerTest, SecondHelloRejected) {
   Server server(base_options("rehello"));

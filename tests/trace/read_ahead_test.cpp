@@ -187,7 +187,7 @@ TEST(ReadAhead, EngineCycleJobEqualsAnInlineRun) {
   const auto machine = sim::MachineConfig::single_core_default();
   const WorkloadProfile profile = spec_profile(SpecBenchmark::kGcc, 30000, 13);
   exp::ExperimentEngine engine(
-      exp::ExperimentEngine::Options::builder().threads(1).build());
+      exp::ExperimentEngine::Options{.threads = 1});
   const exp::SimResultPtr job =
       engine.run(exp::SimJob::solo(machine, profile, /*calibrate=*/true));
 

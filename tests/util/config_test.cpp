@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <optional>
+#include <string>
+
 #include "util/error.hpp"
 
 namespace lpm::util {
@@ -76,6 +82,52 @@ TEST(KvConfig, SetOverwrites) {
   cfg.set("k", "1");
   cfg.set("k", "2");
   EXPECT_EQ(cfg.get_int_or("k", 0), 2);
+}
+
+TEST(EnvU64, AcceptsOnlyPlainUnsignedDecimals) {
+  constexpr const char* kName = "LPM_TEST_ENV_U64";
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  struct Case {
+    const char* text;  ///< nullptr = unset
+    std::uint64_t max;
+    std::optional<std::uint64_t> want;  ///< nullopt = ConfigError
+  };
+  const Case cases[] = {
+      {nullptr, kU64Max, 7},
+      {"", kU64Max, 7},
+      {"0", kU64Max, 0},
+      {"42", kU64Max, 42},
+      {"18446744073709551615", kU64Max, kU64Max},
+      {"18446744073709551616", kU64Max, std::nullopt},  // overflows
+      {"-1", kU64Max, std::nullopt},
+      {"+1", kU64Max, std::nullopt},
+      {" 1", kU64Max, std::nullopt},
+      {"4x", kU64Max, std::nullopt},
+      {"0x10", kU64Max, std::nullopt},
+      {"4294967295", kU32Max, kU32Max},
+      {"4294967296", kU32Max, std::nullopt},  // does not fit the field
+  };
+  for (const Case& c : cases) {
+    const std::string label = c.text == nullptr ? "(unset)" : c.text;
+    if (c.text == nullptr) {
+      ::unsetenv(kName);
+    } else {
+      ::setenv(kName, c.text, 1);
+    }
+    if (c.want) {
+      EXPECT_EQ(env_u64(kName, 7, c.max), *c.want) << label;
+    } else {
+      try {
+        (void)env_u64(kName, 7, c.max);
+        ADD_FAILURE() << label << " was accepted";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(kName), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  ::unsetenv(kName);
 }
 
 }  // namespace

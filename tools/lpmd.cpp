@@ -18,7 +18,9 @@
 // jobs answer attach from the journal, and no job is lost or delivered
 // twice (tools/lpm_loadgen.cpp asserts exactly that).
 #include <atomic>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -29,6 +31,18 @@
 namespace {
 
 std::atomic<lpm::srv::Server*> g_server{nullptr};
+
+/// An unsigned argument that must fit `unsigned`: a plain cast would wrap
+/// workers=4294967297 to 1.
+unsigned get_unsigned_or(const lpm::util::KvConfig& args, const char* key,
+                         unsigned dflt) {
+  const std::uint64_t v = args.get_uint_or(key, dflt);
+  if (v > UINT_MAX) {
+    throw lpm::util::ConfigError(std::string(key) + "=" + std::to_string(v) +
+                                 " does not fit in 32 bits");
+  }
+  return static_cast<unsigned>(v);
+}
 
 void handle_signal(int) {
   // async-signal-safe: just flag the serve loop down via stop-requested.
@@ -45,8 +59,7 @@ int main(int argc, char** argv) {
     srv::Server::Options opts = srv::Server::Options::from_env();
     opts.endpoint = args.get_or("endpoint", opts.endpoint);
     opts.journal_path = args.get_or("journal", opts.journal_path);
-    opts.workers =
-        static_cast<unsigned>(args.get_uint_or("workers", opts.workers));
+    opts.workers = get_unsigned_or(args, "workers", opts.workers);
     opts.queue_max = args.get_uint_or("queue_max", opts.queue_max);
     opts.per_client_max =
         args.get_uint_or("per_client_max", opts.per_client_max);
@@ -54,8 +67,7 @@ int main(int argc, char** argv) {
         args.get_uint_or("degrade_watermark", opts.degrade_watermark);
     opts.degrade_backend = args.get_or("degrade_backend", opts.degrade_backend);
     opts.job_timeout_ms = args.get_uint_or("job_timeout_ms", opts.job_timeout_ms);
-    opts.max_retries =
-        static_cast<unsigned>(args.get_uint_or("max_retries", opts.max_retries));
+    opts.max_retries = get_unsigned_or(args, "max_retries", opts.max_retries);
     opts.idle_timeout_ms =
         args.get_uint_or("idle_timeout_ms", opts.idle_timeout_ms);
 
