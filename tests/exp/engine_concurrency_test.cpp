@@ -59,13 +59,21 @@ TEST(EngineOptions, ConstructorEnforcesThreadCeiling) {
   // One behaviour for one input: the constructor throws above the ceiling
   // instead of clamping, and no worker thread is started for the refusal.
   using Options = exp::ExperimentEngine::Options;
-  EXPECT_THROW(exp::ExperimentEngine(Options{.threads = exp::kMaxThreads + 1}),
-               util::ConfigError);
   EXPECT_THROW(exp::ExperimentEngine(Options{.threads = 1000}),
                util::ConfigError);
   const exp::ExperimentEngine at_ceiling(
       Options{.threads = exp::kMaxThreads, .cache_bytes = 0});
   EXPECT_EQ(at_ceiling.threads(), exp::kMaxThreads);
+}
+
+TEST(OptionsBuilder, ValidatesThreadCount) {
+  // build() only assembles the value; the engine that consumes it refuses
+  // a count past the ceiling.
+  const auto opts = exp::ExperimentEngine::Options::builder()
+                        .threads(exp::kMaxThreads + 1)
+                        .build();
+  EXPECT_EQ(opts.threads, exp::kMaxThreads + 1);
+  EXPECT_THROW(exp::ExperimentEngine{opts}, util::ConfigError);
 }
 
 TEST(OptionsBuilder, CarriesEveryFieldThrough) {

@@ -130,6 +130,13 @@ TEST(Facade, EngineOptionsBuildARealEngine) {
   EXPECT_GE(defaults.threads(), 1u);
 }
 
+TEST(Facade, MakeEngineValidatesOptions) {
+  // Past the 256-thread pool ceiling the engine refuses its options.
+  EXPECT_THROW(
+      exp::ExperimentEngine(exp::ExperimentEngine::Options{.threads = 257}),
+      util::ConfigError);
+}
+
 TEST(Facade, MadeEngineIsDeterministicAndCaches) {
   exp::ExperimentEngine pooled(exp::ExperimentEngine::Options{.threads = 2});
   exp::ExperimentEngine serial(exp::ExperimentEngine::Options{.threads = 1});
