@@ -7,6 +7,7 @@
 // or the hardware concurrency). Workers simulate the over-provision trim
 // candidates of a step concurrently; the walk itself is the same for any N.
 #include <cstdio>
+#include <string>
 
 #include "lpm.hpp"
 #include "obs/metrics.hpp"
@@ -20,6 +21,12 @@ int run(int argc, char** argv) {
   const double delta = args.get_double_or("delta", 10.0);
   const std::uint64_t length = args.get_uint_or("length", 300'000);
   const std::uint64_t threads = args.get_uint_or("threads", 0);
+  // Checked before the narrowing below, which would wrap 2^32 + 1 to 1.
+  if (threads > exp::kMaxThreads) {
+    throw util::ConfigError("threads=" + std::to_string(threads) +
+                            " exceeds the engine's ceiling of " +
+                            std::to_string(exp::kMaxThreads));
+  }
 
   trace::WorkloadProfile workload;
   bool found = false;
@@ -34,7 +41,6 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  // The engine constructor refuses more than exp::kMaxThreads workers.
   exp::ExperimentEngine engine(exp::ExperimentEngine::Options{
       .threads = static_cast<unsigned>(threads)});
 

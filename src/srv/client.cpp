@@ -38,7 +38,7 @@ void Client::connect(std::uint64_t budget_ms) {
                 frame.get_number("proto").value_or(1.0));
             return;
           }
-          if (frame.get_string("code").value_or("") == "unsupported_proto") {
+          if (frame.get_string("code") == "unsupported_proto") {
             // Retrying cannot help — this build speaks the wrong protocol.
             fd_ = Fd();
             throw util::ConfigError(
