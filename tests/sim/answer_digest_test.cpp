@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/design_space.hpp"
+#include "exp/experiment_engine.hpp"
 #include "model/analytic.hpp"
 #include "model/backend.hpp"
 #include "sim/system.hpp"
@@ -26,6 +27,8 @@ using trace::SpecBenchmark;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
 /// FNV-1a 64 over the eight little-endian bytes of `v`, folded into `h`.
+/// Spelled out here rather than taken from util::Fingerprint, whose values
+/// are free to change between builds.
 void mix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
