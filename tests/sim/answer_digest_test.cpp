@@ -247,5 +247,41 @@ TEST(AnswerDigest, AnalyticScreenSliceIsPinned) {
   }
 }
 
+// The analytic backends over screen's whole grid: every port count, MSHR
+// level and L2 interleave on all five geometries and all sixteen profiles,
+// in the order one screen sweep submits them, so each evaluation context
+// serves its hundred knob settings one after another.
+TEST(AnswerDigest, AnalyticScreenGridIsPinned) {
+  const std::vector<MachineConfig> geometries = screen_geometries();
+  for (const char* backend : {model::kRdhBackend, model::kFaBackend}) {
+    std::uint64_t h = kFnvOffset;
+    for (const MachineConfig& geometry : geometries) {
+      for (const SpecBenchmark b : trace::all_spec_benchmarks()) {
+        const trace::WorkloadProfile wl = trace::spec_profile(b, 20'000, 1);
+        for (const std::uint32_t ports : {1u, 2u, 3u, 4u}) {
+          for (const std::uint32_t mshr : {1u, 4u, 12u, 32u, 64u}) {
+            for (const std::uint32_t il : {1u, 4u, 16u, 64u, 512u}) {
+              core::ArchKnobs k = core::ArchKnobs::config_a();
+              k.l1_ports = ports;
+              k.mshr_entries = mshr;
+              k.l2_interleave = il;
+              exp::SimJob job = exp::SimJob::solo(k.apply(geometry), wl);
+              job.backend = backend;
+              const exp::SimJobResult r = model::evaluate_analytic(job);
+              mix(h, r.run);
+              mix_all(h, r.calib);
+            }
+          }
+        }
+      }
+    }
+    const std::uint64_t pinned =
+        std::string_view(backend) == model::kRdhBackend
+            ? 0x2b86a20e15bc664fULL
+            : 0x0da1981be913f470ULL;
+    EXPECT_EQ(h, pinned) << backend << " " << std::hex << h;
+  }
+}
+
 }  // namespace
 }  // namespace lpm::sim
