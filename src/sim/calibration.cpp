@@ -34,6 +34,11 @@ CalibrationCache& cache() {
 
 std::uint64_t calibration_key(const MachineConfig& cfg,
                               const trace::WorkloadProfile& workload) {
+  return calibration_key(cfg, util::fingerprint(workload));
+}
+
+std::uint64_t calibration_key(const MachineConfig& cfg,
+                              std::uint64_t workload_fingerprint) {
   // measure_cpi_exe builds the perfect memory with unlimited ports, so
   // l1.ports is deliberately absent: configurations differing only in
   // memory-side knobs share one calibration.
@@ -44,7 +49,7 @@ std::uint64_t calibration_key(const MachineConfig& cfg,
   f.mix_u64(util::fingerprint(core));
   f.mix(cfg.l1.hit_latency);
   f.mix_u64(cfg.max_cycles);
-  f.mix_u64(util::fingerprint(workload));
+  f.mix_u64(workload_fingerprint);
   return f.value();
 }
 

@@ -23,6 +23,10 @@ namespace lpm::sim {
 /// the workload fingerprint.
 [[nodiscard]] std::uint64_t calibration_key(const MachineConfig& cfg,
                                             const trace::WorkloadProfile& workload);
+/// The same key from the workload's util::fingerprint, for a caller that
+/// has already computed it.
+[[nodiscard]] std::uint64_t calibration_key(const MachineConfig& cfg,
+                                            std::uint64_t workload_fingerprint);
 
 /// measure_cpi_exe over a fresh trace of `workload`, memoized process-wide
 /// by calibration_key (util::Memo). Concurrent misses on one key run one

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "trace/spec_like.hpp"
 #include "util/error.hpp"
+#include "util/fingerprint.hpp"
 
 namespace lpm::sim {
 namespace {
@@ -33,6 +34,38 @@ CpiExeResult fresh(const MachineConfig& machine,
                    const trace::WorkloadProfile& wl) {
   const trace::TraceSourcePtr t = trace::make_trace(wl);
   return measure_cpi_exe(machine, *t);
+}
+
+using FieldChanges =
+    std::vector<std::pair<std::string, std::function<void(MachineConfig&)>>>;
+
+/// One change per machine field measure_cpi_exe does not read.
+FieldChanges fields_the_key_ignores() {
+  return {
+      {"l1.ports", [](MachineConfig& m) { m.l1.ports *= 4; }},
+      {"l1.size_bytes", [](MachineConfig& m) { m.l1.size_bytes *= 2; }},
+      {"l1.mshr_entries", [](MachineConfig& m) { m.l1.mshr_entries *= 2; }},
+      {"l2.size_bytes", [](MachineConfig& m) { m.l2.size_bytes *= 2; }},
+      {"l2.banks", [](MachineConfig& m) { m.l2.banks *= 2; }},
+      {"l2.mshr_entries", [](MachineConfig& m) { m.l2.mshr_entries *= 2; }},
+      {"dram.banks", [](MachineConfig& m) { m.dram.banks *= 2; }},
+      {"dram.t_cl", [](MachineConfig& m) { m.dram.t_cl += 5; }},
+      {"core.id", [](MachineConfig& m) { m.core.id = 7; }},
+  };
+}
+
+/// One change per machine field measure_cpi_exe reads.
+FieldChanges fields_the_key_reads() {
+  return {
+      {"issue_width", [](MachineConfig& m) { m.core.issue_width += 1; }},
+      {"dispatch_width", [](MachineConfig& m) { m.core.dispatch_width += 1; }},
+      {"commit_width", [](MachineConfig& m) { m.core.commit_width += 1; }},
+      {"iw_size", [](MachineConfig& m) { m.core.iw_size += 1; }},
+      {"rob_size", [](MachineConfig& m) { m.core.rob_size += 1; }},
+      {"lsq_size", [](MachineConfig& m) { m.core.lsq_size += 1; }},
+      {"l1.hit_latency", [](MachineConfig& m) { m.l1.hit_latency += 1; }},
+      {"max_cycles", [](MachineConfig& m) { m.max_cycles += 1; }},
+  };
 }
 
 TEST(CalibrationCache, HitEqualsAFreshMeasurement) {
@@ -52,19 +85,7 @@ TEST(CalibrationCache, KeyIgnoresWhatThePerfectMemoryHides) {
   const auto base = MachineConfig::single_core_default();
   const auto wl = gcc(102);
   const std::uint64_t key = calibration_key(base, wl);
-  const std::vector<std::pair<std::string, std::function<void(MachineConfig&)>>>
-      ignored = {
-          {"l1.ports", [](MachineConfig& m) { m.l1.ports *= 4; }},
-          {"l1.size_bytes", [](MachineConfig& m) { m.l1.size_bytes *= 2; }},
-          {"l1.mshr_entries", [](MachineConfig& m) { m.l1.mshr_entries *= 2; }},
-          {"l2.size_bytes", [](MachineConfig& m) { m.l2.size_bytes *= 2; }},
-          {"l2.banks", [](MachineConfig& m) { m.l2.banks *= 2; }},
-          {"l2.mshr_entries", [](MachineConfig& m) { m.l2.mshr_entries *= 2; }},
-          {"dram.banks", [](MachineConfig& m) { m.dram.banks *= 2; }},
-          {"dram.t_cl", [](MachineConfig& m) { m.dram.t_cl += 5; }},
-          {"core.id", [](MachineConfig& m) { m.core.id = 7; }},
-      };
-  for (const auto& [name, mutate] : ignored) {
+  for (const auto& [name, mutate] : fields_the_key_ignores()) {
     MachineConfig m = base;
     mutate(m);
     EXPECT_EQ(calibration_key(m, wl), key) << name << " must not split the key";
@@ -79,18 +100,7 @@ TEST(CalibrationCache, KeySeparatesEverythingMeasureCpiExeReads) {
   const auto base = MachineConfig::single_core_default();
   const auto wl = gcc(102);
   const std::uint64_t key = calibration_key(base, wl);
-  const std::vector<std::pair<std::string, std::function<void(MachineConfig&)>>>
-      read = {
-          {"issue_width", [](MachineConfig& m) { m.core.issue_width += 1; }},
-          {"dispatch_width", [](MachineConfig& m) { m.core.dispatch_width += 1; }},
-          {"commit_width", [](MachineConfig& m) { m.core.commit_width += 1; }},
-          {"iw_size", [](MachineConfig& m) { m.core.iw_size += 1; }},
-          {"rob_size", [](MachineConfig& m) { m.core.rob_size += 1; }},
-          {"lsq_size", [](MachineConfig& m) { m.core.lsq_size += 1; }},
-          {"l1.hit_latency", [](MachineConfig& m) { m.l1.hit_latency += 1; }},
-          {"max_cycles", [](MachineConfig& m) { m.max_cycles += 1; }},
-      };
-  for (const auto& [name, mutate] : read) {
+  for (const auto& [name, mutate] : fields_the_key_reads()) {
     MachineConfig m = base;
     mutate(m);
     EXPECT_NE(calibration_key(m, wl), key) << name << " must split the key";
@@ -193,6 +203,35 @@ TEST(CalibrationCache, WaiterHonoursItsOwnGuard) {
   EXPECT_TRUE(timed_out);
   EXPECT_FALSE(owner_done_at_timeout)
       << "the waiter must stop waiting as soon as its own guard fires";
+}
+
+// A caller that has the workload's fingerprint already gets the same key
+// from it, on every machine and workload the tests above calibrate.
+TEST(CalibrationCache, KeyFromTheWorkloadFingerprintIsTheSame) {
+  const auto base = MachineConfig::single_core_default();
+  std::vector<std::pair<MachineConfig, trace::WorkloadProfile>> cases;
+  for (const auto& [seed, length] :
+       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {101, 8000}, {102, 8000}, {103, 8000}, {104, 8000}, {105, 8000},
+           {106, 40000}, {107, 40000}, {108, 3'000'000}}) {
+    cases.emplace_back(base, gcc(seed, length));
+  }
+  MachineConfig capped = base;
+  capped.max_cycles = 50;
+  cases.emplace_back(capped, gcc(105));
+  for (const FieldChanges& changes :
+       {fields_the_key_ignores(), fields_the_key_reads()}) {
+    for (const auto& [name, mutate] : changes) {
+      MachineConfig m = base;
+      mutate(m);
+      cases.emplace_back(m, gcc(102));
+    }
+  }
+  for (const auto& [machine, wl] : cases) {
+    EXPECT_EQ(calibration_key(machine, util::fingerprint(wl)),
+              calibration_key(machine, wl))
+        << wl.name << " seed " << wl.seed << " length " << wl.length;
+  }
 }
 
 }  // namespace
