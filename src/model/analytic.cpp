@@ -1,6 +1,9 @@
 #include "model/analytic.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <unordered_map>
@@ -573,11 +576,79 @@ class LevelModel {
   std::uint64_t fa_blocks_ = 0;
 };
 
+/// The L1 demand passes one evaluation context has run, keyed by the full
+/// bits of their two inputs besides the context: the prefetch alpha and
+/// the coalescing window. A pass is a pure function of the context's
+/// profile and L1 model and those two doubles, so a stored result is the
+/// very double the pass would compute again.
+///
+/// Fixed size and lock-free: an entry is claimed by a CAS on its window
+/// word, written, then published by a release store of the window bits;
+/// it never changes afterwards, so a hit only reads. A lookup probes
+/// kProbes slots from the keys' hash; a full probe sequence, a slot
+/// another caller is still writing, or a claim lost to another caller
+/// only costs computing the pass without storing it.
+class DemandMemo {
+ public:
+  static constexpr std::size_t kSlots = kDemandMemoSlots;
+  static_assert(std::has_single_bit(kSlots), "the slot count masks a hash");
+
+  /// pass(), or the result of an earlier pass with the same inputs; `hit`
+  /// says which.
+  template <typename Pass>
+  double get_or_run(double alpha, double burst_window, Pass&& pass,
+                    bool& hit) const {
+    const std::uint64_t a = std::bit_cast<std::uint64_t>(alpha);
+    const std::uint64_t w = std::bit_cast<std::uint64_t>(burst_window);
+    hit = false;
+    const std::size_t start = static_cast<std::size_t>(
+        ((a ^ (w * 0x9e3779b97f4a7c15ull)) * 0xbf58476d1ce4e5b9ull) >>
+        (64 - std::countr_zero(kSlots)));
+    for (std::size_t i = 0; i < kProbes; ++i) {
+      Slot& s = slots_[(start + i) & (kSlots - 1)];
+      std::uint64_t seen = s.window.load(std::memory_order_acquire);
+      if (seen == kEmpty) {
+        if (!s.window.compare_exchange_strong(seen, kClaimed,
+                                              std::memory_order_relaxed)) {
+          break;
+        }
+        const double demand = pass();
+        s.alpha.store(a, std::memory_order_relaxed);
+        s.demand.store(std::bit_cast<std::uint64_t>(demand),
+                       std::memory_order_relaxed);
+        s.window.store(w, std::memory_order_release);
+        return demand;
+      }
+      if (seen == w && s.alpha.load(std::memory_order_relaxed) == a) {
+        hit = true;
+        return std::bit_cast<double>(s.demand.load(std::memory_order_relaxed));
+      }
+      if (seen == kClaimed) break;
+    }
+    return pass();
+  }
+
+ private:
+  static constexpr std::size_t kProbes = 16;
+  /// Window words no key has: evaluate_core clamps every window to
+  /// [1, kMaxBurstWindow], and these are the bits of +0.0 and of a NaN.
+  static constexpr std::uint64_t kEmpty = 0;
+  static constexpr std::uint64_t kClaimed = ~std::uint64_t{0};
+
+  struct Slot {
+    std::atomic<std::uint64_t> window{kEmpty};
+    std::atomic<std::uint64_t> alpha{0};
+    std::atomic<std::uint64_t> demand{0};
+  };
+  mutable std::array<Slot, kSlots> slots_;
+};
+
 /// What every evaluation of one core's workload on one cache geometry
-/// shares, resolved once and immutable afterwards. The key below names
-/// every input of every field, so two jobs with one key get equal fields,
-/// and an evaluation computes from them exactly what it would compute
-/// from fresh lookups: the same doubles from the same operations.
+/// shares, resolved once and immutable afterwards apart from the demand
+/// memo. The key below names every input of every field, so two jobs with
+/// one key get equal fields, and an evaluation computes from them exactly
+/// what it would compute from fresh lookups: the same doubles from the
+/// same operations.
 struct EvalContext {
   /// The profile the L1 weights were computed against. Held weakly: a
   /// context neither keeps an evicted profile alive nor stops
@@ -590,10 +661,13 @@ struct EvalContext {
   double m1_traffic = 0.0;
   double m2p_fills = 0.0;
   double m2_fills = 0.0;
+  /// l1.demand() passes run on this context so far.
+  DemandMemo l1_demand;
 
-  /// Bytes this context keeps alive: itself, its L1 weights, and the
-  /// profile's record, which the weak reference holds (make_shared puts
-  /// the control block and the record in one allocation).
+  /// Bytes this context keeps alive: itself (the demand memo included),
+  /// its L1 weights, and the profile's record, which the weak reference
+  /// holds (make_shared puts the control block and the record in one
+  /// allocation).
   [[nodiscard]] std::uint64_t footprint() const {
     return sizeof(EvalContext) + l1.weight_bytes() + sizeof(ReuseProfile);
   }
@@ -610,6 +684,23 @@ util::Memo<std::uint64_t, ContextPtr>& contexts() {
   return *memo;
 }
 
+/// The counters of evaluate_core's L1 demand passes, resolved once: a
+/// lookup by name takes the registry's mutex.
+struct DemandCounters {
+  obs::MetricsRegistry::Counter passes =
+      obs::MetricsRegistry::global().counter("model.backend.l1_demand_passes");
+  obs::MetricsRegistry::Counter memo_hits =
+      obs::MetricsRegistry::global().counter(
+          "model.backend.l1_demand_memo_hits");
+};
+
+DemandCounters& demand_counters() {
+  // Leaked on purpose: engine workers may still evaluate while statics
+  // destruct.
+  static auto* counters = new DemandCounters;
+  return *counters;
+}
+
 /// Everything an EvalContext is computed from: the profile (workload
 /// fingerprint), the calibration (calibration_key), the backend, the L1,
 /// private-L2 and shared-L2 geometries, and the core count that slices
@@ -617,11 +708,12 @@ util::Memo<std::uint64_t, ContextPtr>& contexts() {
 std::uint64_t context_key(const exp::SimJob& job,
                           const trace::WorkloadProfile& wl) {
   const sim::MachineConfig& mc = job.machine;
+  const std::uint64_t workload = util::fingerprint(wl);
   util::Fingerprint f;
   f.mix("model::EvalContext/v1")
       .mix(job.backend)
-      .mix_u64(util::fingerprint(wl))
-      .mix_u64(sim::calibration_key(mc, wl));
+      .mix_u64(workload)
+      .mix_u64(sim::calibration_key(mc, workload));
   for (const mem::CacheConfig* c : {&mc.l1, &mc.private_l2, &mc.l2}) {
     f.mix_u64(c->size_bytes).mix(c->block_bytes).mix(c->associativity);
   }
@@ -648,8 +740,8 @@ ContextPtr build_context(const exp::SimJob& job,
   const std::uint32_t cores = std::max(1u, mc.num_cores);
   const double m2_fills =
       LevelModel(job.backend, mc.l2, cores, p).fills(p, 0.0);
-  return std::make_shared<const EvalContext>(EvalContext{
-      profile, calib, std::move(l1), m1_traffic, m2p_fills, m2_fills});
+  return std::make_shared<const EvalContext>(profile, calib, std::move(l1),
+                                             m1_traffic, m2p_fills, m2_fills);
 }
 
 /// The context of core `wl` in `job`, built on the first evaluation that
@@ -735,6 +827,10 @@ struct CoreChain {
   camat::CamatMetrics l1, l2p, l2, dram;
   cpu::CoreStats stats;
   double mshr_pressure_cycles = 0.0;
+  /// L1 demand passes the fixed point ran, and those the context's memo
+  /// answered instead.
+  std::uint64_t demand_passes = 0;
+  std::uint64_t demand_memo_hits = 0;
 };
 
 struct LevelShape {
@@ -872,8 +968,12 @@ CoreChain evaluate_core(const exp::SimJob& job, const trace::WorkloadProfile& wl
       const double mshr_free = clampd(1.0 - mshr_util * mshr_util, 0.0, 1.0);
       alpha1 = kPrefetchAlpha * std::min(1.0, lead / fill_latency) * mshr_free;
     }
-    out.m1 = std::min<std::uint64_t>(
-        out.a1, to_count(ctx.l1.demand(p, alpha1, burst_window)));
+    bool hit = false;
+    const double m1 = ctx.l1_demand.get_or_run(
+        alpha1, burst_window,
+        [&] { return ctx.l1.demand(p, alpha1, burst_window); }, hit);
+    ++(hit ? out.demand_memo_hits : out.demand_passes);
+    out.m1 = std::min<std::uint64_t>(out.a1, to_count(m1));
     mr1 = static_cast<double>(out.m1) /
           std::max(1.0, static_cast<double>(out.a1));
 
@@ -1023,6 +1123,9 @@ exp::SimJobResult evaluate_analytic(const exp::SimJob& job,
     std::shared_ptr<const ReuseProfile> profile = ctx->profile.lock();
     if (profile == nullptr) profile = ProfileCache::global().reuse(wl);
     const CoreChain chain = evaluate_core(job, wl, *profile, *ctx);
+    DemandCounters& counters = demand_counters();
+    counters.passes.add(chain.demand_passes);
+    counters.memo_hits.add(chain.demand_memo_hits);
 
     run.cores.push_back(chain.stats);
     run.l1.push_back(chain.l1);

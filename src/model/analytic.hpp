@@ -250,15 +250,22 @@ class ProfileCache {
 /// weights and alpha-0 fill passes — is resolved once per (workload,
 /// calibration key, backend, cache geometry, L2 sharers) and shared by
 /// every job with that key, so a sweep over ports, MSHRs or interleave
-/// takes one memo hit per core. A cancelled `guard` throws
-/// util::TimeoutError, including while another caller builds the context.
+/// takes one memo hit per core. The context also keeps the L1 demand
+/// passes of its CPI fixed point, which neighbouring knob settings mostly
+/// repeat bit for bit. A cancelled `guard` throws util::TimeoutError,
+/// including while another caller builds the context.
 [[nodiscard]] exp::SimJobResult evaluate_analytic(
     const exp::SimJob& job, const sim::RunGuard* guard = nullptr);
 
 /// Byte budget of the evaluation-context memo (DESIGN §11). A context is
-/// charged its L1 bucket weights and its fixed records, not its profile,
-/// which ProfileCache owns and budgets.
+/// charged its L1 bucket weights and its fixed records, its L1 demand memo
+/// included, not its profile, which ProfileCache owns and budgets.
 inline constexpr std::uint64_t kEvalContextBudgetBytes = 16u << 20;
+/// Entries of each evaluation context's L1 demand memo (24 bytes each):
+/// the demand passes of its CPI fixed point, keyed by their exact prefetch
+/// alpha and coalescing window. A context that meets more distinct pairs
+/// than it can store computes the rest, with equal results (DESIGN §9).
+inline constexpr std::size_t kDemandMemoSlots = 256;
 /// Bytes the stored evaluation contexts are charged; never above
 /// kEvalContextBudgetBytes.
 [[nodiscard]] std::uint64_t eval_context_bytes();

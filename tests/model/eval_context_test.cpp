@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/design_space.hpp"
@@ -258,6 +259,130 @@ TEST(EvalContext, StaysWithinItsBudgetAndRebuildsEvictedContextsIdentically) {
   EXPECT_EQ(eval_context_builds(), builds + 1) << "the context was evicted";
   EXPECT_TRUE(again.run == first.run);
   EXPECT_EQ(again.calib, first.calib);
+}
+
+/// screen's grid on every geometry, for both backends.
+std::vector<exp::SimJob> grid_jobs(const trace::WorkloadProfile& wl) {
+  std::vector<exp::SimJob> jobs;
+  for (const char* backend : {kRdhBackend, kFaBackend}) {
+    for (const ScreenGeometry& g : kScreenGeometries) {
+      for (const core::ArchKnobs& k : screen_knobs()) {
+        exp::SimJob job = exp::SimJob::solo(k.apply(screen_machine(g)), wl,
+                                            /*calibrate=*/true);
+        job.backend = backend;
+        jobs.push_back(std::move(job));
+      }
+    }
+  }
+  return jobs;
+}
+
+bool same(const exp::SimJobResult& a, const exp::SimJobResult& b) {
+  return a.run == b.run && a.calib == b.calib;
+}
+
+TEST(EvalContext, DemandMemoEqualsFreshPasses) {
+  const trace::WorkloadProfile wl =
+      trace::spec_profile(trace::SpecBenchmark::kLibquantum, 8000, 4346);
+  const std::vector<core::ArchKnobs> knobs = screen_knobs();
+  // The first, a middle and the last knob setting of one sweep, each
+  // evaluated last, after its 99 neighbours have filled the memo.
+  for (const std::size_t last : {std::size_t{0}, knobs.size() / 2,
+                                 knobs.size() - 1}) {
+    for (const char* backend : {kRdhBackend, kFaBackend}) {
+      for (std::size_t g = 0; g < kScreenGeometries.size(); ++g) {
+        const std::string tag = std::string(backend) + "-" +
+                                std::to_string(g) + "-" + std::to_string(last);
+        auto job_for = [&](std::size_t i, const std::string& name) {
+          exp::SimJob job = exp::SimJob::solo(
+              knobs[i].apply(screen_machine(kScreenGeometries[g])), wl,
+              /*calibrate=*/true);
+          job.backend = backend;
+          rename(job, name);
+          return job;
+        };
+        const exp::SimJobResult cold =
+            evaluate_analytic(job_for(last, "memo-cold-" + tag));
+        for (std::size_t i = 0; i < knobs.size(); ++i) {
+          if (i != last) (void)evaluate_analytic(job_for(i, "memo-warm-" + tag));
+        }
+        const std::uint64_t hits = counter("model.backend.l1_demand_memo_hits");
+        const exp::SimJobResult warm =
+            evaluate_analytic(job_for(last, "memo-warm-" + tag));
+        EXPECT_GT(counter("model.backend.l1_demand_memo_hits"), hits)
+            << tag << ": the neighbours left no pass to reuse";
+        EXPECT_TRUE(same(warm, cold)) << tag;
+      }
+    }
+  }
+}
+
+TEST(EvalContext, DemandMemoOverflowKeepsResultsExact) {
+  // Every MSHR count gives the streamer a different share of free
+  // entries, so each job starts its fixed point from a prefetch alpha of
+  // its own: one context meets far more distinct passes than it can store.
+  const trace::WorkloadProfile wl =
+      trace::spec_profile(trace::SpecBenchmark::kGcc, 4000, 4347);
+  std::vector<exp::SimJob> jobs;
+  for (std::uint32_t mshr = 1; mshr <= 2 * kDemandMemoSlots; ++mshr) {
+    sim::MachineConfig m = sim::MachineConfig::single_core_default();
+    m.l1.mshr_entries = mshr;
+    jobs.push_back(exp::SimJob::solo(m, wl, /*calibrate=*/true));
+    jobs.back().backend = kRdhBackend;
+  }
+  std::vector<exp::SimJobResult> alone;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    exp::SimJob job = jobs[i];
+    rename(job, "memo-overflow-alone-" + std::to_string(i));
+    alone.push_back(evaluate_analytic(job));
+  }
+  const std::uint64_t passes = counter("model.backend.l1_demand_passes");
+  const std::uint64_t contexts = eval_context_builds();
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    exp::SimJob job = jobs[i];
+    rename(job, "memo-overflow-shared");
+    if (!same(evaluate_analytic(job), alone[i])) {
+      ADD_FAILURE() << "mshr " << job.machine.l1.mshr_entries
+                    << " differs from its own context's result";
+      if (++mismatches == 5) return;
+    }
+  }
+  EXPECT_EQ(eval_context_builds(), contexts + 1) << "one shared context";
+  EXPECT_GT(counter("model.backend.l1_demand_passes") - passes,
+            kDemandMemoSlots)
+      << "the shared context's memo never filled";
+}
+
+TEST(EvalContext, ConcurrentEvaluationsOnSharedContextsEqualSerial) {
+  const trace::WorkloadProfile wl =
+      trace::spec_profile(trace::SpecBenchmark::kMilc, 4000, 4348);
+  std::vector<exp::SimJob> jobs = grid_jobs(wl);
+  std::vector<exp::SimJobResult> serial;
+  for (exp::SimJob job : jobs) {
+    rename(job, "memo-serial");
+    serial.push_back(evaluate_analytic(job));
+  }
+  // Cold contexts again, shared by four threads that walk the grid from
+  // four starting points: they race to build each context and to fill
+  // each memo.
+  for (exp::SimJob& job : jobs) rename(job, "memo-threads");
+  constexpr std::size_t kThreads = 4;
+  const std::size_t n = jobs.size();
+  std::array<std::size_t, kThreads> mismatches{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t step = 0; step < n; ++step) {
+        const std::size_t i = (step + t * n / kThreads) % n;
+        if (!same(evaluate_analytic(jobs[i]), serial[i])) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 }  // namespace

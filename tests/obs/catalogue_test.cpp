@@ -130,7 +130,8 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
       "lpm.two_stage_walks", "lpm.screened_sweeps",
       "model.backend.evals.cycle", "model.backend.evals.rdh",
       "model.backend.evals.fa", "model.backend.profile_builds",
-      "model.backend.profile_cache_hits",
+      "model.backend.profile_cache_hits", "model.backend.l1_demand_passes",
+      "model.backend.l1_demand_memo_hits",
   };
   for (const auto& name : counters) {
     EXPECT_TRUE(snap.counters.contains(name)) << "missing counter: " << name;
@@ -171,6 +172,7 @@ TEST(MetricCatalogue, DocumentedNamesAreEmitted) {
   EXPECT_GE(snap.counter_or_zero("model.backend.evals.fa"), 1u);
   EXPECT_GE(snap.counter_or_zero("model.backend.profile_builds"), 1u);
   EXPECT_GE(snap.counter_or_zero("model.backend.profile_cache_hits"), 1u);
+  EXPECT_GE(snap.counter_or_zero("model.backend.l1_demand_passes"), 1u);
   EXPECT_GE(snap.counter_or_zero("sim.calibrations"), 1u);
   EXPECT_GE(snap.counter_or_zero("sim.calibration_cache_hits"), 1u);
   EXPECT_GT(snap.histograms.at("exp.job.run_ms").count, 0u);
