@@ -146,16 +146,23 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
 
   // Phase 1c: one 16-core co-run on the shared-L2 NUCA machine, the
   // per-schedule cost of the Fig. 8 case study.
+  // One run spreads about 25% between runs on an idle host: report the
+  // median of three timings.
   if (opts.corun_length >= 1) {
-    std::vector<trace::TraceSourcePtr> traces;
-    for (const trace::SpecBenchmark b : trace::all_spec_benchmarks()) {
-      traces.push_back(std::make_unique<trace::SyntheticTrace>(
-          trace::spec_profile(b, opts.corun_length, 29)));
+    std::array<double, 3> walls{};
+    for (double& wall : walls) {
+      std::vector<trace::TraceSourcePtr> traces;
+      for (const trace::SpecBenchmark b : trace::all_spec_benchmarks()) {
+        traces.push_back(std::make_unique<trace::SyntheticTrace>(
+            trace::spec_profile(b, opts.corun_length, 29)));
+      }
+      const auto start = Clock::now();
+      sim::System system(sim::MachineConfig::nuca16(), std::move(traces));
+      report.corun_cycles = system.run().cycles;
+      wall = seconds_since(start);
     }
-    const auto start = Clock::now();
-    sim::System system(sim::MachineConfig::nuca16(), std::move(traces));
-    report.corun_cycles = system.run().cycles;
-    report.wall_seconds_corun = seconds_since(start);
+    std::sort(walls.begin(), walls.end());
+    report.wall_seconds_corun = walls[1];
   }
 
   // Phase 2: engine saturating sweep. Many distinct near-zero-cost jobs
@@ -211,40 +218,62 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
   // Phase 3: analytic screening throughput. The same distinct
   // configurations through the "rdh" backend on every SPEC-like profile —
   // dense reuse histograms and sparse streaming ones — with each profile's
-  // one-off reuse profile and CPIexe calibration warmed first: exactly the
-  // steady state of a multi-fidelity sweep, where both are paid once and
-  // every configuration afterwards is closed-form.
+  // one-off reuse profile and CPIexe calibration, and every geometry's
+  // miss table, warmed first: the steady state of a multi-fidelity sweep,
+  // where those are paid once and every configuration afterwards is
+  // closed-form.
+  //
+  // Every timed pass meets cold evaluation contexts, so it times the
+  // evaluations and not a replay of the demand passes an earlier pass
+  // left in the contexts' memos: each pass gives its jobs a private-L2
+  // size of its own. That field is in the context key but unread by a
+  // two-level machine, so the passes do the same work.
   if (opts.analytic_configs >= 1) {
     model::register_analytic_executors();
     exp::ExperimentEngine engine(exp::ExperimentEngine::Options{
         .threads = opts.engine_threads, .cache_bytes = 0});
 
-    std::vector<exp::SimJob> jobs;
-    std::vector<exp::SimJob> warm;
-    for (const trace::SpecBenchmark b : trace::all_spec_benchmarks()) {
-      const trace::WorkloadProfile wl = trace::spec_profile(b, opts.length, 17);
-      for (unsigned i = 0; i < opts.analytic_configs; ++i) {
-        sim::MachineConfig m = sim::MachineConfig::single_core_default();
-        m.l1.size_bytes = (4u * 1024u) << (i % 8);  // 4K .. 512K
-        m.l1.mshr_entries = 4u << (i / 8 % 4);      // 4, 8, 16, 32
-        m.l2.size_bytes <<= (i / 32 % 2);
-        exp::SimJob job = exp::SimJob::solo(
-            std::move(m), wl, /*calibrate=*/true, "perf-analytic");
-        job.backend = model::kRdhBackend;
-        jobs.push_back(std::move(job));
+    const auto batch = [&](std::uint64_t pass) {
+      std::vector<exp::SimJob> jobs;
+      for (const trace::SpecBenchmark b : trace::all_spec_benchmarks()) {
+        const trace::WorkloadProfile wl =
+            trace::spec_profile(b, opts.length, 17);
+        for (unsigned i = 0; i < opts.analytic_configs; ++i) {
+          sim::MachineConfig m = sim::MachineConfig::single_core_default();
+          m.l1.size_bytes = (4u * 1024u) << (i % 8);  // 4K .. 512K
+          m.l1.mshr_entries = 4u << (i / 8 % 4);      // 4, 8, 16, 32
+          m.l2.size_bytes <<= (i / 32 % 2);
+          m.private_l2.size_bytes = (64u * 1024u) << pass;
+          exp::SimJob job = exp::SimJob::solo(
+              std::move(m), wl, /*calibrate=*/true, "perf-analytic");
+          job.backend = model::kRdhBackend;
+          jobs.push_back(std::move(job));
+        }
       }
-      warm.push_back(jobs.back());
+      return jobs;
+    };
+    // Warm: the first profile's configurations (every geometry's miss
+    // table) and one configuration of every other profile.
+    const std::vector<exp::SimJob> untimed = batch(3);
+    const std::size_t n = opts.analytic_configs;
+    std::vector<exp::SimJob> warm(untimed.begin(), untimed.begin() + n);
+    for (std::size_t i = 2 * n - 1; i < untimed.size(); i += n) {
+      warm.push_back(untimed[i]);
     }
-    (void)engine.run_batch(warm);  // warm profiles + calibrations
+    (void)engine.run_batch(warm);
 
     // The batch takes a few tens of milliseconds, so one preempted run on
     // a shared host can cost a third of the rate: report the median of
     // three timings.
     std::array<double, 3> walls{};
-    for (double& wall : walls) {
+    for (std::uint64_t pass = 0; pass < walls.size(); ++pass) {
+      const std::vector<exp::SimJob> jobs = batch(pass);
+      const std::uint64_t contexts = model::eval_context_builds();
       const auto start = Clock::now();
       report.analytic_configs = engine.run_batch(jobs).size();
-      wall = seconds_since(start);
+      walls[pass] = seconds_since(start);
+      util::require(model::eval_context_builds() > contexts,
+                    "perf: an analytic pass found its contexts warm");
     }
     std::sort(walls.begin(), walls.end());
     report.wall_seconds_analytic = walls[1];

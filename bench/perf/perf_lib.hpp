@@ -18,7 +18,8 @@
 //   * sim_corun_cycles_per_sec — simulated cycles per second of one
 //     16-core MachineConfig::nuca16() co-run of the 16 SPEC-like profiles:
 //     the shared-L2/DRAM regime of lpmbench's `nuca` workload (Fig. 8),
-//     where cores finish far apart and the L1s wait on their MSHRs.
+//     where cores finish far apart and the L1s wait on their MSHRs. The
+//     run is timed three times and the median counts.
 //   * engine_jobs_per_sec   — distinct jobs per second through an
 //     ExperimentEngine worker pool under a *saturating sweep*: many
 //     near-zero-cost jobs (a registered null backend) submitted from
@@ -30,8 +31,10 @@
 //   * analytic_configs_per_sec — distinct machine configurations per second
 //     through the "rdh" analytic backend, over all 16 SPEC-like profiles,
 //     after each profile's one-off profiling pass, i.e. the screening rate
-//     of a multi-fidelity sweep. The batch is timed three times and the
-//     median counts. The headline claim this gate protects:
+//     of a multi-fidelity sweep. The batch is timed three times, each on
+//     cold evaluation contexts (so a pass cannot replay an earlier pass's
+//     memoized demand passes), and the median counts. The headline claim
+//     this gate protects:
 //     analytic screening stays orders of magnitude faster than cycle
 //     simulation.
 //   * trace_synth_ops_per_sec — synthetic micro-ops per second through
